@@ -20,6 +20,7 @@ from golden_spectra import (
     to_text,
 )
 from golden_spectra.censusio import (
+    classification_manifest,
     write_hoffman_census,
     write_manifest,
     write_named_signed,
@@ -76,7 +77,7 @@ def main() -> int:
         write_named_signed(result.exceptional, out / "census-15.txt")
         write_hoffman_census(result.irreducible, out / "census-37.txt")
         write_hoffman_census(maxi, out / "census-18.txt")
-        write_manifest(result, out / "manifest.json")
+        write_manifest(classification_manifest(result), out / "manifest.json")
         print(f"census files written to {out}")
     return 0
 

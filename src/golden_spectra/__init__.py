@@ -18,6 +18,7 @@ from .algebra import (
     lambda_min_equals,
     parse_threshold,
 )
+from .censusio import TOOL_VERSION
 from .decomp import (
     Decomposition,
     HLineWitness,
@@ -76,4 +77,4 @@ from .spectral import (
     special_graph,
 )
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION

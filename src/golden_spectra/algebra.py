@@ -375,85 +375,28 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition: [(f_i, i)] with p = c * prod f_i^i, f_i squarefree."""
+    """Yun decomposition: [(f_i, i)] with p = c * prod f_i^i, f_i squarefree,
+    primitive, with positive leading coefficient.  Every division is exact
+    over Z[x] (Gauss's lemma: each divisor is a primitive gcd)."""
     if p.is_zero():
         raise AlgebraError("decomposition of the zero polynomial")
     if p.degree < 1:
         return []
-    f = [Fraction(c) for c in p.coeffs]
-    df = _q_deriv(f)
-    g = _q_gcd(f, df)
+    f = p.primitive()
+    df = f.derivative()
+    g = poly_gcd(f, df)
     out: list[tuple[IntPolynomial, int]] = []
-    c = _q_divexact(f, g)
-    d = _q_sub(_q_divexact(df, g), _q_deriv(c))
+    c = f.divexact(g)
+    d = df.divexact(g) - c.derivative()
     i = 1
-    while len(c) > 1:
-        h = _q_gcd(c, d)
-        if len(h) > 1:
-            out.append((_q_to_int(h), i))
-        c = _q_divexact(c, h)
-        d = _q_sub(_q_divexact(d, h), _q_deriv(c))
+    while c.degree > 0:
+        h = poly_gcd(c, d)
+        if h.degree > 0:
+            out.append((h, i))
+        c = c.divexact(h)
+        d = d.divexact(h) - c.derivative()
         i += 1
     return out
-
-
-# small helpers on Fraction-coefficient polynomials (lists, ascending)
-
-
-def _q_trim(f: list[Fraction]) -> list[Fraction]:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _q_deriv(f: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(f) if i]
-
-
-def _q_sub(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    out = list(f) + [Fraction(0)] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] -= c
-    return _q_trim(out)
-
-
-def _q_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not g:
-        raise AlgebraError("division by zero polynomial")
-    rem = list(f)
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        coef = rem[k + len(g) - 1] / g[-1]
-        q[k] = coef
-        if coef:
-            for j, d in enumerate(g):
-                rem[k + j] -= coef * d
-    return _q_trim(q), _q_trim(rem)
-
-
-def _q_divexact(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    q, r = _q_divmod(f, g)
-    if r:
-        raise AlgebraError("inexact rational polynomial division")
-    return q
-
-
-def _q_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    a, b = list(f), list(g)
-    while b:
-        _, r = _q_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return [Fraction(1)]
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _q_to_int(f: list[Fraction]) -> IntPolynomial:
-    den = 1
-    for c in f:
-        den = lcm(den, c.denominator)
-    return IntPolynomial(int(c * den) for c in f).primitive()
 
 
 # ---------------------------------------------------------------------------

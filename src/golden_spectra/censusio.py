@@ -67,11 +67,20 @@ def write_hoffman_census(census: HoffmanCensus, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read or
+    decoded is malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def read_hoffman_census(path) -> HoffmanCensus:
     """Reparse a census file; every graph is revalidated and its canonical
     key recomputed and checked against the stored one."""
     members = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -88,8 +97,7 @@ def read_hoffman_census(path) -> HoffmanCensus:
     return HoffmanCensus(tuple(members))
 
 
-def classification_manifest(result: ClassificationResult) -> dict:
-    census = result.signed_census
+def enumeration_manifest(census: SignedCensus) -> dict:
     return {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
@@ -97,16 +105,23 @@ def classification_manifest(result: ClassificationResult) -> dict:
         "forbidden": list(census.forbidden),
         "connected": census.connected,
         "max_n": census.max_n,
-        "census_counts_per_n": {str(n): len(census.by_n[n])
-                                for n in sorted(census.by_n)},
+        "counts_per_n": {str(n): len(census.by_n[n]) for n in sorted(census.by_n)},
+    }
+
+
+def classification_manifest(result: ClassificationResult) -> dict:
+    manifest = enumeration_manifest(result.signed_census)
+    manifest["census_counts_per_n"] = manifest.pop("counts_per_n")
+    manifest.update({
         "exceptional_realizable": [name for name, _ in result.exceptional],
         "exceptional_unrealizable": [to_text(m.graph) for m in result.unrealizable],
         "reducible_realizations": [to_text(g) for g, _, _ in result.reducible],
         "irreducible_count": len(result.irreducible.members),
         "discrepancies": list(result.discrepancies),
-    }
+    })
+    return manifest
 
 
-def write_manifest(result: ClassificationResult, path) -> None:
-    payload = json.dumps(classification_manifest(result), indent=2, sort_keys=True)
+def write_manifest(manifest: dict, path) -> None:
+    payload = json.dumps(manifest, indent=2, sort_keys=True)
     Path(path).write_text(payload + "\n", encoding="utf-8")

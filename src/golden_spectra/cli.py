@@ -23,7 +23,9 @@ from .algebra import (
 )
 from .censusio import (
     classification_manifest,
+    enumeration_manifest,
     read_hoffman_census,
+    read_text,
     write_hoffman_census,
     write_manifest,
     write_named_signed,
@@ -47,6 +49,7 @@ from .model import (
     HoffmanGraph,
     ParseError,
     catalog,
+    parse_graph,
     to_json_obj,
     to_text,
 )
@@ -59,12 +62,7 @@ EXIT_BAD_INPUT = 3
 
 
 def _read_graph(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    from .model import parse_graph
-    return parse_graph(text)
+    return parse_graph(read_text(path))
 
 
 def _matrix_of(graph):
@@ -159,17 +157,7 @@ def cmd_enumerate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"census-signed-n{args.max_n}.txt"
     write_signed_census(census, path)
-    manifest = {
-        "tool": "golden-spectra",
-        "version": "0.1.0",
-        "threshold": census.threshold_name,
-        "forbidden": list(census.forbidden),
-        "connected": census.connected,
-        "max_n": census.max_n,
-        "counts_per_n": {str(n): len(census.by_n[n]) for n in sorted(census.by_n)},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_manifest(enumeration_manifest(census), out / "manifest.json")
     for n in sorted(census.by_n):
         print(f"n={n}: {len(census.by_n[n])} graphs")
     print(f"wrote {path}")
@@ -197,7 +185,7 @@ def cmd_classify(args) -> int:
     write_signed_census(result.signed_census, out / "census-signed-n7.txt")
     write_named_signed(result.exceptional, out / "census-15.txt")
     write_hoffman_census(result.irreducible, out / "census-37.txt")
-    write_manifest(result, out / "manifest.json")
+    write_manifest(classification_manifest(result), out / "manifest.json")
     print(f"signed census: {sum(len(v) for v in result.signed_census.by_n.values())}"
           f" graphs up to n={result.signed_census.max_n}")
     print(f"exceptional census: {len(result.exceptional)};"

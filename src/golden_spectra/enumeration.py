@@ -2,7 +2,11 @@
 
 Level-wise augmentation enumerates connected edge-signed graphs up to
 isomorphism under three hereditary filters: an exact smallest-eigenvalue
-bound, forbidden induced patterns, and connectivity.  On top of it sit the
+bound, forbidden induced patterns, and connectivity.  At -tau each
+candidate is first screened by the memoized exact verdicts of its 3..5
+vertex subgraphs through the new vertex, which is sound by eigenvalue
+interlacing, and every survivor is decided by Berkowitz plus Sturm; the
+serial and the multi-process paths run the same code.  On top of it sit the
 one-vertex extension verifier for the Q family, the exhaustive two-slim
 derivation, realization of Hoffman graphs from their special graphs, the
 irreducible census and its maximal members, and the three-vertex diagonal
@@ -15,10 +19,11 @@ sign-vector order and all outputs are sorted by canonical key.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -155,156 +160,112 @@ def _lambda_ok(s: EdgeSignedGraph, threshold: Threshold) -> bool:
     return count_roots_below(char_poly(_sym_matrix(s)), threshold) == 0
 
 
-def _candidate_passes(parent: EdgeSignedGraph, vec: tuple, threshold: Threshold,
-                      forbidden: tuple, tables) -> Optional[EdgeSignedGraph]:
-    child = _extend(parent, vec)
-    for pattern in forbidden:
-        if contains_induced(child, pattern) is not None:
-            return None
-    if tables is not None and _screened_bad(parent, vec, tables):
-        return None
-    if not _lambda_ok(child, threshold):
-        return None
-    return child
+# pair symbol of a signed adjacency entry: none 0, plus 1, minus 2
+_SYMBOL = {0: 0, 1: 1, -1: 2}
 
 
-def _screened_bad(parent: EdgeSignedGraph, vec: tuple, tables) -> bool:
-    """Reject via an exact small-subgraph certificate from the verdict
-    tables (threshold -tau only); sound by eigenvalue interlacing."""
-    n = parent.vertex_count
+@lru_cache(maxsize=None)
+def _tau_verdict(code: tuple) -> bool:
+    """Exact `smallest eigenvalue >= -tau` for the labelled edge-signed graph
+    on 3..5 vertices whose pair symbols, in itertools.combinations order,
+    are `code` (length 3, 6 or 10)."""
+    n = {3: 3, 6: 4, 10: 5}[len(code)]
+    m = [[0] * n for _ in range(n)]
+    for (a, b), sym in zip(combinations(range(n), 2), code):
+        m[a][b] = m[b][a] = (0, 1, -1)[sym]
+    return count_roots_below(char_poly(m), NEG_TAU) == 0
+
+
+def _subset_rows(parent: EdgeSignedGraph) -> list:
+    """Every 2..4-subset of the parent's vertices with, per member, the pair
+    symbols to the later members: the fixed part of each screened code."""
     sym = _sym_matrix(parent)
-    code_of = {1: 1, -1: 2, 0: 0}
-    for size in (2, 3, 4):
-        if size > n:
-            break
-        for subset in combinations(range(n), size):
-            if not any(vec[s] for s in subset):
-                continue
-            code = []
-            for i, si in enumerate(subset):
-                row = sym[si]
-                for j in range(i + 1, size):
-                    code.append(code_of[row[subset[j]]])
-                code.append(vec[si])
-            if not tables[size + 1][tuple(code)]:
-                return True
+    return [(subset, [tuple(_SYMBOL[sym[a][b]] for b in subset[i + 1:])
+                      for i, a in enumerate(subset)])
+            for size in (2, 3, 4)
+            for subset in combinations(range(parent.vertex_count), size)]
+
+
+def _screened_bad(rows: list, vec: tuple) -> bool:
+    """True if some 3..5-vertex subgraph through the new vertex lies below
+    -tau; then so does the whole child, by eigenvalue interlacing."""
+    for subset, segments in rows:
+        if not any(vec[v] for v in subset):
+            continue  # new vertex isolated: a subgraph of the parent plus K1
+        code = []
+        for v, segment in zip(subset, segments):
+            code.extend(segment)
+            code.append(vec[v])
+        if not _tau_verdict(tuple(code)):
+            return True
     return False
 
 
-def _filter_level(args) -> list:
-    """Worker: all extensions of one parent that pass every filter."""
-    parent, threshold, forbidden, connected = args
-    n = parent.vertex_count
+def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
+              connected: bool) -> list:
+    """Every one-vertex extension of parent that passes all filters, in
+    lexicographic sign-vector order.  At -tau each candidate is screened
+    before its exact decision."""
+    rows = _subset_rows(parent) if threshold == NEG_TAU else None
     out = []
-    for vec in product((0, 1, 2), repeat=n):
+    for vec in product((0, 1, 2), repeat=parent.vertex_count):
         if connected and not any(vec):
             continue
-        child = _candidate_passes(parent, vec, threshold, forbidden, None)
-        if child is not None:
+        child = _extend(parent, vec)
+        if any(contains_induced(child, pat) is not None for pat in forbidden):
+            continue
+        if rows is not None and _screened_bad(rows, vec):
+            continue
+        if _lambda_ok(child, threshold):
             out.append(child)
     return out
 
 
 def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
                      forbidden: Sequence = (), connected: bool = True,
-                     jobs: int = 1, lambda_prune: bool = True) -> SignedCensus:
+                     jobs: int = 1) -> SignedCensus:
     """All edge-signed graphs up to isomorphism with at most max_n vertices
     satisfying the census predicate, by level-wise augmentation.
 
     Every filter is hereditary, so each level is grown from the previous
-    one by adding a single vertex with a sign vector; `lambda_prune=False`
-    defers the eigenvalue filter to a final pass (for pruning-soundness
-    checks) and is only sensible at small sizes.
+    one by adding a single vertex with a sign vector.  With jobs > 1 the
+    parents of a level are extended in worker processes; the result is
+    the same.
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
     forbidden = tuple(forbidden)
-    tables = _tau_tables_if_built() if (threshold == NEG_TAU and lambda_prune) else None
     by_n: dict = {}
     level: list = []
     if max_n >= 1:
         one = signed(1)
-        keep = all(contains_induced(one, pat) is None for pat in forbidden)
-        if keep and (not lambda_prune or _lambda_ok(one, threshold)):
+        if (all(contains_induced(one, pat) is None for pat in forbidden)
+                and _lambda_ok(one, threshold)):
             level = [one]
             by_n[1] = level
-    for n in range(2, max_n + 1):
-        found: dict = {}
-        if jobs > 1 and lambda_prune and level:
-            work = [(parent, threshold, forbidden, connected) for parent in level]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for batch in pool.map(_filter_level, work):
-                    for child in batch:
-                        found.setdefault(canonical_key(child), child)
-        else:
-            for parent in level:
-                if lambda_prune:
-                    for vec in product((0, 1, 2), repeat=n - 1):
-                        if connected and not any(vec):
-                            continue
-                        child = _candidate_passes(parent, vec, threshold,
-                                                  forbidden, tables)
-                        if child is not None:
-                            found.setdefault(canonical_key(child), child)
-                else:
-                    for child in _unpruned_children(parent, forbidden, connected):
-                        found.setdefault(canonical_key(child), child)
-        level = [found[k] for k in sorted(found)]
-        by_n[n] = level
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        mapper = pool.map if pool is not None else map
+        for n in range(2, max_n + 1):
+            found: dict = {}
+            for batch in mapper(_children, level, repeat(threshold),
+                                repeat(forbidden), repeat(connected)):
+                for child in batch:
+                    found.setdefault(canonical_key(child), child)
+            level = [found[k] for k in sorted(found)]
+            by_n[n] = level
     result_by_n = {}
     for n, graphs in by_n.items():
-        members = []
-        for g in graphs:
-            if not lambda_prune and not _lambda_ok(g, threshold):
-                continue
-            members.append(SignedCensusMember(g, canonical_key(g),
-                                              lambda_descriptor(_sym_matrix(g))))
+        members = [SignedCensusMember(g, canonical_key(g),
+                                      lambda_descriptor(_sym_matrix(g)))
+                   for g in graphs]
         members.sort(key=lambda m: m.key)
         result_by_n[n] = tuple(members)
     return SignedCensus(max_n, threshold.name,
                         tuple(to_text(p) for p in forbidden), connected, result_by_n)
 
 
-def _unpruned_children(parent: EdgeSignedGraph, forbidden: tuple,
-                       connected: bool) -> list:
-    n = parent.vertex_count
-    out = []
-    for vec in product((0, 1, 2), repeat=n):
-        if connected and not any(vec):
-            continue
-        child = _extend(parent, vec)
-        if any(contains_induced(child, pat) is not None for pat in forbidden):
-            continue
-        out.append(child)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# brute-force oracle and the exact verdict tables at -tau
-
-
-@lru_cache(maxsize=None)
-def _tau_tables() -> dict:
-    """code -> (smallest eigenvalue >= -tau), for every labelled edge-signed
-    graph on 3..5 vertices.  Codes are pair symbols {0,+:1,-:2} in
-    itertools.combinations order.  Exact; built once per process."""
-    tables: dict = {}
-    for n in (3, 4, 5):
-        pairs = list(combinations(range(n), 2))
-        tbl = {}
-        for code in product((0, 1, 2), repeat=len(pairs)):
-            m = [[0] * n for _ in range(n)]
-            for (a, b), sym in zip(pairs, code):
-                val = 1 if sym == 1 else (-1 if sym == 2 else 0)
-                m[a][b] = m[b][a] = val
-            tbl[code] = count_roots_below(char_poly(m), NEG_TAU) == 0
-        tables[n] = tbl
-    return tables
-
-
-def _tau_tables_if_built() -> Optional[dict]:
-    info = _tau_tables.cache_info()
-    return _tau_tables() if info.currsize else None
+# brute-force oracle
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -315,7 +276,6 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
     if max_n > 5:
         raise ValueError("brute force is limited to n <= 5")
     forbidden = tuple(forbidden)
-    tables = _tau_tables() if threshold == NEG_TAU else None
     out: dict = {}
     for n in range(1, max_n + 1):
         pairs = list(combinations(range(n), 2))
@@ -326,14 +286,10 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
             s = signed(n, plus, minus)
             if connected and not is_connected_signed(s):
                 continue
-            if tables is not None and n in tables:
-                if not tables[n][code]:
-                    continue
-            elif not _lambda_ok(s, threshold):
-                continue
             if any(contains_induced(s, pat) is not None for pat in forbidden):
                 continue
-            keys.add(canonical_key(s))
+            if _lambda_ok(s, threshold):
+                keys.add(canonical_key(s))
         out[n] = tuple(sorted(keys))
     return out
 
@@ -433,40 +389,13 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
     t1 = catalog("T1")
     if contains_induced(base, t1) is not None:
         raise ClassificationError("Q base unexpectedly contains the forbidden triangle")
-    bsym = _sym_matrix(base)
-    tables = _tau_tables()
-    code_of = {1: 1, -1: 2, 0: 0}
-    subsets = [c for size in (2, 3, 4) if size <= n
-               for c in combinations(range(n), size)]
-    base_rows = {c: [code_of[bsym[c[i]][c[j]]]
-                     for i in range(len(c)) for j in range(i + 1, len(c))]
-                 for c in subsets}
+    rows = _subset_rows(base)
     for vec in _clean_extension_vectors(p, q, r):
-        certified_bad = False
-        for subset in subsets:
-            if not any(vec[s] for s in subset):
-                continue
-            size = len(subset)
-            code = []
-            bi = 0
-            brow = base_rows[subset]
-            for i in range(size):
-                for j in range(i + 1, size):
-                    code.append(brow[bi])
-                    bi += 1
-                code.append(vec[subset[i]])
-            if not tables[size + 1][tuple(code)]:
-                certified_bad = True
-                break
-        if certified_bad:
-            continue
-        m = [row[:] + [0] for row in bsym] + [[0] * (n + 1)]
-        for i, sym in enumerate(vec):
-            val = 1 if sym == 1 else (-1 if sym == 2 else 0)
-            m[i][n] = m[n][i] = val
-        if count_roots_below(char_poly(m), NEG_TAU) > 0:
+        if _screened_bad(rows, vec):
             continue
         child = _extend(base, vec)
+        if not _lambda_ok(child, NEG_TAU):
+            continue
         if canonical_key(child) not in targets:
             if n + 1 <= 7:
                 continue  # base-case territory, settled by exhaustive census

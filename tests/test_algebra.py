@@ -109,6 +109,29 @@ class TestPolynomials:
         assert sf.try_div(IntPolynomial((-1, -3, 1))) is not None
         assert sf.degree == 4
 
+    def test_squarefree_decomposition_property(self):
+        # non-monic products with repeated factors and characteristic
+        # polynomials: prod f_i^i recovers the primitive part up to sign
+        from golden_spectra.algebra import poly_gcd
+        rng = random.Random(11)
+        polys = [char_poly(rand_symmetric(rng, rng.randint(1, 8))) for _ in range(60)]
+        for _ in range(60):
+            p = IntPolynomial((rng.choice((-6, -2, -1, 1, 3, 5)),))
+            for _ in range(rng.randint(1, 4)):
+                f = [rng.randint(-4, 4) for _ in range(rng.randint(2, 4))]
+                f[-1] = f[-1] or rng.choice((-2, 1, 3))
+                p = p * IntPolynomial(f) ** rng.randint(1, 3)
+            polys.append(p)
+        for p in polys:
+            parts = squarefree_decomposition(p)
+            prod = IntPolynomial.one()
+            for f, i in parts:
+                assert f.leading > 0 and f.content() == 1
+                assert poly_gcd(f, f.derivative()).degree == 0
+                prod = prod * f ** i
+            assert prod in (p.primitive(), -p.primitive())
+            assert [i for _, i in parts] == sorted({i for _, i in parts})
+
 
 class TestCharPoly:
     def test_examples(self):

@@ -51,6 +51,24 @@ class TestSpectrumAndCheck:
         assert main(["spectrum", str(tmp_path / "missing.txt")]) == 3
         capsys.readouterr()
 
+    def test_missing_census_is_exit_3(self, tmp_path, capsys):
+        assert main(["maximal", "--census", str(tmp_path / "missing.txt"),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_graph_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("sg 2 +0-1 \xe9\n".encode("latin-1"))
+        assert main(["spectrum", str(path)]) == 3
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_census_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "census.txt"
+        path.write_bytes(b"\xff\xfe\x00not a census\n")
+        assert main(["maximal", "--census", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "cannot read" in capsys.readouterr().err
+
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["not-a-command"]) == 2
         assert main(["check"]) == 2
@@ -175,3 +193,13 @@ class TestCensusIO:
         bad.write_text(broken + "\n")
         with pytest.raises(ParseError):
             read_hoffman_census(bad)
+
+
+def test_version_matches_pyproject():
+    import tomllib
+    from golden_spectra import __version__
+    from golden_spectra.censusio import TOOL_VERSION
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == TOOL_VERSION == __version__

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from golden_spectra.algebra import (
@@ -22,6 +24,8 @@ from golden_spectra.enumeration import (
 from golden_spectra.iso import canonical_key, is_isomorphic
 from golden_spectra.model import catalog, make_q, signed, to_text
 from golden_spectra.spectral import b_matrix
+
+from conftest import random_signed
 
 T1 = catalog("T1")
 
@@ -58,14 +62,6 @@ class TestEnumerateSigned:
                 assert contains_induced(m.graph, T1) is None
                 assert lambda_min_at_least(signed_adjacency(m.graph).entries, NEG_TAU)
 
-    def test_pruning_soundness(self):
-        # deferring the eigenvalue filter to the end changes nothing
-        pruned = enumerate_signed(5, NEG_TAU, (T1,))
-        deferred = enumerate_signed(5, NEG_TAU, (T1,), lambda_prune=False)
-        for n in range(1, 6):
-            assert [m.key for m in pruned.members(n)] == \
-                   [m.key for m in deferred.members(n)]
-
     def test_jobs_deterministic(self):
         serial = enumerate_signed(4, NEG_TAU, (T1,), jobs=1)
         parallel = enumerate_signed(4, NEG_TAU, (T1,), jobs=2)
@@ -84,17 +80,6 @@ class TestEnumerateSigned:
         with pytest.raises(ValueError):
             enumerate_signed(13)
 
-    def test_screening_accelerator_consistency(self):
-        # the small-subgraph verdict tables are a pure accelerator: with
-        # them active the census must be identical to the unpruned route
-        from golden_spectra.enumeration import _tau_tables
-        _tau_tables()
-        fast = enumerate_signed(5, NEG_TAU, (T1,))
-        slow = enumerate_signed(5, NEG_TAU, (T1,), lambda_prune=False)
-        for n in range(1, 6):
-            assert [m.key for m in fast.members(n)] == \
-                   [m.key for m in slow.members(n)]
-
     def test_disconnected_mode(self):
         census = enumerate_signed(4, NEG_TAU, (T1,), connected=False)
         oracle = brute_force_signed_keys(4, NEG_TAU, (T1,), connected=False)
@@ -103,6 +88,39 @@ class TestEnumerateSigned:
         # strictly more classes than the connected census at n >= 2
         connected = enumerate_signed(4, NEG_TAU, (T1,), connected=True)
         assert len(census.members(4)) > len(connected.members(4))
+
+
+class TestScreen:
+    def test_screen_rejects_only_exact_failures(self):
+        # seeded: random T1-free parents on 2..7 vertices, random sign vectors
+        from golden_spectra.enumeration import (
+            _extend, _lambda_ok, _screened_bad, _subset_rows)
+        from golden_spectra.iso import contains_induced
+        rng = random.Random(2024)
+        rejected = 0
+        for _ in range(300):
+            parent = random_signed(rng, rng.randint(2, 7))
+            if contains_induced(parent, T1) is not None:
+                continue
+            rows = _subset_rows(parent)
+            for _ in range(6):
+                vec = tuple(rng.choice((0, 1, 2)) for _ in range(parent.vertex_count))
+                if _screened_bad(rows, vec):
+                    rejected += 1
+                    assert not _lambda_ok(_extend(parent, vec), NEG_TAU)
+        assert rejected > 100
+
+    def test_verdict_matches_exact_decision(self):
+        from golden_spectra.enumeration import _lambda_ok, _tau_verdict
+        from itertools import combinations
+        rng = random.Random(99)
+        for n in (3, 4, 5):
+            pairs = list(combinations(range(n), 2))
+            for _ in range(80):
+                code = tuple(rng.choice((0, 1, 2)) for _ in pairs)
+                g = signed(n, [p for p, c in zip(pairs, code) if c == 1],
+                           [p for p, c in zip(pairs, code) if c == 2])
+                assert _tau_verdict(code) == _lambda_ok(g, NEG_TAU)
 
 
 class TestBruteForce:
