@@ -33,6 +33,7 @@ from .censusio import (
 )
 from .decomp import split_by_special_components
 from .enumeration import (
+    MAX_ENUM_N,
     ClassificationError,
     brute_force_signed_keys,
     classify_irreducible,
@@ -233,7 +234,11 @@ def cmd_verify(args) -> int:
         if args.p is None or args.q is None or args.r is None:
             print("extension requires --p --q --r", file=sys.stderr)
             return EXIT_USAGE
-        ok = verify_extension_step(args.p, args.q, args.r)
+        try:
+            ok = verify_extension_step(args.p, args.q, args.r)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"extension step ({args.p},{args.q},{args.r}): {'ok' if ok else 'FAILED'}")
     elif args.what == "lemma3x":
         ok = verify_three_vertex_diagonal_lemma()
@@ -289,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("enumerate", help="level-wise signed census")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=int, required=True, dest="max_n",
+                   choices=range(MAX_ENUM_N + 1))
     p.add_argument("--threshold", default="-tau")
     p.add_argument("--forbid", default="", help="comma-separated catalog names")
     p.add_argument("--connected", action=argparse.BooleanOptionalAction, default=True)

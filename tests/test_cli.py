@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -128,6 +129,12 @@ class TestVerify:
         assert main(["verify", "extension"]) == 2
         capsys.readouterr()
 
+    def test_bad_extension_parameters_are_exit_2(self, capsys):
+        assert main(["verify", "extension", "--p", "2", "--q", "2", "--r", "3"]) == 2
+        assert main(["verify", "extension", "--p", "-1", "--q", "0", "--r", "1"]) == 2
+        assert main(["verify", "extension", "--p", "0", "--q", "0", "--r", "12"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestEnumerateCommand:
     def test_writes_census(self, tmp_path, capsys):
@@ -141,6 +148,13 @@ class TestEnumerateCommand:
         assert manifest["threshold"] == "-tau"
         assert manifest["counts_per_n"] == {"1": 1, "2": 2, "3": 4}
 
+    def test_out_of_range_max_n_is_exit_2(self, tmp_path, capsys):
+        for value in ("13", "-1"):
+            assert main(["enumerate", "--max-n", value,
+                         "--out", str(tmp_path / "out")]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -149,6 +163,17 @@ class TestEnumerateCommand:
         capsys.readouterr()
         assert (a / "census-signed-n3.txt").read_bytes() == \
                (b / "census-signed-n3.txt").read_bytes()
+
+
+# sha256 of the derived census files.  Acceptance checks 01, 03 and 04 are
+# red by design (the derivation finds 17/39/20, the source 15/37/18), so
+# these digests are what catches any drift in the census.
+CENSUS_SHA256 = {
+    "census-signed-n7.txt": "b0615f359e9630fe5b540819575d9008bd095dad852517c6c04e22c196ba7cb6",
+    "census-15.txt": "1edc2eec2da27909fb9abdf833f4215e239fafd4a7d609a395939926d6ec6de5",
+    "census-37.txt": "e7144e5369279e9d72b98ad20399ec4e8b94e8665aa3eb84548263871565ae50",
+    "census-18.txt": "deac4590d175e0832bf3bc474847477477f1464909e5b549479d6c2e7862a86b",
+}
 
 
 class TestClassifyAndMaximal:
@@ -171,6 +196,8 @@ class TestClassifyAndMaximal:
         assert "maximal members: 20" in text
         maxi = read_hoffman_census(out / "census-18.txt")
         assert len(maxi.members) == 20
+        for name, digest in CENSUS_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
         # repeated runs are byte-identical
         out2 = tmp_path / "census2"
         assert main(["classify", "--out", str(out2)]) == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -21,8 +22,8 @@ from golden_spectra.enumeration import (
     verify_extension_step,
     verify_three_vertex_diagonal_lemma,
 )
-from golden_spectra.iso import canonical_key, is_isomorphic
-from golden_spectra.model import catalog, make_q, signed, to_text
+from golden_spectra.iso import canonical_key, contains_induced, is_isomorphic
+from golden_spectra.model import catalog, is_connected_signed, make_q, signed, to_text
 from golden_spectra.spectral import b_matrix
 
 from conftest import random_signed
@@ -123,6 +124,39 @@ class TestScreen:
                 assert _tau_verdict(code) == _lambda_ok(g, NEG_TAU)
 
 
+    def test_children_match_unscreened_loop(self):
+        # the pruned generator against the loop it replaced: every sign
+        # vector, then connectivity, forbidden patterns, exact decision
+        from golden_spectra.enumeration import _children, _extend, _lambda_ok
+
+        def reference(parent, threshold, forbidden, connected):
+            out = []
+            for vec in product((0, 1, 2), repeat=parent.vertex_count):
+                child = _extend(parent, vec)
+                if connected and not is_connected_signed(child):
+                    continue
+                if any(contains_induced(child, pat) is not None for pat in forbidden):
+                    continue
+                if _lambda_ok(child, threshold):
+                    out.append(child)
+            return out
+
+        rng = random.Random(7)
+        cutoffs = ((NEG_TAU, ()), (NEG_TAU, (T1,)), (parse_threshold("-2"), ()))
+        parents = children = 0
+        while parents < 36:
+            parent = random_signed(rng, rng.randint(1, 6))
+            if contains_induced(parent, T1) is not None:
+                continue
+            parents += 1
+            connected = is_connected_signed(parent)
+            for threshold, forbidden in cutoffs:
+                got = _children(parent, threshold, forbidden, connected)
+                assert got == reference(parent, threshold, forbidden, connected)
+                children += len(got)
+        assert children > 300
+
+
 class TestBruteForce:
     def test_matches_enumeration_n4(self, census7):
         oracle = brute_force_signed_keys(4, NEG_TAU, (T1,))
@@ -146,6 +180,25 @@ class TestExtensionStep:
         assert verify_extension_step(0, 0, 4)
         assert verify_extension_step(1, 1, 2)
         assert verify_extension_step(0, 0, 0)
+
+    def test_verdict_matches_canonical_keys(self):
+        # every admissible child of a base with 7 <= p+q+r <= 8 is T1-free,
+        # and its Q shape is a bumped triple exactly when its canonical key
+        # is the key of a bumped Q graph
+        from golden_spectra.enumeration import _children
+        children = 0
+        for total in (7, 8):
+            for r in range((total + 1) // 2, total + 1):
+                for p in range(total - r + 1):
+                    q = total - r - p
+                    bumped = {(p + 1, q, r), (p, q + 1, r), (p, q, r + 1)}
+                    keys = {canonical_key(make_q(*b)) for b in bumped if b[0] + b[1] <= b[2]}
+                    for child in _children(make_q(p, q, r), NEG_TAU, (T1,), True):
+                        children += 1
+                        assert contains_induced(child, T1) is None
+                        assert (is_q_graph(child) in bumped) == (canonical_key(child) in keys)
+                    assert verify_extension_step(p, q, r)
+        assert children == 165
 
     def test_eleven_vertex_base(self):
         assert verify_extension_step(3, 2, 6)
