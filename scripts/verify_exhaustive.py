@@ -4,7 +4,8 @@ level-wise augmentation.
 
 Sweeps all 3^C(n,2) labelled sign assignments with a vectorized
 floating-point prescreen (numpy), confirms every survivor with the exact
-kernel, deduplicates by canonical key, and checks the result against
+semidefinite test of M + tau*I over Z[sqrt5] (`lambda_min_at_least`),
+deduplicates by canonical key, and checks the result against
 `enumerate_signed`.  Practical up to n = 6 (about 14.3 million
 assignments, a few minutes); n = 7 is out of reach of the sweep and is
 covered instead by the hereditary-completeness argument plus the
@@ -22,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from golden_spectra.algebra import NEG_TAU, char_poly, count_roots_below
+from golden_spectra.algebra import NEG_TAU, lambda_min_at_least
 from golden_spectra.enumeration import enumerate_signed, is_q_graph
 from golden_spectra.iso import canonical_key, contains_induced
 from golden_spectra.model import catalog, is_connected_signed, signed
@@ -67,7 +68,7 @@ def exhaustive_level(n: int, chunk: int = 250_000) -> dict:
         mat = [[0] * n for _ in range(n)]
         for (a, b), sym in zip(pairs, code):
             mat[a][b] = mat[b][a] = 1 if sym == 1 else (-1 if sym == 2 else 0)
-        if count_roots_below(char_poly(mat), NEG_TAU) != 0:
+        if not lambda_min_at_least(mat, NEG_TAU):
             continue
         classes.setdefault(canonical_key(s), s)
     print(f"exact confirmation kept {len(classes)} isomorphism classes "

@@ -2,6 +2,11 @@
 root counting, and smallest-eigenvalue decisions for integer symmetric
 matrices.
 
+A decision `lambda_min >= t` or `lambda_min == t` for a cutoff t in Q(sqrt5)
+is one fraction-free (Bareiss) semidefinite elimination of A - t*I over
+Z[sqrt5]; no characteristic polynomial is formed.  Sturm chains remain for
+cutoffs outside Q(sqrt5), eigenvalue descriptors and root comparison.
+
 Every decision procedure in this module is exact over the integers and
 rationals.  Floating point appears only in reporting helpers
 (`lambda_min_approx`, `GoldenNumber.to_float`) and never feeds a verdict.
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -25,16 +31,10 @@ class AlgebraError(ValueError):
 
 def as_int_rows(matrix) -> tuple[tuple[int, ...], ...]:
     entries = getattr(matrix, "entries", matrix)
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    rows = tuple(tuple(map(int, row)) for row in entries)
     if any(len(r) != len(rows) for r in rows):
         raise AlgebraError("matrix is not square")
     return rows
-
-
-def is_symmetric(matrix) -> bool:
-    rows = as_int_rows(matrix)
-    n = len(rows)
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def det_exact(matrix) -> int:
@@ -444,18 +444,7 @@ class GoldenNumber:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # opposite strict signs; a^2 == 5 b^2 is impossible for nonzero
-        # rationals since sqrt5 is irrational
-        if a > 0:
-            return 1 if a * a > 5 * b * b else -1
-        return -1 if a * a > 5 * b * b else 1
+        return _sign_root5(self.a, self.b)
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -474,6 +463,19 @@ class GoldenNumber:
 
     def __ge__(self, other) -> bool:
         return (self - _coerce_golden(other)).sign() >= 0
+
+
+def _sign_root5(a, b) -> int:
+    """Sign of a + b*sqrt5 for rational (or integer) a, b."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # opposite strict signs; a^2 == 5 b^2 is impossible for nonzero
+    # rationals since sqrt5 is irrational
+    if a > 0:
+        return 1 if a * a > 5 * b * b else -1
+    return -1 if a * a > 5 * b * b else 1
 
 
 def _coerce_golden(x) -> GoldenNumber:
@@ -556,6 +558,16 @@ class Threshold:
         if inside != 1:
             raise AlgebraError("interval must isolate exactly one root")
         return Threshold(name, min_poly, None, (lo, hi))
+
+    @cached_property
+    def scaled(self) -> Optional[tuple[int, int, int]]:
+        """Integers (c, d, e), e > 0, with value = (c + d*sqrt5)/e; None for
+        a cutoff outside Q(sqrt5)."""
+        if self.value is None:
+            return None
+        a, b = self.value.a, self.value.b
+        e = lcm(a.denominator, b.denominator)
+        return int(a * e), int(b * e), e
 
 
 NEG_TAU = Threshold.neg_tau()
@@ -641,12 +653,7 @@ def _sign_at_golden_scaled(cs: Sequence[int], c: int, d: int, e: int) -> int:
         epow *= e
         A, B = A * c + 5 * B * d, A * d + B * c
         A += coeff * epow
-    return GoldenNumber(Fraction(A), Fraction(B)).sign() if not (A == 0 and B == 0) else 0
-
-
-def _scaled_golden(x: GoldenNumber) -> tuple[int, int, int]:
-    e = lcm(x.a.denominator, x.b.denominator)
-    return int(x.a * e), int(x.b * e), e
+    return _sign_root5(A, B)
 
 
 def _count_below_rational(chain: list[list[int]], x: Fraction) -> int:
@@ -706,8 +713,8 @@ def count_roots_below(p: IntPolynomial, t: Threshold) -> int:
     if sf.degree <= 0:
         return 0
     chain = _sturm_chain(list(sf.coeffs))
-    if t.value is not None:
-        c, d, e = _scaled_golden(t.value)
+    if t.scaled is not None:
+        c, d, e = t.scaled
         v_inf = _variations(_sign_at_neg_inf(q) for q in chain)
         v_t = _variations(_sign_at_golden_scaled(q, c, d, e) for q in chain)
         return v_inf - v_t
@@ -761,19 +768,87 @@ def count_roots_in_interval(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int
     return _count_in_open_interval(_sturm_chain(list(sf.coeffs)), lo, hi)
 
 
-def lambda_min_at_least(matrix, t: Threshold) -> bool:
-    """Exact test: smallest eigenvalue of a symmetric matrix >= cutoff."""
-    if not is_symmetric(matrix):
+def _symmetric_rows(matrix) -> tuple[tuple[int, ...], ...]:
+    rows = as_int_rows(matrix)
+    if rows != tuple(zip(*rows)):
         raise AlgebraError("matrix must be symmetric")
-    return count_roots_below(char_poly(matrix), t) == 0
+    return rows
+
+
+def _semidefinite_nullity(rows, t: Threshold) -> Optional[int]:
+    """None if the symmetric integer matrix has an eigenvalue below the
+    cutoff t = (c + d*sqrt5)/e, else the multiplicity of t as an eigenvalue.
+
+    Symmetric fraction-free elimination (Bareiss 1968) of e*A - (c + d*sqrt5)*I
+    over Z[sqrt5], pivoting on the diagonal in order; the entry x + y*sqrt5
+    is the pair xs[i][j], ys[i][j], and only the upper triangle is kept.
+    After the positive pivots on an index set P the remaining block is
+    det(P) times the Schur complement of P, so each division by the previous
+    pivot is exact (Sylvester's identity) and each pivot has the sign of its
+    Schur-complement entry.  A negative pivot, or a zero pivot with a nonzero
+    entry left in its row, exhibits a vector on which A - t*I is negative;
+    a zero pivot with a zero row is skipped, keeps the previous divisor, and
+    counts one dimension of the kernel of A - t*I."""
+    c, d, e = t.scaled
+    n = len(rows)
+    xs = [[e * v for v in row] for row in rows]
+    ys = [[0] * n for _ in range(n)]
+    for i in range(n):
+        xs[i][i] -= c
+        ys[i][i] = -d
+    pa, pb = 1, 0
+    nullity = 0
+    for k in range(n):
+        xk, yk = xs[k], ys[k]
+        ka, kb = xk[k], yk[k]
+        sign = _sign_root5(ka, kb)
+        if sign < 0:
+            return None
+        if sign == 0:
+            if any(xk[j] or yk[j] for j in range(k + 1, n)):
+                return None
+            nullity += 1
+            continue
+        # divide by pa + pb*sqrt5: multiply by its conjugate, divide by the norm
+        div = pa * pa - 5 * pb * pb if pb else pa
+        for i in range(k + 1, n):
+            ia, ib = xk[i], yk[i]
+            xi, yi = xs[i], ys[i]
+            for j in range(i, n):
+                ja, jb = xk[j], yk[j]
+                ma, mb = xi[j], yi[j]
+                u = ka * ma + 5 * kb * mb - ia * ja - 5 * ib * jb
+                v = ka * mb + kb * ma - ia * jb - ib * ja
+                if pb:
+                    u, v = u * pa - 5 * v * pb, v * pa - u * pb
+                u, ru = divmod(u, div)
+                v, rv = divmod(v, div)
+                if ru or rv:
+                    raise AlgebraError("inexact Bareiss division over Z[sqrt5]")
+                xi[j], yi[j] = u, v
+        pa, pb = ka, kb
+    return nullity
+
+
+def lambda_min_at_least(matrix, t: Threshold) -> bool:
+    """Exact test: smallest eigenvalue of a symmetric matrix >= cutoff.
+
+    A semidefinite elimination for cutoffs in Q(sqrt5), Sturm otherwise."""
+    rows = _symmetric_rows(matrix)
+    if t.scaled is None:
+        return count_roots_below(char_poly(rows), t) == 0
+    return _semidefinite_nullity(rows, t) is not None
 
 
 def lambda_min_equals(matrix, t: Threshold) -> bool:
-    """Exact test: smallest eigenvalue of a symmetric matrix == cutoff."""
-    if not is_symmetric(matrix):
-        raise AlgebraError("matrix must be symmetric")
-    p = char_poly(matrix)
-    return count_roots_below(p, t) == 0 and threshold_is_root(p, t)
+    """Exact test: smallest eigenvalue of a symmetric matrix == cutoff.
+
+    For cutoffs in Q(sqrt5): A - t*I is semidefinite and singular."""
+    rows = _symmetric_rows(matrix)
+    if t.scaled is None:
+        p = char_poly(rows)
+        return count_roots_below(p, t) == 0 and threshold_is_root(p, t)
+    return bool(_semidefinite_nullity(rows, t))
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -809,11 +884,9 @@ def lambda_min_approx(matrix) -> float:
 
     Reporting helper only; decisions always go through the exact tests.
     """
-    rows = as_int_rows(matrix)
+    rows = _symmetric_rows(matrix)
     if not rows:
         raise AlgebraError("empty matrix has no eigenvalues")
-    if not is_symmetric(rows):
-        raise AlgebraError("matrix must be symmetric")
     p = char_poly(rows)
     lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
     return float(lo + (hi - lo) / 2)

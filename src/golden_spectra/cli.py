@@ -17,8 +17,8 @@ from .algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
     char_poly,
-    count_roots_below,
     lambda_min_approx,
+    lambda_min_at_least,
     parse_threshold,
 )
 from .censusio import (
@@ -83,8 +83,8 @@ def cmd_spectrum(args) -> int:
     rows, kind = _matrix_of(g)
     poly = char_poly(rows)
     approx = lambda_min_approx(rows) if rows else None
-    at_tau = count_roots_below(poly, NEG_TAU) == 0 if rows else True
-    at_tau1 = count_roots_below(poly, NEG_ONE_MINUS_TAU) == 0 if rows else True
+    at_tau = lambda_min_at_least(rows, NEG_TAU)
+    at_tau1 = lambda_min_at_least(rows, NEG_ONE_MINUS_TAU)
     if args.json:
         print(json.dumps({
             "graph": to_text(g),
@@ -108,11 +108,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_check(args) -> int:
-    threshold = parse_threshold(args.threshold)
     g = _read_graph(args.graph)
     rows, _ = _matrix_of(g)
-    ok = count_roots_below(char_poly(rows), threshold) == 0
-    print(f"lambda_min >= {threshold.name}: {'yes' if ok else 'no'}")
+    ok = lambda_min_at_least(rows, args.threshold)
+    print(f"lambda_min >= {args.threshold.name}: {'yes' if ok else 'no'}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -147,12 +146,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    threshold = parse_threshold(args.threshold)
     forbidden = []
     if args.forbid:
         for name in args.forbid.split(","):
             forbidden.append(catalog(name.strip()))
-    census = enumerate_signed(args.max_n, threshold, forbidden,
+    census = enumerate_signed(args.max_n, args.threshold, forbidden,
                               connected=args.connected, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,6 +263,20 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _threshold_arg(text: str):
+    try:
+        return parse_threshold(text)
+    except AlgebraError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _jobs_arg(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="golden-spectra",
@@ -278,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("check", help="exit 0 iff lambda_min >= threshold")
-    p.add_argument("--threshold", required=True,
+    p.add_argument("--threshold", required=True, type=_threshold_arg,
                    help="-tau, -1-tau, or an exact rational a/b")
     p.add_argument("graph")
     p.set_defaults(func=cmd_check)
@@ -296,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="level-wise signed census")
     p.add_argument("--max-n", type=int, required=True, dest="max_n",
                    choices=range(MAX_ENUM_N + 1))
-    p.add_argument("--threshold", default="-tau")
+    p.add_argument("--threshold", default="-tau", type=_threshold_arg)
     p.add_argument("--forbid", default="", help="comma-separated catalog names")
     p.add_argument("--connected", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--out", default="census-out")
     p.set_defaults(func=cmd_enumerate)
 
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("classify", help="full pipeline: census files + manifest")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--out", default="census-out")
     p.set_defaults(func=cmd_classify)
 

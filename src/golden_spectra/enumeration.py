@@ -8,11 +8,14 @@ and for the Q extension verifier.  At -tau it grows each sign vector
 vertex by vertex and drops a prefix as soon as one of its 3..5 vertex
 subgraphs through the new vertex fails its memoized exact verdict, which
 is sound by eigenvalue interlacing; survivors are checked for connectivity
-and forbidden patterns and decided by Berkowitz plus Sturm.  On top of it
-sit the one-vertex extension verifier for the Q family, the exhaustive
-two-slim derivation, realization of Hoffman graphs from their special
-graphs, the irreducible census and its maximal members, and the
-three-vertex diagonal sweep.
+and forbidden patterns and decided by `lambda_min_at_least`, an exact
+semidefinite elimination of A + tau*I over Z[sqrt5].  On top of it sit the
+one-vertex extension verifier for the Q family, the exhaustive two-slim
+derivation, realization of Hoffman graphs from their special graphs, the
+irreducible census and its maximal members, and the three-vertex diagonal
+sweep.  Characteristic polynomials and Sturm chains appear only where an
+eigenvalue is described (`lambda_descriptor`) or its class lies outside
+Q(sqrt5) (`_lambda_class`).
 
 Everything is deterministic: children are generated in lexicographic
 sign-vector order and all outputs are sorted by canonical key.
@@ -34,12 +37,11 @@ from .algebra import (
     IntPolynomial,
     Threshold,
     char_poly,
-    count_roots_below,
     count_roots_in_interval,
     isolate_smallest_root,
     lambda_min_at_least,
+    lambda_min_equals,
     squarefree_decomposition,
-    threshold_is_root,
 )
 from .decomp import set_partitions
 from .iso import CanonicalKey, canonical_key, contains_induced
@@ -159,7 +161,7 @@ def _extend(parent: EdgeSignedGraph, vec: tuple) -> EdgeSignedGraph:
 
 
 def _lambda_ok(s: EdgeSignedGraph, threshold: Threshold) -> bool:
-    return count_roots_below(char_poly(_sym_matrix(s)), threshold) == 0
+    return lambda_min_at_least(_sym_matrix(s), threshold)
 
 
 # pair symbol of a signed adjacency entry: none 0, plus 1, minus 2
@@ -175,7 +177,7 @@ def _tau_verdict(code: tuple) -> bool:
     m = [[0] * n for _ in range(n)]
     for (a, b), sym in zip(combinations(range(n), 2), code):
         m[a][b] = m[b][a] = (0, 1, -1)[sym]
-    return count_roots_below(char_poly(m), NEG_TAU) == 0
+    return lambda_min_at_least(m, NEG_TAU)
 
 
 def _subset_rows(parent: EdgeSignedGraph) -> list:
@@ -292,7 +294,10 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
                             forbidden: Sequence = (),
                             connected: bool = True) -> dict:
     """Independent oracle: exhaust all 3^C(n,2) labelled sign assignments,
-    filter, and deduplicate by canonical key.  Practical for n <= 5."""
+    filter, and deduplicate by canonical key.  Practical for n <= 5.
+
+    The filters are a conjunction, so their order cannot change the keys;
+    the cheap exact eigenvalue test runs before the pattern search."""
     if max_n > 5:
         raise ValueError("brute force is limited to n <= 5")
     forbidden = tuple(forbidden)
@@ -306,9 +311,9 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
             s = signed(n, plus, minus)
             if connected and not is_connected_signed(s):
                 continue
-            if any(contains_induced(s, pat) is not None for pat in forbidden):
+            if not _lambda_ok(s, threshold):
                 continue
-            if _lambda_ok(s, threshold):
+            if all(contains_induced(s, pat) is None for pat in forbidden):
                 keys.add(canonical_key(s))
         out[n] = tuple(sorted(keys))
     return out
@@ -502,11 +507,8 @@ def class_thresholds() -> dict:
 
 
 def _lambda_class(matrix) -> Optional[str]:
-    p = char_poly(matrix)
-    for name, t in class_thresholds().items():
-        if count_roots_below(p, t) == 0 and threshold_is_root(p, t):
-            return name
-    return None
+    return next((name for name, t in class_thresholds().items()
+                 if lambda_min_equals(matrix, t)), None)
 
 
 def exceptional_members(census: SignedCensus) -> dict:
@@ -699,6 +701,6 @@ def verify_three_vertex_diagonal_lemma() -> bool:
             m = [row[:] for row in m0]
             for i in range(3):
                 m[i][i] -= diag[i]
-            if count_roots_below(char_poly(m), NEG_ONE_MINUS_TAU) == 0:
+            if lambda_min_at_least(m, NEG_ONE_MINUS_TAU):
                 return False
     return True

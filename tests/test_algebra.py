@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from golden_spectra.algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
     AlgebraError,
+    _semidefinite_nullity,
+    as_int_rows,
     threshold_is_root,
     GoldenNumber,
     IntPolynomial,
@@ -324,3 +328,115 @@ class TestApproxAndCompare:
         q, got_k = deflate(p, NEG_TAU)
         assert NEG_TAU.min_poly ** got_k * q == p
         assert got_k >= k
+
+
+# -- the semidefinite kernel against the Sturm route -------------------------
+
+KERNEL_CUTOFFS = (NEG_TAU, NEG_ONE_MINUS_TAU, parse_threshold("-2"),
+                  parse_threshold("-1"), parse_threshold("0"))
+
+
+def assert_kernel_matches_sturm(m, cutoffs=KERNEL_CUTOFFS):
+    """`lambda_min_at_least`, `lambda_min_equals` and the eigenvalue
+    multiplicity of the elimination agree with char_poly + Sturm."""
+    p = char_poly(m)
+    for t in cutoffs:
+        at_least = count_roots_below(p, t) == 0
+        _, mult = deflate(p, t)
+        assert lambda_min_at_least(m, t) == at_least, (m, t.name)
+        assert lambda_min_equals(m, t) == (at_least and mult >= 1), (m, t.name)
+        nullity = _semidefinite_nullity(as_int_rows(m), t)
+        assert nullity == (mult if at_least else None), (m, t.name)
+
+
+def golden_cutoff(a: Fraction, b: Fraction) -> Threshold:
+    """The cutoff a + b*sqrt5 with b < 0, the smaller root of its minimal
+    polynomial x^2 - 2a x + a^2 - 5b^2."""
+    coeffs = (a * a - 5 * b * b, -2 * a, Fraction(1))
+    scale = lcm(*(c.denominator for c in coeffs))
+    return Threshold("a+b*sqrt5", IntPolynomial(int(c * scale) for c in coeffs),
+                     GoldenNumber(a, b))
+
+
+class TestSemidefiniteKernel:
+    def test_every_labelled_signed_matrix_up_to_four(self):
+        count = 0
+        for n in range(5):
+            pairs = list(combinations(range(n), 2))
+            for code in product((0, 1, -1), repeat=len(pairs)):
+                m = [[0] * n for _ in range(n)]
+                for (a, b), v in zip(pairs, code):
+                    m[a][b] = m[b][a] = v
+                assert_kernel_matches_sturm(m)
+                count += 1
+        assert count == 1 + 1 + 3 + 27 + 729
+
+    def test_irreducible_census_b_matrices(self, classification):
+        from golden_spectra.spectral import b_matrix
+        members = classification.irreducible.members
+        assert len(members) == 39
+        at_cutoff = 0
+        for member in members:
+            b = b_matrix(member.graph).entries
+            assert lambda_min_at_least(b, NEG_ONE_MINUS_TAU)
+            at_cutoff += lambda_min_equals(b, NEG_ONE_MINUS_TAU)
+            assert_kernel_matches_sturm(b, (NEG_ONE_MINUS_TAU,))
+        # the other 14 (H_I, H_II, H_III and eleven realizations) lie above
+        assert at_cutoff == 25
+
+    def test_q_family_at_neg_tau(self):
+        from golden_spectra.model import make_q
+        from golden_spectra.spectral import signed_adjacency
+        at_cutoff = 0
+        for r in range(1, 7):
+            for p in range(r + 1):
+                for q in range(r + 1 - p):
+                    m = signed_adjacency(make_q(p, q, r)).entries
+                    assert lambda_min_at_least(m, NEG_TAU)
+                    at_cutoff += lambda_min_equals(m, NEG_TAU)
+                    assert_kernel_matches_sturm(m, (NEG_TAU,))
+        assert at_cutoff > 0
+
+    def test_random_up_to_twelve(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            m = rand_symmetric(rng, n)
+            for i in range(n):
+                m[i][i] = rng.choice((0, -1, -2))
+            assert_kernel_matches_sturm(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.lists(st.integers(-2, 2), min_size=28, max_size=28),
+           st.fractions(-4, 1, max_denominator=6),
+           st.fractions(-2, -Fraction(1, 6), max_denominator=6))
+    def test_property_any_golden_cutoff(self, n, entries, a, b):
+        m = [[0] * n for _ in range(n)]
+        values = iter(entries)
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = next(values)
+        assert_kernel_matches_sturm(m, (golden_cutoff(a, b), Threshold.from_rational(a)))
+
+    def test_zero_pivot_with_nonzero_row_is_below(self):
+        # A - 0*I: the first pivot is zero and its row is not; eigenvalue -1
+        assert not lambda_min_at_least([[0, 1], [1, 0]], parse_threshold("0"))
+        # at -tau the second Schur pivot vanishes exactly in Q(sqrt5) while
+        # its row keeps a 1, so the matrix dips below -tau
+        below = [[0, 1, 0], [1, -1, 1], [0, 1, 0]]
+        assert not lambda_min_at_least(below, NEG_TAU)
+        assert_kernel_matches_sturm(below)
+        # with that row cleared the same zero pivot is skipped: -tau exactly
+        at = [[0, 1, 0], [1, -1, 0], [0, 0, 0]]
+        assert lambda_min_equals(at, NEG_TAU)
+        assert_kernel_matches_sturm(at)
+
+    def test_multiplicity_and_rejections(self):
+        from golden_spectra.model import make_q
+        from golden_spectra.spectral import signed_adjacency
+        m = signed_adjacency(make_q(2, 2, 4)).entries  # (x^2+x-1)^3 divides
+        assert _semidefinite_nullity(as_int_rows(m), NEG_TAU) == 3
+        assert not lambda_min_equals([], NEG_TAU)
+        assert lambda_min_at_least([], NEG_TAU)
+        with pytest.raises(AlgebraError):
+            lambda_min_at_least([[0, 1], [0, 0]], NEG_TAU)

@@ -76,9 +76,12 @@ class TestSpectrumAndCheck:
         capsys.readouterr()
 
     def test_float_threshold_rejected(self, tmp_path, capsys):
+        # an unparseable cutoff is a usage error (2), not a failed check (1)
         path = write(tmp_path, "g.txt", "sg 1")
-        assert main(["check", "--threshold", "-1.6", path]) == 1
+        assert main(["check", "--threshold", "-1.6", path]) == 2
         assert "exact" in capsys.readouterr().err
+        assert main(["check", "--threshold", "-sqrt2", path]) == 2
+        capsys.readouterr()
 
 
 class TestGraphCommands:
@@ -155,6 +158,19 @@ class TestEnumerateCommand:
         capsys.readouterr()
         assert not (tmp_path / "out").exists()
 
+    def test_unparseable_threshold_is_exit_2(self, tmp_path, capsys):
+        assert main(["enumerate", "--max-n", "3", "--threshold", "-sqrt2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "cannot parse threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_below_one_is_exit_2(self, tmp_path, capsys):
+        for value in ("0", "-3"):
+            assert main(["enumerate", "--max-n", "3", "--jobs", value,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -204,6 +220,14 @@ class TestClassifyAndMaximal:
         capsys.readouterr()
         for name in ("census-15.txt", "census-37.txt", "manifest.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+    def test_classify_jobs_below_one_is_exit_2(self, tmp_path, capsys):
+        for value in ("0", "-3"):
+            assert main(["classify", "--jobs", value,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCensusIO:
