@@ -4,8 +4,12 @@ matrices.
 
 A decision `lambda_min >= t` or `lambda_min == t` for a cutoff t in Q(sqrt5)
 is one fraction-free (Bareiss) semidefinite elimination of A - t*I over
-Z[sqrt5]; no characteristic polynomial is formed.  Sturm chains remain for
-cutoffs outside Q(sqrt5), eigenvalue descriptors and root comparison.
+Z[sqrt5]; no characteristic polynomial is formed.  The elimination
+(`Elimination`) is a fold of one bordered step that adds a row in O(n^2)
+work, entry by entry, so a search that grows a matrix one row or one entry
+at a time decides each prefix without redoing the block before it.  Sturm
+chains remain for cutoffs outside Q(sqrt5), eigenvalue descriptors and
+root comparison.
 
 Every decision procedure in this module is exact over the integers and
 rationals.  Floating point appears only in reporting helpers
@@ -446,9 +450,6 @@ class GoldenNumber:
     def sign(self) -> int:
         return _sign_root5(self.a, self.b)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def to_float(self) -> float:
         return float(self.a) + float(self.b) * 5 ** 0.5
 
@@ -775,59 +776,127 @@ def _symmetric_rows(matrix) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def _semidefinite_nullity(rows, t: Threshold) -> Optional[int]:
-    """None if the symmetric integer matrix has an eigenvalue below the
-    cutoff t = (c + d*sqrt5)/e, else the multiplicity of t as an eigenvalue.
-
-    Symmetric fraction-free elimination (Bareiss 1968) of e*A - (c + d*sqrt5)*I
-    over Z[sqrt5], pivoting on the diagonal in order; the entry x + y*sqrt5
-    is the pair xs[i][j], ys[i][j], and only the upper triangle is kept.
+class Elimination:
+    """The symmetric fraction-free (Bareiss 1968) elimination of
+    e*A - (c + d*sqrt5)*I over Z[sqrt5] on a leading block of A at or above
+    the cutoff t = (c + d*sqrt5)/e, grown one bordered row at a time;
+    x + y*sqrt5 is the pair (x, y).  Pivots are on the diagonal in order.
     After the positive pivots on an index set P the remaining block is
-    det(P) times the Schur complement of P, so each division by the previous
-    pivot is exact (Sylvester's identity) and each pivot has the sign of its
-    Schur-complement entry.  A negative pivot, or a zero pivot with a nonzero
-    entry left in its row, exhibits a vector on which A - t*I is negative;
-    a zero pivot with a zero row is skipped, keeps the previous divisor, and
-    counts one dimension of the kernel of A - t*I."""
-    c, d, e = t.scaled
-    n = len(rows)
-    xs = [[e * v for v in row] for row in rows]
-    ys = [[0] * n for _ in range(n)]
-    for i in range(n):
-        xs[i][i] -= c
-        ys[i][i] = -d
-    pa, pb = 1, 0
-    nullity = 0
-    for k in range(n):
-        xk, yk = xs[k], ys[k]
-        ka, kb = xk[k], yk[k]
-        sign = _sign_root5(ka, kb)
-        if sign < 0:
-            return None
-        if sign == 0:
-            if any(xk[j] or yk[j] for j in range(k + 1, n)):
-                return None
-            nullity += 1
-            continue
-        # divide by pa + pb*sqrt5: multiply by its conjugate, divide by the norm
-        div = pa * pa - 5 * pb * pb if pb else pa
-        for i in range(k + 1, n):
-            ia, ib = xk[i], yk[i]
-            xi, yi = xs[i], ys[i]
-            for j in range(i, n):
-                ja, jb = xk[j], yk[j]
-                ma, mb = xi[j], yi[j]
-                u = ka * ma + 5 * kb * mb - ia * ja - 5 * ib * jb
-                v = ka * mb + kb * ma - ia * jb - ib * ja
-                if pb:
+    det(P) times the Schur complement of P, so each division by the
+    previous pivot is exact (Sylvester's identity) and each pending entry
+    has the sign of its Schur-complement entry.  A negative pending entry on
+    the diagonal, or a zero pivot whose row meets a nonzero entry, exhibits
+    a vector on which A - t*I is negative.  A zero pivot whose row is zero
+    is skipped, keeps the previous divisor, and counts one dimension of the
+    kernel of A - t*I.
+
+    State: `columns[k]`, the entries (i, k), i < k, each as it stood at
+    step i (by symmetry, pivot row i at its own step); `steps[k]`, pivot k
+    and the divisor of its step, or None if skipped; `divisor`, that of
+    the next step.  `close` grows the block in place; a search that grows
+    one block in many ways closes copies."""
+
+    __slots__ = ("scaled", "columns", "steps", "divisor")
+
+    def __init__(self, scaled, columns=(), steps=(), divisor=(1, 0, 1)):
+        self.scaled = scaled
+        self.columns = list(columns)
+        self.steps = list(steps)
+        self.divisor = divisor
+
+    def copy(self) -> "Elimination":
+        return Elimination(self.scaled, self.columns, self.steps, self.divisor)
+
+    @staticmethod
+    def start(t: Threshold) -> "Elimination":
+        """The empty block at a cutoff in Q(sqrt5)."""
+        if t.scaled is None:
+            raise AlgebraError(f"cutoff {t.name} lies outside Q(sqrt5)")
+        return Elimination(t.scaled)
+
+    def open(self, diagonal: int) -> tuple:
+        """Border of a new row with diagonal entry `diagonal` and no other
+        entry yet: (entries x, entries y, pending diagonal x, y)."""
+        c, d, e = self.scaled
+        return (), (), e * diagonal - c, -d
+
+    def extend(self, border: tuple, entries: Iterable[int]) -> Optional[tuple]:
+        """The border with the next entries of the new row appended one at
+        a time, or None once the principal submatrix on {0..j, new} lies
+        below the cutoff.
+
+        Entry j is reduced by pivots 0..j-1, then the pending diagonal by
+        pivot j; the prefix is decided by the sign of the pending diagonal
+        and by the zero-pivot rule."""
+        xs, ys, px, py = border
+        e = self.scaled[2]
+        steps, columns = self.steps, self.columns
+        for a in entries:
+            j = len(xs)
+            x, y = e * a, 0
+            cx, cy = columns[j]
+            for step, ia, ib, ja, jb in zip(steps, cx, cy, xs, ys):
+                if step is None:
+                    continue
+                ka, kb, pa, pb, norm = step
+                u = ka * x + 5 * kb * y - ia * ja - 5 * ib * jb
+                v = ka * y + kb * x - ia * jb - ib * ja
+                if pb:  # divide by pa + pb*sqrt5: times its conjugate, over its norm
                     u, v = u * pa - 5 * v * pb, v * pa - u * pb
-                u, ru = divmod(u, div)
-                v, rv = divmod(v, div)
+                x, ru = divmod(u, norm)
+                y, rv = divmod(v, norm)
                 if ru or rv:
                     raise AlgebraError("inexact Bareiss division over Z[sqrt5]")
-                xi[j], yi[j] = u, v
-        pa, pb = ka, kb
-    return nullity
+            xs += (x,)
+            ys += (y,)
+            step = steps[j]
+            if step is None:
+                if x or y:
+                    return None
+                continue
+            # the same update, inlined on this hot path, for the pending
+            # diagonal, whose entry in pivot row j is x
+            ka, kb, pa, pb, norm = step
+            u = ka * px + 5 * kb * py - x * x - 5 * y * y
+            v = ka * py + kb * px - 2 * x * y
+            if pb:
+                u, v = u * pa - 5 * v * pb, v * pa - u * pb
+            px, ru = divmod(u, norm)
+            py, rv = divmod(v, norm)
+            if ru or rv:
+                raise AlgebraError("inexact Bareiss division over Z[sqrt5]")
+            if (px < 0 or py < 0) and _sign_root5(px, py) < 0:
+                return None
+        return xs, ys, px, py
+
+    def close(self, border: tuple) -> bool:
+        """Grow the block by a complete border, whose pending diagonal is
+        the new pivot; False, and the block unchanged, if below."""
+        xs, ys, px, py = border
+        if len(xs) != len(self.steps):
+            raise AlgebraError("the border lacks entries of the new row")
+        sign = _sign_root5(px, py)
+        if sign < 0:
+            return False
+        self.columns.append((xs, ys))
+        if sign == 0:
+            self.steps.append(None)
+        else:
+            self.steps.append((px, py) + self.divisor)
+            self.divisor = (px, py, px * px - 5 * py * py if py else px)
+        return True
+
+
+def _semidefinite_nullity(rows, t: Threshold) -> Optional[int]:
+    """None if the symmetric integer matrix has an eigenvalue below the
+    cutoff t in Q(sqrt5), else the multiplicity of t as an eigenvalue: the
+    bordered step (open, extend, close) folded over the rows."""
+    block = Elimination.start(t)
+    for m, row in enumerate(rows):
+        border = block.extend(block.open(row[m]), row[:m])
+        if border is None or not block.close(border):
+            return None
+    return block.steps.count(None)
 
 
 def lambda_min_at_least(matrix, t: Threshold) -> bool:

@@ -34,6 +34,7 @@ from .censusio import (
 from .decomp import split_by_special_components
 from .enumeration import (
     MAX_ENUM_N,
+    MAX_ORACLE_N,
     ClassificationError,
     brute_force_signed_keys,
     classify_irreducible,
@@ -211,11 +212,11 @@ def cmd_maximal(args) -> int:
     return EXIT_OK
 
 
-def _verify_base_case() -> bool:
+def _verify_base_case(max_n: int) -> bool:
     t1 = catalog("T1")
-    census = enumerate_signed(5, NEG_TAU, (t1,), connected=True)
-    oracle = brute_force_signed_keys(5, NEG_TAU, (t1,), connected=True)
-    for n in range(1, 6):
+    census = enumerate_signed(max_n, NEG_TAU, (t1,), connected=True)
+    oracle = brute_force_signed_keys(max_n, NEG_TAU, (t1,), connected=True)
+    for n in range(1, max_n + 1):
         got = tuple(m.key for m in census.members(n))
         if got != oracle[n]:
             print(f"base-case mismatch at n={n}: {len(got)} vs {len(oracle[n])}")
@@ -227,7 +228,7 @@ def _verify_base_case() -> bool:
 def cmd_verify(args) -> int:
     ok = True
     if args.what == "base-case":
-        ok = _verify_base_case()
+        ok = _verify_base_case(args.max_n)
     elif args.what == "extension":
         if args.p is None or args.q is None or args.r is None:
             print("extension requires --p --q --r", file=sys.stderr)
@@ -242,11 +243,12 @@ def cmd_verify(args) -> int:
         ok = verify_three_vertex_diagonal_lemma()
         print(f"three-vertex diagonal sweep: {'ok' if ok else 'FAILED'}")
     elif args.what == "all":
-        ok = _verify_base_case()
+        ok = _verify_base_case(args.max_n)
         sweep = verify_three_vertex_diagonal_lemma()
         print(f"three-vertex diagonal sweep: {'ok' if sweep else 'FAILED'}")
         ok = ok and sweep
-        for p, q, r in ((0, 0, 4), (1, 1, 2), (2, 1, 4)):
+        # bases with p+q+r >= 7, so that each step decides children
+        for p, q, r in ((0, 0, 7), (1, 1, 5), (2, 1, 4)):
             step = verify_extension_step(p, q, r)
             print(f"extension step ({p},{q},{r}): {'ok' if step else 'FAILED'}")
             ok = ok and step
@@ -335,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--r", type=int)
+    p.add_argument("--max-n", type=int, default=5, dest="max_n",
+                   choices=range(1, MAX_ORACLE_N + 1),
+                   help="largest vertex count of the base-case check")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="print a named graph")

@@ -9,7 +9,11 @@ vertex by vertex and drops a prefix as soon as one of its 3..5 vertex
 subgraphs through the new vertex fails its memoized exact verdict, which
 is sound by eigenvalue interlacing; survivors are checked for connectivity
 and forbidden patterns and decided by `lambda_min_at_least`, an exact
-semidefinite elimination of A + tau*I over Z[sqrt5].  On top of it sit the
+semidefinite elimination of A + tau*I over Z[sqrt5].  An independent
+oracle checks the census for n <= 7: a depth-first search over labelled
+graphs that adds each vertex one pair symbol at a time and decides every
+prefix by one bordered elimination step; it shares no code with the
+generator, its screen or its memo.  On top of them sit the
 one-vertex extension verifier for the Q family, the exhaustive two-slim
 derivation, realization of Hoffman graphs from their special graphs, the
 irreducible census and its maximal members, and the three-vertex diagonal
@@ -29,11 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product, repeat
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
+    Elimination,
     IntPolynomial,
     Threshold,
     char_poly,
@@ -130,12 +135,6 @@ class SignedCensus:
 
     def members(self, n: int) -> tuple:
         return self.by_n.get(n, ())
-
-    def all_members(self) -> list:
-        out = []
-        for n in sorted(self.by_n):
-            out.extend(self.by_n[n])
-        return out
 
 
 def _sym_matrix(s: EdgeSignedGraph) -> list:
@@ -256,6 +255,8 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     forbidden = tuple(forbidden)
     by_n: dict = {}
     level: list = []
@@ -290,33 +291,58 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
 # brute-force oracle
 
 
+MAX_ORACLE_N = 7
+
+
+def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
+                           forbidden: Sequence = ()) -> Iterator[EdgeSignedGraph]:
+    """Every labelled edge-signed graph on 1..max_n vertices, connected or
+    not, that is at or above the cutoff and free of the forbidden patterns.
+
+    A depth-first search over labelled graphs: vertex m is added entry by
+    entry, its pair symbols to vertices 0..m-1 in order, and after each
+    entry j the induced subgraph on {0..j, m} is decided by one bordered
+    elimination step, zero entries included.  A complete vertex is dropped
+    if the graph contains a forbidden pattern.  Both prunes are sound
+    because each filter is hereditary on induced subgraphs."""
+    forbidden = tuple(forbidden)
+    start = Elimination.start(threshold)
+    stack = [(start, start.open(0), (), ())] if max_n >= 1 else []
+    while stack:
+        block, border, plus, minus = stack.pop()
+        m, j = len(block.steps), len(border[0])
+        if j < m:
+            for a, p, q in ((0, plus, minus), (1, plus + ((j, m),), minus),
+                            (-1, plus, minus + ((j, m),))):
+                grown = block.extend(border, (a,))
+                if grown is not None:
+                    stack.append((block, grown, p, q))
+            continue
+        child = block.copy()
+        if not child.close(border):
+            continue
+        g = signed(m + 1, plus, minus)
+        if any(contains_induced(g, pat) is not None for pat in forbidden):
+            continue
+        yield g
+        if m + 1 < max_n:
+            stack.append((child, child.open(0), plus, minus))
+
+
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
                             forbidden: Sequence = (),
                             connected: bool = True) -> dict:
-    """Independent oracle: exhaust all 3^C(n,2) labelled sign assignments,
-    filter, and deduplicate by canonical key.  Practical for n <= 5.
-
-    The filters are a conjunction, so their order cannot change the keys;
-    the cheap exact eigenvalue test runs before the pattern search."""
-    if max_n > 5:
-        raise ValueError("brute force is limited to n <= 5")
-    forbidden = tuple(forbidden)
-    out: dict = {}
-    for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        keys = set()
-        for code in product((0, 1, 2), repeat=len(pairs)):
-            plus = [p for p, sym in zip(pairs, code) if sym == 1]
-            minus = [p for p, sym in zip(pairs, code) if sym == 2]
-            s = signed(n, plus, minus)
-            if connected and not is_connected_signed(s):
-                continue
-            if not _lambda_ok(s, threshold):
-                continue
-            if all(contains_induced(s, pat) is None for pat in forbidden):
-                keys.add(canonical_key(s))
-        out[n] = tuple(sorted(keys))
-    return out
+    """Independent oracle for the census: the canonical keys, per vertex
+    count, of every labelled graph from `labelled_signed_graphs` (connected
+    ones only, if asked).  It shares no code with the census generator.
+    Practical for n <= 7; the cutoff must lie in Q(sqrt5)."""
+    if max_n > MAX_ORACLE_N:
+        raise ValueError(f"the brute-force oracle is limited to n <= {MAX_ORACLE_N}")
+    keys: dict = {n: set() for n in range(1, max_n + 1)}
+    for g in labelled_signed_graphs(max_n, threshold, forbidden):
+        if not connected or is_connected_signed(g):
+            keys[g.vertex_count].add(canonical_key(g))
+    return {n: tuple(sorted(found)) for n, found in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +489,6 @@ class HoffmanCensus:
 
     def keys(self) -> set:
         return {m.key for m in self.members}
-
-    def by_name(self, name: str) -> HoffmanCensusMember:
-        for m in self.members:
-            if m.name == name:
-                return m
-        raise KeyError(name)
 
 
 # Source counts for the classification, used as cross-checks: mismatches

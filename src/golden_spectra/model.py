@@ -119,10 +119,6 @@ def fat_neighbors(g: HoffmanGraph, v: int) -> frozenset:
     return frozenset(u for u in adjacency(g)[v] if not g.is_slim(u))
 
 
-def slim_neighbors(g: HoffmanGraph, v: int) -> frozenset:
-    return frozenset(u for u in adjacency(g)[v] if g.is_slim(u))
-
-
 # ---------------------------------------------------------------------------
 # validity
 

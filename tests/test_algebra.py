@@ -11,6 +11,7 @@ from golden_spectra.algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
     AlgebraError,
+    Elimination,
     _semidefinite_nullity,
     as_int_rows,
     threshold_is_root,
@@ -332,6 +333,50 @@ class TestApproxAndCompare:
 
 # -- the semidefinite kernel against the Sturm route -------------------------
 
+
+def row_nullity(rows, t):
+    """The one-shot row-oriented elimination that the bordered fold
+    replaced: symmetric Bareiss on e*A - (c + d*sqrt5)*I, pivots on the
+    diagonal in order, every entry right of a pivot updated at its step.
+    None if some eigenvalue lies below t, else the multiplicity of t."""
+    c, d, e = t.scaled
+    n = len(rows)
+    xs = [[e * v for v in row] for row in rows]
+    ys = [[0] * n for _ in range(n)]
+    for i in range(n):
+        xs[i][i] -= c
+        ys[i][i] = -d
+    pa, pb = 1, 0
+    nullity = 0
+    for k in range(n):
+        xk, yk = xs[k], ys[k]
+        ka, kb = xk[k], yk[k]
+        sign = golden_sign(GoldenNumber.of(ka, kb))
+        if sign < 0:
+            return None
+        if sign == 0:
+            if any(xk[j] or yk[j] for j in range(k + 1, n)):
+                return None
+            nullity += 1
+            continue
+        div = pa * pa - 5 * pb * pb if pb else pa
+        for i in range(k + 1, n):
+            ia, ib = xk[i], yk[i]
+            xi, yi = xs[i], ys[i]
+            for j in range(i, n):
+                ja, jb = xk[j], yk[j]
+                ma, mb = xi[j], yi[j]
+                u = ka * ma + 5 * kb * mb - ia * ja - 5 * ib * jb
+                v = ka * mb + kb * ma - ia * jb - ib * ja
+                if pb:
+                    u, v = u * pa - 5 * v * pb, v * pa - u * pb
+                u, ru = divmod(u, div)
+                v, rv = divmod(v, div)
+                assert not (ru or rv), "inexact Bareiss division"
+                xi[j], yi[j] = u, v
+        pa, pb = ka, kb
+    return nullity
+
 KERNEL_CUTOFFS = (NEG_TAU, NEG_ONE_MINUS_TAU, parse_threshold("-2"),
                   parse_threshold("-1"), parse_threshold("0"))
 
@@ -347,6 +392,7 @@ def assert_kernel_matches_sturm(m, cutoffs=KERNEL_CUTOFFS):
         assert lambda_min_equals(m, t) == (at_least and mult >= 1), (m, t.name)
         nullity = _semidefinite_nullity(as_int_rows(m), t)
         assert nullity == (mult if at_least else None), (m, t.name)
+        assert nullity == row_nullity(as_int_rows(m), t), (m, t.name)
 
 
 def golden_cutoff(a: Fraction, b: Fraction) -> Threshold:
@@ -436,7 +482,52 @@ class TestSemidefiniteKernel:
         from golden_spectra.spectral import signed_adjacency
         m = signed_adjacency(make_q(2, 2, 4)).entries  # (x^2+x-1)^3 divides
         assert _semidefinite_nullity(as_int_rows(m), NEG_TAU) == 3
+        assert row_nullity(as_int_rows(m), NEG_TAU) == 3
         assert not lambda_min_equals([], NEG_TAU)
         assert lambda_min_at_least([], NEG_TAU)
         with pytest.raises(AlgebraError):
             lambda_min_at_least([[0, 1], [0, 0]], NEG_TAU)
+        block = Elimination.start(NEG_TAU)
+        assert block.close(block.open(0))
+        with pytest.raises(AlgebraError):
+            block.close(block.open(0))  # the entry to vertex 0 is missing
+
+    def test_every_prefix_decision_matches_the_one_shot(self):
+        # entry j of row m is decided on the principal submatrix {0..j, m}
+        rng = random.Random(5)
+        cutoffs = (NEG_TAU, NEG_ONE_MINUS_TAU, parse_threshold("-1"))
+        below = 0
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            m = rand_symmetric(rng, n)
+            for i in range(n):
+                m[i][i] = rng.choice((0, -1))
+            for t in cutoffs:
+                block = Elimination.start(t)
+                for k in range(n):
+                    border = block.open(m[k][k])
+                    for j in range(k):
+                        border = block.extend(border, (m[k][j],))
+                        keep = list(range(j + 1)) + [k]
+                        sub = [[m[a][b] for b in keep] for a in keep]
+                        assert (border is not None) == (row_nullity(sub, t) is not None)
+                        if border is None:
+                            below += 1
+                            break
+                    if border is None:
+                        break
+                    closed = block.close(border)
+                    assert closed == (row_nullity(
+                        [row[:k + 1] for row in m[:k + 1]], t) is not None)
+                    if not closed:
+                        assert len(block.steps) == k  # left unchanged
+                        below += 1
+                        break
+                else:
+                    assert block.steps.count(None) == row_nullity(m, t)
+        assert below > 100
+
+    def test_cutoff_outside_q_sqrt5_is_rejected(self):
+        from golden_spectra.enumeration import class_thresholds
+        with pytest.raises(AlgebraError):
+            Elimination.start(class_thresholds()["sqrt2"])

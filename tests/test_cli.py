@@ -138,6 +138,27 @@ class TestVerify:
         assert main(["verify", "extension", "--p", "0", "--q", "0", "--r", "12"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_base_case_max_n(self, capsys):
+        assert main(["verify", "base-case", "--max-n", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["base-case n=1: 1 graphs match brute force",
+                         "base-case n=2: 2 graphs match brute force",
+                         "base-case n=3: 4 graphs match brute force"]
+        assert main(["verify", "base-case", "--max-n", "8"]) == 2
+        assert main(["verify", "base-case", "--max-n", "0"]) == 2
+        capsys.readouterr()
+
+    def test_all_runs_nine_checks(self, capsys):
+        assert main(["verify", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        assert all(ln.endswith(": ok") or ln.endswith("graphs match brute force")
+                   for ln in lines)
+        # each extension base has p+q+r >= 7, so the step decides children
+        assert lines[-3:] == ["extension step (0,0,7): ok",
+                              "extension step (1,1,5): ok",
+                              "extension step (2,1,4): ok"]
+
 
 class TestEnumerateCommand:
     def test_writes_census(self, tmp_path, capsys):
@@ -254,3 +275,18 @@ def test_version_matches_pyproject():
     with pyproject.open("rb") as fh:
         version = tomllib.load(fh)["project"]["version"]
     assert version == TOOL_VERSION == __version__
+
+
+def test_run_full_census_script_help(monkeypatch, capsys):
+    # importing the script resolves every engine name it uses
+    import importlib.util
+    import sys
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_census.py"
+    spec = importlib.util.spec_from_file_location("run_full_census", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(script), "--help"])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -7,16 +8,19 @@ from golden_spectra.algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
     lambda_min_approx,
+    lambda_min_at_least,
     lambda_min_equals,
     parse_threshold,
 )
 from golden_spectra.enumeration import (
     ClassificationError,
     brute_force_signed_keys,
+    classify_irreducible,
     derive_two_slim,
     enumerate_signed,
     exceptional_members,
     is_q_graph,
+    labelled_signed_graphs,
     lambda_min_table_check,
     realize_hoffman,
     verify_extension_step,
@@ -24,7 +28,7 @@ from golden_spectra.enumeration import (
 )
 from golden_spectra.iso import canonical_key, contains_induced, is_isomorphic
 from golden_spectra.model import catalog, is_connected_signed, make_q, signed, to_text
-from golden_spectra.spectral import b_matrix
+from golden_spectra.spectral import b_matrix, signed_adjacency
 
 from conftest import random_signed
 
@@ -80,6 +84,13 @@ class TestEnumerateSigned:
     def test_max_n_guard(self):
         with pytest.raises(ValueError):
             enumerate_signed(13)
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                enumerate_signed(3, jobs=jobs)
+            with pytest.raises(ValueError):
+                classify_irreducible(jobs=jobs)
 
     def test_disconnected_mode(self):
         census = enumerate_signed(4, NEG_TAU, (T1,), connected=False)
@@ -158,14 +169,39 @@ class TestScreen:
 
 
 class TestBruteForce:
-    def test_matches_enumeration_n4(self, census7):
-        oracle = brute_force_signed_keys(4, NEG_TAU, (T1,))
+    def test_matches_enumeration_n6(self):
+        oracle = brute_force_signed_keys(6, NEG_TAU, (T1,))
+        census = enumerate_signed(6, NEG_TAU, (T1,))
+        for n in range(1, 7):
+            assert tuple(m.key for m in census.members(n)) == oracle[n]
+
+    def test_labelled_survivor_counts(self):
+        # labelled graphs at or above -tau and T1-free, connected or not;
+        # a prune that skips the exact test on zero entries lets 252
+        # four-vertex graphs through instead of 228
+        found = Counter(g.vertex_count
+                        for g in labelled_signed_graphs(5, NEG_TAU, (T1,)))
+        assert found == {1: 1, 2: 3, 3: 20, 4: 228, 5: 1834}
         for n in range(1, 5):
-            assert tuple(m.key for m in census7.members(n)) == oracle[n]
+            pairs = list(combinations(range(n), 2))
+            swept = 0
+            for code in product((0, 1, 2), repeat=len(pairs)):
+                g = signed(n, [p for p, c in zip(pairs, code) if c == 1],
+                           [p for p, c in zip(pairs, code) if c == 2])
+                if (lambda_min_at_least(signed_adjacency(g).entries, NEG_TAU)
+                        and contains_induced(g, T1) is None):
+                    swept += 1
+            assert swept == found[n]
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            brute_force_signed_keys(6)
+            brute_force_signed_keys(8)
+        assert brute_force_signed_keys(0) == {}
+
+    def test_cutoff_outside_q_sqrt5(self):
+        from golden_spectra.enumeration import class_thresholds
+        with pytest.raises(ValueError):
+            brute_force_signed_keys(3, class_thresholds()["sqrt2"])
 
 
 class TestQRecognition:
