@@ -26,12 +26,13 @@ from golden_spectra.censusio import (
     write_named_signed,
     write_signed_census,
 )
+from golden_spectra.cli import _jobs_arg
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", help="directory for census files")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_jobs_arg, default=1)
     args = parser.parse_args()
 
     t0 = time.perf_counter()

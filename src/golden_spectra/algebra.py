@@ -887,16 +887,23 @@ class Elimination:
         return True
 
 
-def _semidefinite_nullity(rows, t: Threshold) -> Optional[int]:
-    """None if the symmetric integer matrix has an eigenvalue below the
-    cutoff t in Q(sqrt5), else the multiplicity of t as an eigenvalue: the
-    bordered step (open, extend, close) folded over the rows."""
+def eliminate(rows, t: Threshold) -> Optional[Elimination]:
+    """The elimination of the symmetric integer matrix at the cutoff t in
+    Q(sqrt5), or None if it has an eigenvalue below t: the bordered step
+    (open, extend, close) folded over the rows."""
     block = Elimination.start(t)
     for m, row in enumerate(rows):
         border = block.extend(block.open(row[m]), row[:m])
         if border is None or not block.close(border):
             return None
-    return block.steps.count(None)
+    return block
+
+
+def _semidefinite_nullity(rows, t: Threshold) -> Optional[int]:
+    """None if the symmetric integer matrix has an eigenvalue below the
+    cutoff t in Q(sqrt5), else the multiplicity of t as an eigenvalue."""
+    block = eliminate(rows, t)
+    return None if block is None else block.steps.count(None)
 
 
 def lambda_min_at_least(matrix, t: Threshold) -> bool:

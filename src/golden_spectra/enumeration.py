@@ -4,22 +4,22 @@ Level-wise augmentation enumerates connected edge-signed graphs up to
 isomorphism under three hereditary filters: an exact smallest-eigenvalue
 bound, forbidden induced patterns, and connectivity.  One generator makes
 every one-vertex extension, for the serial and the multi-process census
-and for the Q extension verifier.  At -tau it grows each sign vector
-vertex by vertex and drops a prefix as soon as one of its 3..5 vertex
-subgraphs through the new vertex fails its memoized exact verdict, which
-is sound by eigenvalue interlacing; survivors are checked for connectivity
-and forbidden patterns and decided by `lambda_min_at_least`, an exact
-semidefinite elimination of A + tau*I over Z[sqrt5].  An independent
-oracle checks the census for n <= 7: a depth-first search over labelled
-graphs that adds each vertex one pair symbol at a time and decides every
-prefix by one bordered elimination step; it shares no code with the
-generator, its screen or its memo.  On top of them sit the
-one-vertex extension verifier for the Q family, the exhaustive two-slim
-derivation, realization of Hoffman graphs from their special graphs, the
-irreducible census and its maximal members, and the three-vertex diagonal
-sweep.  Characteristic polynomials and Sturm chains appear only where an
-eigenvalue is described (`lambda_descriptor`) or its class lies outside
-Q(sqrt5) (`_lambda_class`).
+and for the Q extension verifier.  It eliminates the parent's adjacency
+matrix once at the cutoff, an exact semidefinite elimination over
+Z[sqrt5], grows each sign vector vertex by vertex by one bordered step
+on that elimination, and drops a prefix as soon as the principal
+submatrix on its vertices and the new one lies below the cutoff, which is
+sound by eigenvalue interlacing; complete vectors are checked for
+connectivity and forbidden patterns.  A second route checks the census
+for n <= 7: a depth-first search over labelled graphs that adds each
+vertex one pair symbol at a time and decides every prefix by the same
+bordered step; it shares only that exact kernel with the generator.  On
+top of them sit the one-vertex extension verifier for the Q family, the
+exhaustive two-slim derivation, realization of Hoffman graphs from their
+special graphs, the irreducible census and its maximal members, and the
+three-vertex diagonal sweep.  Characteristic polynomials and Sturm chains
+appear only where an eigenvalue is described (`lambda_descriptor`) or its
+class lies outside Q(sqrt5) (`_lambda_class`).
 
 Everything is deterministic: children are generated in lexicographic
 sign-vector order and all outputs are sorted by canonical key.
@@ -32,7 +32,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import product, repeat
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -43,6 +43,7 @@ from .algebra import (
     Threshold,
     char_poly,
     count_roots_in_interval,
+    eliminate,
     isolate_smallest_root,
     lambda_min_at_least,
     lambda_min_equals,
@@ -147,98 +148,54 @@ def _sym_matrix(s: EdgeSignedGraph) -> list:
     return m
 
 
-def _extend(parent: EdgeSignedGraph, vec: tuple) -> EdgeSignedGraph:
+def _extend(parent: EdgeSignedGraph, row: tuple) -> EdgeSignedGraph:
     n = parent.vertex_count
     plus = set(parent.plus_edges)
     minus = set(parent.minus_edges)
-    for i, sym in enumerate(vec):
-        if sym == 1:
+    for i, a in enumerate(row):
+        if a == 1:
             plus.add((i, n))
-        elif sym == 2:
+        elif a == -1:
             minus.add((i, n))
     return EdgeSignedGraph(n + 1, frozenset(plus), frozenset(minus))
-
-
-def _lambda_ok(s: EdgeSignedGraph, threshold: Threshold) -> bool:
-    return lambda_min_at_least(_sym_matrix(s), threshold)
-
-
-# pair symbol of a signed adjacency entry: none 0, plus 1, minus 2
-_SYMBOL = {0: 0, 1: 1, -1: 2}
-
-
-@lru_cache(maxsize=None)
-def _tau_verdict(code: tuple) -> bool:
-    """Exact `smallest eigenvalue >= -tau` for the labelled edge-signed graph
-    on 3..5 vertices whose pair symbols, in itertools.combinations order,
-    are `code` (length 3, 6 or 10)."""
-    n = {3: 3, 6: 4, 10: 5}[len(code)]
-    m = [[0] * n for _ in range(n)]
-    for (a, b), sym in zip(combinations(range(n), 2), code):
-        m[a][b] = m[b][a] = (0, 1, -1)[sym]
-    return lambda_min_at_least(m, NEG_TAU)
-
-
-def _subset_rows(parent: EdgeSignedGraph) -> list:
-    """Every 2..4-subset of the parent's vertices with, per member, the pair
-    symbols to the later members: the fixed part of each screened code."""
-    sym = _sym_matrix(parent)
-    return [(subset, [tuple(_SYMBOL[sym[a][b]] for b in subset[i + 1:])
-                      for i, a in enumerate(subset)])
-            for size in (2, 3, 4)
-            for subset in combinations(range(parent.vertex_count), size)]
-
-
-def _screened_bad(rows: list, vec: tuple) -> bool:
-    """True if some 3..5-vertex subgraph through the new vertex lies below
-    -tau; then so does the whole child, by eigenvalue interlacing."""
-    for subset, segments in rows:
-        if not any(vec[v] for v in subset):
-            continue  # new vertex isolated: a subgraph of the parent plus K1
-        code = []
-        for v, segment in zip(subset, segments):
-            code.extend(segment)
-            code.append(vec[v])
-        if not _tau_verdict(tuple(code)):
-            return True
-    return False
 
 
 def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
               connected: bool) -> list:
     """Every one-vertex extension of parent that passes all filters, in
-    lexicographic sign-vector order; the only generator of one-vertex
-    extensions, for the census and for the Q extension step.
+    lexicographic order of its new row over the entries 0, 1, -1; the only
+    generator of one-vertex extensions, for the census and for the Q
+    extension step.
 
-    The sign vector grows one parent vertex at a time.  At -tau a prefix is
-    dropped as soon as a screened subgraph whose members are all assigned
-    lies below -tau, so no vector extending it is built.  Each complete
-    vector then must give a connected child (when asked), free of the
-    forbidden patterns, and exactly at or above the threshold."""
+    The parent is eliminated once at the cutoff (a parent below it has no
+    children), and the new row grows one entry at a time by a bordered
+    step on that elimination.  A prefix is dropped as soon as the subgraph
+    on its vertices and the new one lies below the cutoff, which is sound
+    by eigenvalue interlacing.  A complete row must give a connected child
+    (when asked), a pending diagonal that is not negative, and no
+    forbidden pattern."""
     n = parent.vertex_count
-    rows_ending_at = [[] for _ in range(n)]
-    if threshold == NEG_TAU:
-        for row in _subset_rows(parent):
-            rows_ending_at[row[0][-1]].append(row)
+    block = eliminate(_sym_matrix(parent), threshold)
+    if block is None:
+        return []
     out = []
 
-    def grow(prefix: tuple) -> None:
-        if len(prefix) == n:
-            if connected and not any(prefix):
+    def grow(row: tuple, border: tuple) -> None:
+        if len(row) == n:
+            if connected and not any(row):
                 return
-            child = _extend(parent, prefix)
-            if any(contains_induced(child, pat) is not None for pat in forbidden):
+            if not block.copy().close(border):
                 return
-            if _lambda_ok(child, threshold):
+            child = _extend(parent, row)
+            if all(contains_induced(child, pat) is None for pat in forbidden):
                 out.append(child)
             return
-        rows = rows_ending_at[len(prefix)]
-        for sym in (0, 1, 2):
-            vec = prefix + (sym,)
-            if not _screened_bad(rows, vec):
-                grow(vec)
+        for a in (0, 1, -1):
+            grown = block.extend(border, (a,))
+            if grown is not None:
+                grow(row + (a,), grown)
 
-    grow(())
+    grow((), block.open(0))
     return out
 
 
@@ -251,19 +208,21 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
     Every filter is hereditary, so each level is grown from the previous
     one by adding a single vertex with a sign vector.  With jobs > 1 the
     parents of a level are extended in worker processes; the result is
-    the same.
+    the same.  A cutoff outside Q(sqrt5) raises `AlgebraError` (a
+    `ValueError`) before any level is grown.
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    Elimination.start(threshold)
     forbidden = tuple(forbidden)
     by_n: dict = {}
     level: list = []
     if max_n >= 1:
         one = signed(1)
         if (all(contains_induced(one, pat) is None for pat in forbidden)
-                and _lambda_ok(one, threshold)):
+                and lambda_min_at_least(_sym_matrix(one), threshold)):
             level = [one]
             by_n[1] = level
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
@@ -334,8 +293,11 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
                             connected: bool = True) -> dict:
     """Independent oracle for the census: the canonical keys, per vertex
     count, of every labelled graph from `labelled_signed_graphs` (connected
-    ones only, if asked).  It shares no code with the census generator.
-    Practical for n <= 7; the cutoff must lie in Q(sqrt5)."""
+    ones only, if asked).  It shares only the exact kernel, the bordered
+    step of `Elimination`, with the census generator: it grows labelled
+    graphs, not orbit representatives, and takes a canonical key of every
+    connected survivor.  Practical for n <= 7; the cutoff must lie in
+    Q(sqrt5)."""
     if max_n > MAX_ORACLE_N:
         raise ValueError(f"the brute-force oracle is limited to n <= {MAX_ORACLE_N}")
     keys: dict = {n: set() for n in range(1, max_n + 1)}

@@ -277,7 +277,7 @@ def test_version_matches_pyproject():
     assert version == TOOL_VERSION == __version__
 
 
-def test_run_full_census_script_help(monkeypatch, capsys):
+def _run_full_census_script(monkeypatch, *args) -> int:
     # importing the script resolves every engine name it uses
     import importlib.util
     import sys
@@ -285,8 +285,18 @@ def test_run_full_census_script_help(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_full_census", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(script), "--help"])
+    monkeypatch.setattr(sys, "argv", [str(script), *args])
     with pytest.raises(SystemExit) as exc:
         module.main()
-    assert exc.value.code == 0
+    return exc.value.code
+
+
+def test_run_full_census_script_help(monkeypatch, capsys):
+    assert _run_full_census_script(monkeypatch, "--help") == 0
     assert "--out" in capsys.readouterr().out
+
+
+def test_run_full_census_script_jobs_below_one(monkeypatch, capsys):
+    for jobs in ("0", "-2", "x"):
+        assert _run_full_census_script(monkeypatch, "--jobs", jobs) == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from golden_spectra.algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
+    AlgebraError,
     lambda_min_approx,
     lambda_min_at_least,
     lambda_min_equals,
@@ -92,6 +93,12 @@ class TestEnumerateSigned:
             with pytest.raises(ValueError):
                 classify_irreducible(jobs=jobs)
 
+    def test_cutoff_outside_q_sqrt5(self):
+        from golden_spectra.enumeration import class_thresholds
+        for max_n in (0, 1, 3):
+            with pytest.raises(AlgebraError):
+                enumerate_signed(max_n, class_thresholds()["sqrt2"])
+
     def test_disconnected_mode(self):
         census = enumerate_signed(4, NEG_TAU, (T1,), connected=False)
         oracle = brute_force_signed_keys(4, NEG_TAU, (T1,), connected=False)
@@ -103,69 +110,56 @@ class TestEnumerateSigned:
 
 
 class TestScreen:
-    def test_screen_rejects_only_exact_failures(self):
-        # seeded: random T1-free parents on 2..7 vertices, random sign vectors
-        from golden_spectra.enumeration import (
-            _extend, _lambda_ok, _screened_bad, _subset_rows)
-        from golden_spectra.iso import contains_induced
-        rng = random.Random(2024)
-        rejected = 0
-        for _ in range(300):
-            parent = random_signed(rng, rng.randint(2, 7))
-            if contains_induced(parent, T1) is not None:
-                continue
-            rows = _subset_rows(parent)
-            for _ in range(6):
-                vec = tuple(rng.choice((0, 1, 2)) for _ in range(parent.vertex_count))
-                if _screened_bad(rows, vec):
-                    rejected += 1
-                    assert not _lambda_ok(_extend(parent, vec), NEG_TAU)
-        assert rejected > 100
-
-    def test_verdict_matches_exact_decision(self):
-        from golden_spectra.enumeration import _lambda_ok, _tau_verdict
-        from itertools import combinations
-        rng = random.Random(99)
-        for n in (3, 4, 5):
-            pairs = list(combinations(range(n), 2))
-            for _ in range(80):
-                code = tuple(rng.choice((0, 1, 2)) for _ in pairs)
-                g = signed(n, [p for p, c in zip(pairs, code) if c == 1],
-                           [p for p, c in zip(pairs, code) if c == 2])
-                assert _tau_verdict(code) == _lambda_ok(g, NEG_TAU)
-
-
     def test_children_match_unscreened_loop(self):
-        # the pruned generator against the loop it replaced: every sign
-        # vector, then connectivity, forbidden patterns, exact decision
-        from golden_spectra.enumeration import _children, _extend, _lambda_ok
+        # the pruned generator against a loop over every new row:
+        # connectivity, one exact decision per child, forbidden patterns
+        from golden_spectra.enumeration import _children, _extend
 
         def reference(parent, threshold, forbidden, connected):
             out = []
-            for vec in product((0, 1, 2), repeat=parent.vertex_count):
-                child = _extend(parent, vec)
+            for row in product((0, 1, -1), repeat=parent.vertex_count):
+                child = _extend(parent, row)
                 if connected and not is_connected_signed(child):
                     continue
-                if any(contains_induced(child, pat) is not None for pat in forbidden):
+                if not lambda_min_at_least(signed_adjacency(child).entries, threshold):
                     continue
-                if _lambda_ok(child, threshold):
+                if all(contains_induced(child, pat) is None for pat in forbidden):
                     out.append(child)
             return out
 
+        def check(parent, threshold, forbidden):
+            connected = is_connected_signed(parent)
+            got = _children(parent, threshold, forbidden, connected)
+            assert got == reference(parent, threshold, forbidden, connected)
+            if not lambda_min_at_least(signed_adjacency(parent).entries, threshold):
+                assert got == []
+                return None
+            return len(got)
+
+        # -1-tau, -1 and 0 skip zero pivots on parents with a kernel there
         rng = random.Random(7)
-        cutoffs = ((NEG_TAU, ()), (NEG_TAU, (T1,)), (parse_threshold("-2"), ()))
-        parents = children = 0
+        cutoffs = ((NEG_TAU, ()), (NEG_TAU, (T1,)), (parse_threshold("-2"), ()),
+                   (NEG_ONE_MINUS_TAU, ()), (parse_threshold("-1"), ()),
+                   (parse_threshold("0"), ()))
+        parents = children = below = 0
         while parents < 36:
             parent = random_signed(rng, rng.randint(1, 6))
             if contains_induced(parent, T1) is not None:
                 continue
             parents += 1
-            connected = is_connected_signed(parent)
             for threshold, forbidden in cutoffs:
-                got = _children(parent, threshold, forbidden, connected)
-                assert got == reference(parent, threshold, forbidden, connected)
-                children += len(got)
-        assert children > 300
+                found = check(parent, threshold, forbidden)
+                below += found is None
+                children += found or 0
+        assert children > 1500 and below > 40
+        # Q parents with a kernel at -tau: nullity 3 for Q(2,2,4)
+        for q in ((2, 2, 4), (1, 1, 5)):
+            assert check(make_q(*q), NEG_TAU, (T1,)) > 0
+        # the empty parent at a positive cutoff: no entry is reduced, so
+        # only the leaf's pending diagonal rejects the one-vertex child
+        half = parse_threshold("1/2")
+        assert _children(signed(0), half, (), False) == []
+        assert reference(signed(0), half, (), False) == []
 
 
 class TestBruteForce:
@@ -174,6 +168,16 @@ class TestBruteForce:
         census = enumerate_signed(6, NEG_TAU, (T1,))
         for n in range(1, 7):
             assert tuple(m.key for m in census.members(n)) == oracle[n]
+
+    def test_matches_enumeration_other_cutoffs(self):
+        # cutoffs other than -tau, with no pattern to prune by; -1-tau and
+        # -1 skip zero pivots
+        for max_n, threshold in ((4, "-2"), (4, "-1-tau"), (5, "-1")):
+            t = parse_threshold(threshold)
+            oracle = brute_force_signed_keys(max_n, t)
+            census = enumerate_signed(max_n, t)
+            for n in range(1, max_n + 1):
+                assert tuple(m.key for m in census.members(n)) == oracle[n]
 
     def test_labelled_survivor_counts(self):
         # labelled graphs at or above -tau and T1-free, connected or not;
