@@ -26,17 +26,15 @@ from golden_spectra.censusio import (
     write_named_signed,
     write_signed_census,
 )
-from golden_spectra.cli import _jobs_arg
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", help="directory for census files")
-    parser.add_argument("--jobs", type=_jobs_arg, default=1)
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    result = classify_irreducible(jobs=args.jobs)
+    result = classify_irreducible()
     census = result.signed_census
     print(f"signed census to n={census.max_n} "
           f"(threshold {census.threshold_name}, forbidden {list(census.forbidden)}):")

@@ -12,7 +12,6 @@ from .algebra import (
     count_roots_below,
     deflate,
     det_exact,
-    golden_sign,
     lambda_min_approx,
     lambda_min_at_least,
     lambda_min_equals,

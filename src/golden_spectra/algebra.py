@@ -448,6 +448,7 @@ class GoldenNumber:
     __rmul__ = __mul__
 
     def sign(self) -> int:
+        """Exact sign of a + b*sqrt5 by rational case analysis."""
         return _sign_root5(self.a, self.b)
 
     def to_float(self) -> float:
@@ -485,11 +486,6 @@ def _coerce_golden(x) -> GoldenNumber:
     if isinstance(x, (int, Fraction)):
         return GoldenNumber(Fraction(x), Fraction(0))
     raise AlgebraError(f"cannot coerce {x!r} into Q(sqrt5)")
-
-
-def golden_sign(x: GoldenNumber) -> int:
-    """Exact sign of a + b*sqrt5 by rational case analysis."""
-    return x.sign()
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def cmd_enumerate(args) -> int:
         for name in args.forbid.split(","):
             forbidden.append(catalog(name.strip()))
     census = enumerate_signed(args.max_n, args.threshold, forbidden,
-                              connected=args.connected, jobs=args.jobs)
+                              connected=args.connected)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"census-signed-n{args.max_n}.txt"
@@ -179,7 +179,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    result = classify_irreducible(jobs=args.jobs)
+    result = classify_irreducible()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_signed_census(result.signed_census, out / "census-signed-n7.txt")
@@ -272,13 +272,6 @@ def _threshold_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _jobs_arg(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="golden-spectra",
@@ -313,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", default="-tau", type=_threshold_arg)
     p.add_argument("--forbid", default="", help="comma-separated catalog names")
     p.add_argument("--connected", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--out", default="census-out")
     p.set_defaults(func=cmd_enumerate)
 
@@ -323,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("classify", help="full pipeline: census files + manifest")
-    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--out", default="census-out")
     p.set_defaults(func=cmd_classify)
 

@@ -3,21 +3,21 @@
 Level-wise augmentation enumerates connected edge-signed graphs up to
 isomorphism under three hereditary filters: an exact smallest-eigenvalue
 bound, forbidden induced patterns, and connectivity.  One generator makes
-every one-vertex extension, for the serial and the multi-process census
-and for the Q extension verifier.  It eliminates the parent's adjacency
-matrix once at the cutoff, an exact semidefinite elimination over
-Z[sqrt5], grows each sign vector vertex by vertex by one bordered step
-on that elimination, and drops a prefix as soon as the principal
-submatrix on its vertices and the new one lies below the cutoff, which is
-sound by eigenvalue interlacing; complete vectors are checked for
-connectivity and forbidden patterns.  A second route checks the census
-for n <= 7: a depth-first search over labelled graphs that adds each
-vertex one pair symbol at a time and decides every prefix by the same
-bordered step; it shares only that exact kernel with the generator.  On
-top of them sit the one-vertex extension verifier for the Q family, the
-exhaustive two-slim derivation, realization of Hoffman graphs from their
-special graphs, the irreducible census and its maximal members, and the
-three-vertex diagonal sweep.  Characteristic polynomials and Sturm chains
+every one-vertex extension, for each level of the census (the first grown
+from the empty graph) and for the Q extension verifier.  It eliminates
+the parent's adjacency matrix once at the cutoff, an exact semidefinite
+elimination over Z[sqrt5], grows each sign vector vertex by vertex by one
+bordered step on that elimination, and drops a prefix as soon as the
+principal submatrix on its vertices and the new one lies below the
+cutoff, which is sound by eigenvalue interlacing; complete vectors are
+checked for connectivity and forbidden patterns.  A second route checks
+the census for n <= 7: a depth-first search over labelled graphs that
+adds each vertex one pair symbol at a time and decides every prefix by
+the same bordered step; it shares only that exact kernel with the
+generator.  On top of them sit the one-vertex extension verifier for the
+Q family, the exhaustive two-slim derivation, realization of Hoffman
+graphs from their special graphs, the irreducible census and its maximal
+members, and the three-vertex diagonal sweep.  Characteristic polynomials and Sturm chains
 appear only where an eigenvalue is described (`lambda_descriptor`) or its
 class lies outside Q(sqrt5) (`_lambda_class`).
 
@@ -27,12 +27,10 @@ sign-vector order and all outputs are sorted by canonical key.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -138,16 +136,6 @@ class SignedCensus:
         return self.by_n.get(n, ())
 
 
-def _sym_matrix(s: EdgeSignedGraph) -> list:
-    n = s.vertex_count
-    m = [[0] * n for _ in range(n)]
-    for a, b in s.plus_edges:
-        m[a][b] = m[b][a] = 1
-    for a, b in s.minus_edges:
-        m[a][b] = m[b][a] = -1
-    return m
-
-
 def _extend(parent: EdgeSignedGraph, row: tuple) -> EdgeSignedGraph:
     n = parent.vertex_count
     plus = set(parent.plus_edges)
@@ -175,14 +163,14 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
     (when asked), a pending diagonal that is not negative, and no
     forbidden pattern."""
     n = parent.vertex_count
-    block = eliminate(_sym_matrix(parent), threshold)
+    block = eliminate(signed_adjacency(parent).entries, threshold)
     if block is None:
         return []
     out = []
 
     def grow(row: tuple, border: tuple) -> None:
         if len(row) == n:
-            if connected and not any(row):
+            if connected and n and not any(row):
                 return
             if not block.copy().close(border):
                 return
@@ -200,50 +188,35 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
 
 
 def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
-                     forbidden: Sequence = (), connected: bool = True,
-                     jobs: int = 1) -> SignedCensus:
+                     forbidden: Sequence = (), connected: bool = True) -> SignedCensus:
     """All edge-signed graphs up to isomorphism with at most max_n vertices
     satisfying the census predicate, by level-wise augmentation.
 
     Every filter is hereditary, so each level is grown from the previous
-    one by adding a single vertex with a sign vector.  With jobs > 1 the
-    parents of a level are extended in worker processes; the result is
-    the same.  A cutoff outside Q(sqrt5) raises `AlgebraError` (a
-    `ValueError`) before any level is grown.
+    one, the first from the empty graph, by adding a single vertex with a
+    sign vector; each child is keyed once, and the first child with a key
+    is kept.  Every level from 1 to max_n is listed, empty or not.  A
+    cutoff outside Q(sqrt5) raises `AlgebraError` (a `ValueError`) before
+    any level is grown.
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     Elimination.start(threshold)
     forbidden = tuple(forbidden)
     by_n: dict = {}
-    level: list = []
-    if max_n >= 1:
-        one = signed(1)
-        if (all(contains_induced(one, pat) is None for pat in forbidden)
-                and lambda_min_at_least(_sym_matrix(one), threshold)):
-            level = [one]
-            by_n[1] = level
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        mapper = pool.map if pool is not None else map
-        for n in range(2, max_n + 1):
-            found: dict = {}
-            for batch in mapper(_children, level, repeat(threshold),
-                                repeat(forbidden), repeat(connected)):
-                for child in batch:
-                    found.setdefault(canonical_key(child), child)
-            level = [found[k] for k in sorted(found)]
-            by_n[n] = level
-    result_by_n = {}
-    for n, graphs in by_n.items():
-        members = [SignedCensusMember(g, canonical_key(g),
-                                      lambda_descriptor(_sym_matrix(g)))
-                   for g in graphs]
-        members.sort(key=lambda m: m.key)
-        result_by_n[n] = tuple(members)
+    level = [signed(0)]
+    for n in range(1, max_n + 1):
+        found: dict = {}
+        for parent in level:
+            for child in _children(parent, threshold, forbidden, connected):
+                found.setdefault(canonical_key(child), child)
+        keys = sorted(found)
+        level = [found[k] for k in keys]
+        by_n[n] = tuple(
+            SignedCensusMember(g, k, lambda_descriptor(signed_adjacency(g).entries))
+            for k, g in zip(keys, level))
     return SignedCensus(max_n, threshold.name,
-                        tuple(to_text(p) for p in forbidden), connected, result_by_n)
+                        tuple(to_text(p) for p in forbidden), connected, by_n)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +510,7 @@ class ClassificationResult:
     discrepancies: tuple    # human-readable expected-vs-derived mismatches
 
 
-def classify_irreducible(census: Optional[SignedCensus] = None,
-                         jobs: int = 1) -> ClassificationResult:
+def classify_irreducible(census: Optional[SignedCensus] = None) -> ClassificationResult:
     """The full census of fat irreducible Hoffman graphs at -1-tau.
 
     Union of the irreducible two-slim graphs and the irreducible
@@ -549,8 +521,7 @@ def classify_irreducible(census: Optional[SignedCensus] = None,
     counts is recorded as a discrepancy; internal contradictions raise."""
     from .decomp import find_reducibility_witness
     if census is None:
-        census = enumerate_signed(7, NEG_TAU, (catalog("T1"),), connected=True,
-                                  jobs=jobs)
+        census = enumerate_signed(7, NEG_TAU, (catalog("T1"),), connected=True)
     if census.max_n < 7 or census.threshold_name != NEG_TAU.name or not census.connected:
         raise ValueError("census must cover n <= 7 at -tau, connected")
     exc = exceptional_members(census)

@@ -404,23 +404,34 @@ def to_json_obj(g) -> dict:
     raise TypeError(f"not a graph: {g!r}")
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_pairs(obj: dict, key: str) -> list:
+    pairs = obj.get(key, [])
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ParseError(f"{key!r} must be a list of vertex pairs")
+    return [tuple(_json_int(v, f"{key!r} endpoint") for v in pair) for pair in pairs]
+
+
 def from_json_obj(obj):
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     if "slim" in obj:
-        try:
-            g = hoffman(obj["slim"], obj["fat"], obj.get("edges", ()))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed Hoffman graph object: {exc}") from exc
+        g = hoffman(_json_int(obj["slim"], "'slim'"),
+                    _json_int(obj.get("fat"), "'fat'"), _json_pairs(obj, "edges"))
         msg = validate_hoffman(g)
         if msg is not None:
             raise ParseError(msg)
         return g
     if "n" in obj:
-        try:
-            s = signed(obj["n"], obj.get("plus", ()), obj.get("minus", ()))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed edge-signed graph object: {exc}") from exc
+        s = signed(_json_int(obj["n"], "'n'"),
+                   _json_pairs(obj, "plus"), _json_pairs(obj, "minus"))
         msg = validate_signed(s)
         if msg is not None:
             raise ParseError(msg)
@@ -513,5 +524,7 @@ def parse_graph(text: str):
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.pos) from exc
+        except ValueError as exc:  # an integer longer than int() accepts
+            raise ParseError(f"bad JSON: {exc}") from exc
         return from_json_obj(obj)
     return from_text(stripped)

@@ -23,7 +23,6 @@ from golden_spectra.algebra import (
     count_roots_below,
     deflate,
     det_exact,
-    golden_sign,
     lambda_min_approx,
     lambda_min_at_least,
     lambda_min_equals,
@@ -45,11 +44,11 @@ def rand_symmetric(rng, n, lo=-1, hi=1):
 
 class TestGoldenNumber:
     def test_sign_examples(self):
-        assert golden_sign(GoldenNumber.of(0, 0)) == 0
+        assert GoldenNumber.of(0, 0).sign() == 0
         # (-3 + sqrt5)/2 < 0 since 5 < 9
-        assert golden_sign(GoldenNumber.of(Fraction(-3, 2), Fraction(1, 2))) == -1
+        assert GoldenNumber.of(Fraction(-3, 2), Fraction(1, 2)).sign() == -1
         # (sqrt5 - 2)/2 > 0 since 5 > 4
-        assert golden_sign(GoldenNumber.of(-1, Fraction(1, 2))) == 1
+        assert GoldenNumber.of(-1, Fraction(1, 2)).sign() == 1
 
     def test_tau_satisfies_its_polynomial(self):
         tau = GoldenNumber.tau()
@@ -351,7 +350,7 @@ def row_nullity(rows, t):
     for k in range(n):
         xk, yk = xs[k], ys[k]
         ka, kb = xk[k], yk[k]
-        sign = golden_sign(GoldenNumber.of(ka, kb))
+        sign = GoldenNumber.of(ka, kb).sign()
         if sign < 0:
             return None
         if sign == 0:

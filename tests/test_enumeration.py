@@ -16,7 +16,6 @@ from golden_spectra.algebra import (
 from golden_spectra.enumeration import (
     ClassificationError,
     brute_force_signed_keys,
-    classify_irreducible,
     derive_two_slim,
     enumerate_signed,
     exceptional_members,
@@ -68,13 +67,6 @@ class TestEnumerateSigned:
                 assert contains_induced(m.graph, T1) is None
                 assert lambda_min_at_least(signed_adjacency(m.graph).entries, NEG_TAU)
 
-    def test_jobs_deterministic(self):
-        serial = enumerate_signed(4, NEG_TAU, (T1,), jobs=1)
-        parallel = enumerate_signed(4, NEG_TAU, (T1,), jobs=2)
-        for n in range(1, 5):
-            assert [m.key for m in serial.members(n)] == \
-                   [m.key for m in parallel.members(n)]
-
     def test_other_threshold(self):
         census = enumerate_signed(3, parse_threshold("-1"), ())
         # only graphs whose signed adjacency stays at or above -1
@@ -86,12 +78,36 @@ class TestEnumerateSigned:
         with pytest.raises(ValueError):
             enumerate_signed(13)
 
-    def test_jobs_below_one_rejected(self):
-        for jobs in (0, -3):
-            with pytest.raises(ValueError):
-                enumerate_signed(3, jobs=jobs)
-            with pytest.raises(ValueError):
-                classify_irreducible(jobs=jobs)
+    def test_every_level_listed_above_zero(self):
+        # the one-vertex graph lies below a positive cutoff, so every level
+        # is empty, and each is listed
+        census = enumerate_signed(3, parse_threshold("1/2"), ())
+        assert census.by_n == {1: (), 2: (), 3: ()}
+
+    def test_level_one_grows_from_the_empty_graph(self):
+        from golden_spectra.enumeration import _children
+        assert _children(signed(0), NEG_TAU, (), True) == [signed(1)]
+
+    def test_each_child_keyed_once(self, monkeypatch):
+        from golden_spectra import enumeration
+        children = keys = 0
+        real_children, real_key = enumeration._children, enumeration.canonical_key
+
+        def counted_children(*args):
+            nonlocal children
+            out = real_children(*args)
+            children += len(out)
+            return out
+
+        def counted_key(g):
+            nonlocal keys
+            keys += 1
+            return real_key(g)
+
+        monkeypatch.setattr(enumeration, "_children", counted_children)
+        monkeypatch.setattr(enumeration, "canonical_key", counted_key)
+        census = enumeration.enumerate_signed(6, NEG_TAU, (T1,))
+        assert keys == children > sum(len(v) for v in census.by_n.values())
 
     def test_cutoff_outside_q_sqrt5(self):
         from golden_spectra.enumeration import class_thresholds
