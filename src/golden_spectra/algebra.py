@@ -7,9 +7,10 @@ is one fraction-free (Bareiss) semidefinite elimination of A - t*I over
 Z[sqrt5]; no characteristic polynomial is formed.  The elimination
 (`Elimination`) is a fold of one bordered step that adds a row in O(n^2)
 work, entry by entry, so a search that grows a matrix one row or one entry
-at a time decides each prefix without redoing the block before it.  Sturm
-chains remain for cutoffs outside Q(sqrt5), eigenvalue descriptors and
-root comparison.
+at a time decides each prefix without redoing the block before it.  It is
+the only route to such a decision; every cutoff lies in Q(sqrt5).  Sturm
+chains remain for eigenvalue descriptors (an isolating interval for the
+smallest root) and root comparison.
 
 Every decision procedure in this module is exact over the integers and
 rationals.  Floating point appears only in reporting helpers
@@ -489,22 +490,20 @@ def _coerce_golden(x) -> GoldenNumber:
 
 
 # ---------------------------------------------------------------------------
-# thresholds: distinguished real algebraic cutoffs
+# thresholds: cutoffs in Q(sqrt5)
 
 
 @dataclass(frozen=True)
 class Threshold:
-    """A real algebraic cutoff, always the smallest real root of min_poly.
+    """A cutoff in Q(sqrt5), always the smallest real root of min_poly.
 
-    Cutoffs inside Q(sqrt5) carry their exact value and Sturm signs are
-    evaluated directly in the field; other cutoffs carry an isolating
-    rational interval and counting falls back to interval refinement.
+    The exact value feeds the semidefinite elimination, and Sturm signs at
+    the cutoff are evaluated directly in the field.
     """
 
     name: str
     min_poly: IntPolynomial
-    value: Optional[GoldenNumber] = None
-    interval: Optional[tuple[Fraction, Fraction]] = None
+    value: GoldenNumber
 
     @staticmethod
     def neg_tau() -> "Threshold":
@@ -530,38 +529,9 @@ class Threshold:
         poly = IntPolynomial((-r.numerator, r.denominator))
         return Threshold(str(r), poly, GoldenNumber(r, Fraction(0)))
 
-    @staticmethod
-    def smallest_root(name: str, min_poly: IntPolynomial,
-                      lo, hi) -> "Threshold":
-        """Cutoff pinned as the smallest real root of min_poly.
-
-        Requires min_poly squarefree with no root at or below lo except the
-        target, a sign change across (lo, hi), and exactly one root there.
-        """
-        lo, hi = Fraction(lo), Fraction(hi)
-        min_poly = min_poly.primitive()
-        sf = squarefree_part(min_poly)
-        if sf != min_poly and sf != -min_poly:
-            raise AlgebraError("threshold minimal polynomial must be squarefree")
-        chain = _sturm_chain(list(min_poly.primitive().coeffs))
-        below_lo = _count_below_rational(chain, lo)
-        if below_lo != 0:
-            raise AlgebraError("threshold is not the smallest root of its polynomial")
-        slo = _sign_at_rational(min_poly.coeffs, lo)
-        shi = _sign_at_rational(min_poly.coeffs, hi)
-        if slo == 0 or shi == 0 or slo == shi:
-            raise AlgebraError("interval endpoints must bracket a sign change")
-        inside = _count_below_rational(chain, hi) - below_lo
-        if inside != 1:
-            raise AlgebraError("interval must isolate exactly one root")
-        return Threshold(name, min_poly, None, (lo, hi))
-
     @cached_property
-    def scaled(self) -> Optional[tuple[int, int, int]]:
-        """Integers (c, d, e), e > 0, with value = (c + d*sqrt5)/e; None for
-        a cutoff outside Q(sqrt5)."""
-        if self.value is None:
-            return None
+    def scaled(self) -> tuple[int, int, int]:
+        """Integers (c, d, e), e > 0, with value = (c + d*sqrt5)/e."""
         a, b = self.value.a, self.value.b
         e = lcm(a.denominator, b.denominator)
         return int(a * e), int(b * e), e
@@ -710,48 +680,10 @@ def count_roots_below(p: IntPolynomial, t: Threshold) -> int:
     if sf.degree <= 0:
         return 0
     chain = _sturm_chain(list(sf.coeffs))
-    if t.scaled is not None:
-        c, d, e = t.scaled
-        v_inf = _variations(_sign_at_neg_inf(q) for q in chain)
-        v_t = _variations(_sign_at_golden_scaled(q, c, d, e) for q in chain)
-        return v_inf - v_t
-    lo, hi = _refine_to_gap(sf, chain, t)
-    return _count_below_rational(chain, lo)
-
-
-def _refine_to_gap(sf: IntPolynomial, chain: list[list[int]],
-                   t: Threshold) -> tuple[Fraction, Fraction]:
-    """Shrink the cutoff's isolating interval until sf has no root in it.
-
-    Deflation removed full copies of the minimal polynomial from sf, so sf
-    can only still vanish at the cutoff if the minimal polynomial is
-    reducible and a proper factor survived; that is detected exactly via a
-    gcd certificate and rejected, making the bisection terminate.
-    """
-    lo, hi = t.interval
-    mp = t.min_poly.coeffs
-    sfc = sf.coeffs
-    common = poly_gcd(sf, t.min_poly)
-    if common.degree >= 1 and _count_in_open_interval(
-            _sturm_chain(list(common.coeffs)), lo, hi) >= 1:
-        raise AlgebraError(
-            "threshold minimal polynomial must be irreducible for interval "
-            "counting (a proper factor shares the cutoff root)")
-    while True:
-        if (_sign_at_rational(sfc, lo) != 0 and _sign_at_rational(sfc, hi) != 0
-                and _count_in_open_interval(chain, lo, hi) == 0):
-            return lo, hi
-        mid = _nonroot_point([mp, sfc], lo, hi)
-        if _sign_at_rational(mp, lo) != _sign_at_rational(mp, mid):
-            lo, hi = lo, mid
-        else:
-            lo, hi = mid, hi
-
-
-def threshold_is_root(p: IntPolynomial, t: Threshold) -> bool:
-    """Exact test: is the cutoff value a root of p?"""
-    _, k = deflate(p, t)
-    return k >= 1
+    c, d, e = t.scaled
+    v_inf = _variations(_sign_at_neg_inf(q) for q in chain)
+    v_t = _variations(_sign_at_golden_scaled(q, c, d, e) for q in chain)
+    return v_inf - v_t
 
 
 def count_roots_in_interval(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
@@ -805,9 +737,7 @@ class Elimination:
 
     @staticmethod
     def start(t: Threshold) -> "Elimination":
-        """The empty block at a cutoff in Q(sqrt5)."""
-        if t.scaled is None:
-            raise AlgebraError(f"cutoff {t.name} lies outside Q(sqrt5)")
+        """The empty block at the cutoff t."""
         return Elimination(t.scaled)
 
     def open(self, diagonal: int) -> tuple:
@@ -905,22 +835,15 @@ def _semidefinite_nullity(rows, t: Threshold) -> Optional[int]:
 def lambda_min_at_least(matrix, t: Threshold) -> bool:
     """Exact test: smallest eigenvalue of a symmetric matrix >= cutoff.
 
-    A semidefinite elimination for cutoffs in Q(sqrt5), Sturm otherwise."""
-    rows = _symmetric_rows(matrix)
-    if t.scaled is None:
-        return count_roots_below(char_poly(rows), t) == 0
-    return _semidefinite_nullity(rows, t) is not None
+    A - t*I is semidefinite."""
+    return _semidefinite_nullity(_symmetric_rows(matrix), t) is not None
 
 
 def lambda_min_equals(matrix, t: Threshold) -> bool:
     """Exact test: smallest eigenvalue of a symmetric matrix == cutoff.
 
-    For cutoffs in Q(sqrt5): A - t*I is semidefinite and singular."""
-    rows = _symmetric_rows(matrix)
-    if t.scaled is None:
-        p = char_poly(rows)
-        return count_roots_below(p, t) == 0 and threshold_is_root(p, t)
-    return bool(_semidefinite_nullity(rows, t))
+    A - t*I is semidefinite and singular."""
+    return bool(_semidefinite_nullity(_symmetric_rows(matrix), t))
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -932,22 +855,25 @@ def root_bound(p: IntPolynomial) -> Fraction:
 
 
 def isolate_smallest_root(p: IntPolynomial, max_width: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval [lo, hi) of width <= max_width containing the smallest real
-    root of p, with no root below lo."""
+    """Interval [lo, hi) of width <= max_width isolating the smallest real
+    root of p: no root at or below lo, none at hi, and no other distinct
+    root inside."""
     sf = squarefree_part(p)
     if sf.degree < 1:
         raise AlgebraError("polynomial has no roots")
     chain = _sturm_chain(list(sf.coeffs))
     bound = root_bound(sf)
     lo, hi = -bound, bound
-    if _count_below_rational(chain, hi) == 0:
+    below = _count_below_rational(chain, hi)
+    if below == 0:
         raise AlgebraError("polynomial has no real roots")
-    while hi - lo > max_width:
+    while below > 1 or hi - lo > max_width:
         mid = _nonroot_point([sf.coeffs], lo, hi)
-        if _count_below_rational(chain, mid) == 0:
+        count = _count_below_rational(chain, mid)
+        if count == 0:
             lo = mid
         else:
-            hi = mid
+            hi, below = mid, count
     return lo, hi
 
 

@@ -17,9 +17,10 @@ the same bordered step; it shares only that exact kernel with the
 generator.  On top of them sit the one-vertex extension verifier for the
 Q family, the exhaustive two-slim derivation, realization of Hoffman
 graphs from their special graphs, the irreducible census and its maximal
-members, and the three-vertex diagonal sweep.  Characteristic polynomials and Sturm chains
-appear only where an eigenvalue is described (`lambda_descriptor`) or its
-class lies outside Q(sqrt5) (`_lambda_class`).
+members, and the three-vertex diagonal sweep.  Characteristic polynomials
+and Sturm chains appear only where an eigenvalue is described
+(`lambda_descriptor`); the eigenvalue class of an exceptional graph is read
+off its descriptor.
 
 Everything is deterministic: children are generated in lexicographic
 sign-vector order and all outputs are sorted by canonical key.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -44,7 +44,6 @@ from .algebra import (
     eliminate,
     isolate_smallest_root,
     lambda_min_at_least,
-    lambda_min_equals,
     squarefree_decomposition,
 )
 from .decomp import set_partitions
@@ -79,38 +78,42 @@ MAX_ENUM_N = 12
 class LambdaDescriptor:
     """Certificate for a smallest eigenvalue: a squarefree integer factor
     having it as a root, its multiplicity in the characteristic polynomial,
-    an isolating rational interval, and a float for display."""
+    a rational interval isolating it, a float for display, and the name of
+    the known factor whose smallest root it is, or None."""
 
     factor: IntPolynomial
     multiplicity: int
     interval: tuple
     approx: float
+    known: Optional[str]
 
 
-_KNOWN_FACTORS = (
-    IntPolynomial((-1, 1, 1)),      # roots -tau, tau-1
-    IntPolynomial((1, 3, 1)),       # roots -1-tau, tau-2
-    IntPolynomial((-2, 0, 1)),      # roots +-sqrt2
-    IntPolynomial((-4, -1, 1)),     # roots (1+-sqrt17)/2
-    IntPolynomial((7, -3, -3, 1)),  # 1 + roots of x^3-6x+2
-)
+# irreducible factors by name; the name of a smallest eigenvalue's class
+_KNOWN_FACTORS = {
+    "tau": IntPolynomial((-1, 1, 1)),         # roots -tau, tau-1
+    "1+tau": IntPolynomial((1, 3, 1)),        # roots -1-tau, tau-2
+    "sqrt2": IntPolynomial((-2, 0, 1)),       # roots +-sqrt2
+    "sqrt17": IntPolynomial((-4, -1, 1)),     # roots (1+-sqrt17)/2
+    "cubic": IntPolynomial((7, -3, -3, 1)),   # 1 + roots of x^3-6x+2
+}
 
 
 def lambda_descriptor(matrix) -> LambdaDescriptor:
+    """The descriptor of the smallest eigenvalue of a symmetric integer
+    matrix.  The interval holds no other root of the characteristic
+    polynomial and none lies below it, so a known factor that divides the
+    eigenvalue's squarefree factor and has a root in the interval has the
+    eigenvalue as its smallest root."""
     p = char_poly(matrix)
     lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
-    factor, mult = None, 1
-    for f, m in squarefree_decomposition(p):
-        if count_roots_in_interval(f, lo, hi) >= 1:
-            factor, mult = f, m
-            break
-    if factor is None:  # p squarefree of degree 1 edge cases
-        factor, mult = p.primitive(), 1
-    for known in _KNOWN_FACTORS:
-        if factor.try_div(known) is not None and count_roots_in_interval(known, lo, hi) >= 1:
-            factor = known
-            break
-    return LambdaDescriptor(factor, mult, (lo, hi), float(lo + (hi - lo) / 2))
+    factor, mult = next((f, m) for f, m in squarefree_decomposition(p)
+                        if count_roots_in_interval(f, lo, hi))
+    known = next((name for name, k in _KNOWN_FACTORS.items()
+                  if factor.try_div(k) is not None and count_roots_in_interval(k, lo, hi)),
+                 None)
+    if known is not None:
+        factor = _KNOWN_FACTORS[known]
+    return LambdaDescriptor(factor, mult, (lo, hi), float(lo + (hi - lo) / 2), known)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +198,11 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
     Every filter is hereditary, so each level is grown from the previous
     one, the first from the empty graph, by adding a single vertex with a
     sign vector; each child is keyed once, and the first child with a key
-    is kept.  Every level from 1 to max_n is listed, empty or not.  A
-    cutoff outside Q(sqrt5) raises `AlgebraError` (a `ValueError`) before
-    any level is grown.
+    is kept.  Every level from 1 to max_n is listed, empty or not.  The
+    cutoff, like every `Threshold`, lies in Q(sqrt5).
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
-    Elimination.start(threshold)
     forbidden = tuple(forbidden)
     by_n: dict = {}
     level = [signed(0)]
@@ -269,8 +270,7 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
     ones only, if asked).  It shares only the exact kernel, the bordered
     step of `Elimination`, with the census generator: it grows labelled
     graphs, not orbit representatives, and takes a canonical key of every
-    connected survivor.  Practical for n <= 7; the cutoff must lie in
-    Q(sqrt5)."""
+    connected survivor.  Practical for n <= 7."""
     if max_n > MAX_ORACLE_N:
         raise ValueError(f"the brute-force oracle is limited to n <= {MAX_ORACLE_N}")
     keys: dict = {n: set() for n in range(1, max_n + 1)}
@@ -447,25 +447,6 @@ EXPECTED_REALIZATION_PROFILE = {
 EXPECTED_IRREDUCIBLE_TOTAL = 37
 
 
-@lru_cache(maxsize=None)
-def class_thresholds() -> dict:
-    """The four exact eigenvalue classes of the exceptional census."""
-    return {
-        "tau": NEG_TAU,
-        "sqrt2": Threshold.smallest_root(
-            "-sqrt2", IntPolynomial((-2, 0, 1)), Fraction(-3, 2), Fraction(-7, 5)),
-        "sqrt17": Threshold.smallest_root(
-            "(1-sqrt17)/2", IntPolynomial((-4, -1, 1)), Fraction(-8, 5), Fraction(-3, 2)),
-        "cubic": Threshold.smallest_root(
-            "1+t0(x^3-6x+2)", IntPolynomial((7, -3, -3, 1)), Fraction(-17, 10), Fraction(-8, 5)),
-    }
-
-
-def _lambda_class(matrix) -> Optional[str]:
-    return next((name for name, t in class_thresholds().items()
-                 if lambda_min_equals(matrix, t)), None)
-
-
 def exceptional_members(census: SignedCensus) -> dict:
     """Census members that are not Q graphs, keyed by vertex count."""
     out: dict = {}
@@ -476,18 +457,16 @@ def exceptional_members(census: SignedCensus) -> dict:
 
 def lambda_min_table_check(members: Sequence) -> dict:
     """Verify the eigenvalue grouping of the 15 realizable exceptional
-    graphs by exact factor divisibility plus smallest-root confirmation;
-    returns the counts per class."""
-    graphs = [m.graph if isinstance(m, SignedCensusMember) else m for m in members]
-    if len(graphs) != 15:
-        raise ClassificationError(f"expected 15 exceptional graphs, got {len(graphs)}")
-    counts = {name: 0 for name in class_thresholds()}
-    for g in graphs:
-        cls = _lambda_class(signed_adjacency(g).entries)
-        if cls is None:
+    census members, each class read off the member's descriptor; returns
+    the counts per class."""
+    if len(members) != 15:
+        raise ClassificationError(f"expected 15 exceptional graphs, got {len(members)}")
+    counts = {name: 0 for name in ("tau", "sqrt2", "sqrt17", "cubic")}
+    for m in members:
+        if m.lam.known not in counts:
             raise ClassificationError(
-                f"exceptional graph {to_text(g)} matches no eigenvalue class")
-        counts[cls] += 1
+                f"exceptional graph {to_text(m.graph)} matches no eigenvalue class")
+        counts[m.lam.known] += 1
     expected = {"sqrt2": 2, "sqrt17": 3, "cubic": 1, "tau": 9}
     if counts != expected:
         raise ClassificationError(f"eigenvalue class counts {counts} != {expected}")
@@ -552,9 +531,8 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
         rows_at_n = []
         for k_idx, (m, reals) in enumerate(realizable, start=1):
             sname = f"S{n}.{k_idx}"
-            cls = _lambda_class(signed_adjacency(m.graph).entries)
             named.append((sname, m))
-            rows_at_n.append((sname, m, cls, reals))
+            rows_at_n.append((sname, m, m.lam.known, reals))
         profile = tuple(sorted((cls, len(reals)) for _, _, cls, reals in rows_at_n))
         if profile != tuple(sorted(EXPECTED_REALIZATION_PROFILE.get(n, ()))):
             discrepancies.append(

@@ -29,10 +29,12 @@ class CatalogError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed graph input; carries a character or element position."""
+    """Malformed graph input; carries the character position where one is
+    known (compact text, JSON syntax), else None."""
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: Union[int, None] = None):
+        super().__init__(message if position is None
+                         else f"{message} (at position {position})")
         self.position = position
 
 
@@ -135,11 +137,11 @@ def validate_hoffman(g: HoffmanGraph) -> Union[str, None]:
             return f"edge ({a},{b}) out of range"
         if not g.is_slim(a) and not g.is_slim(b):
             return f"fat-fat edge ({a},{b})"
-    if g.fat_count:
-        nbr = adjacency(g)
-        for f in g.fat_vertices():
-            if not any(g.is_slim(u) for u in nbr[f]):
-                return f"fat vertex {f} has no slim neighbor"
+    # each edge now has a slim end; it covers its other end if that is fat
+    covered = {b for a, b in g.edges if not g.is_slim(b)}
+    if len(covered) < g.fat_count:
+        f = next(f for f in g.fat_vertices() if f not in covered)
+        return f"fat vertex {f} has no slim neighbor"
     return None
 
 
@@ -456,13 +458,24 @@ def to_text(g) -> str:
     raise TypeError(f"not a graph: {g!r}")
 
 
+# counts and endpoints are ASCII decimals: int() also takes a sign,
+# underscores and surrounding whitespace, and int() and \d take other digits
+_DECIMAL = "[0-9]+"
+
+
+def _parse_count(token: str, what: str, position: int) -> int:
+    if not re.fullmatch(_DECIMAL, token):
+        raise ParseError(f"{what} must be a decimal integer, got {token!r}", position)
+    return int(token)
+
+
 def _parse_pairs(text: str, offset: int) -> list:
     pairs = []
     if not text:
         return pairs
     pos = offset
     for token in text.split(","):
-        m = re.fullmatch(r"(\d+)-(\d+)", token)
+        m = re.fullmatch(f"({_DECIMAL})-({_DECIMAL})", token)
         if not m:
             raise ParseError(f"bad edge token {token!r}", pos)
         pairs.append((int(m.group(1)), int(m.group(2))))
@@ -479,10 +492,8 @@ def from_text(line: str):
     if tokens[0] == "hg":
         if len(tokens) < 3:
             raise ParseError("expected 'hg n_s n_f [edges]'", len(tokens[0]))
-        try:
-            ns, nf = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ParseError("vertex counts must be integers", len("hg "))
+        ns = _parse_count(tokens[1], "slim count", len("hg "))
+        nf = _parse_count(tokens[2], "fat count", len("hg ") + len(tokens[1]) + 1)
         offset = len(" ".join(tokens[:3])) + 1
         pairs = _parse_pairs(tokens[3], offset) if len(tokens) > 3 else []
         if len(tokens) > 4:
@@ -494,10 +505,7 @@ def from_text(line: str):
         return g
     if len(tokens) < 2:
         raise ParseError("expected 'sg n [+edges] [-edges]'", len(tokens[0]))
-    try:
-        n = int(tokens[1])
-    except ValueError:
-        raise ParseError("vertex count must be an integer", len("sg "))
+    n = _parse_count(tokens[1], "vertex count", len("sg "))
     plus, minus = [], []
     offset = len(" ".join(tokens[:2])) + 1
     for token in tokens[2:]:

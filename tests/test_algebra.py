@@ -14,15 +14,16 @@ from golden_spectra.algebra import (
     Elimination,
     _semidefinite_nullity,
     as_int_rows,
-    threshold_is_root,
     GoldenNumber,
     IntPolynomial,
     Threshold,
     char_poly,
     compare_smallest_roots,
     count_roots_below,
+    count_roots_in_interval,
     deflate,
     det_exact,
+    isolate_smallest_root,
     lambda_min_approx,
     lambda_min_at_least,
     lambda_min_equals,
@@ -179,12 +180,6 @@ class TestThresholds:
         with pytest.raises(AlgebraError):
             parse_threshold("pi")
 
-    def test_smallest_root_validation(self):
-        # interval around the larger root of x^2 - 2 is rejected
-        with pytest.raises(AlgebraError):
-            Threshold.smallest_root("bad", IntPolynomial((-2, 0, 1)),
-                                    Fraction(7, 5), Fraction(3, 2))
-
     def test_minimal_polynomials_vanish(self):
         assert NEG_TAU.min_poly.eval_golden(NEG_TAU.value).sign() == 0
         assert NEG_ONE_MINUS_TAU.min_poly.eval_golden(
@@ -236,50 +231,28 @@ class TestRootCounting:
             checked += 1
         assert checked > 900
 
-    def test_cubic_threshold_interval_path(self):
-        # cutoff outside Q(sqrt5): smallest root of the shifted cubic
-        cubic = IntPolynomial((7, -3, -3, 1))
-        t = Threshold.smallest_root("cubic", cubic,
-                                    Fraction(-17, 10), Fraction(-8, 5))
-        # -2 is below the cutoff (~-1.6017), -3/2 is above
-        assert count_roots_below(IntPolynomial((2, 1)), t) == 1
-        assert count_roots_below(IntPolynomial((3, 2)), t) == 0
-        # a polynomial with the cutoff as a root: divisible and nothing below
-        p = cubic * IntPolynomial((1, 1))
-        assert threshold_is_root(p, t)
-        assert count_roots_below(p, t) == 0
-        # roots of the cofactor cluster tightly around the cutoff
-        crowd = cubic * IntPolynomial((-161, -100)) * IntPolynomial((-8, -5))
-        # -161/100 = -1.61 < cutoff < -8/5 = -1.6
-        assert count_roots_below(crowd, t) == 1
-
-    def test_generic_path_against_numpy(self):
-        rng = random.Random(404)
-        t = Threshold.smallest_root("-sqrt2", IntPolynomial((-2, 0, 1)),
-                                    Fraction(-3, 2), Fraction(-7, 5))
-        for _ in range(200):
-            n = rng.randint(1, 6)
-            m = rand_symmetric(rng, n)
-            evs = np.linalg.eigvalsh(np.array(m, dtype=float))
-            if any(abs(e + 2 ** 0.5) < 1e-7 for e in evs):
-                continue
-            distinct = len({round(e, 9) for e in evs if e < -(2 ** 0.5)})
-            assert count_roots_below(char_poly(m), t) == distinct
-
-    def test_reducible_threshold_polynomial_rejected(self):
-        # a squarefree but reducible cutoff polynomial whose factor shares
-        # the root is detected exactly instead of looping
-        m = IntPolynomial((-2, 0, 1)) * IntPolynomial((1, 1))
-        t = Threshold.smallest_root("bad-sqrt2", m, Fraction(-3, 2), Fraction(-7, 5))
-        with pytest.raises(AlgebraError):
-            count_roots_below(IntPolynomial((-2, 0, 1)), t)
-        # polynomials not vanishing at the cutoff still count fine
-        assert count_roots_below(IntPolynomial((2, 1)), t) == 1
-
     def test_no_real_roots_raises(self):
-        from golden_spectra.algebra import isolate_smallest_root
         with pytest.raises(AlgebraError):
             isolate_smallest_root(IntPolynomial((1, 0, 1)), Fraction(1, 10))
+
+    def test_interval_isolates_roots_closer_than_the_width(self):
+        # roots -1 - 1e-10 and -1, far closer than the width asked for
+        p = IntPolynomial((1, 1)) * IntPolynomial((10 ** 10 + 1, 10 ** 10))
+        lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
+        assert count_roots_in_interval(p, lo, hi) == 1
+        assert lo < Fraction(-(10 ** 10 + 1), 10 ** 10) < hi < -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(-3, 3, max_denominator=40), min_size=1, max_size=5),
+           st.fractions(Fraction(1, 1000), 2, max_denominator=1000))
+    def test_interval_isolates_the_smallest_root(self, roots, width):
+        p = IntPolynomial((1,))
+        for r in roots:
+            p = p * IntPolynomial((-r.numerator, r.denominator))
+        lo, hi = isolate_smallest_root(p, width)
+        assert hi - lo <= width
+        assert lo < min(roots) < hi
+        assert count_roots_in_interval(p, lo, hi) == 1
 
     def test_rational_threshold(self):
         t = parse_threshold("0")
@@ -525,8 +498,3 @@ class TestSemidefiniteKernel:
                 else:
                     assert block.steps.count(None) == row_nullity(m, t)
         assert below > 100
-
-    def test_cutoff_outside_q_sqrt5_is_rejected(self):
-        from golden_spectra.enumeration import class_thresholds
-        with pytest.raises(AlgebraError):
-            Elimination.start(class_thresholds()["sqrt2"])

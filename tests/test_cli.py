@@ -65,6 +65,20 @@ class TestSpectrumAndCheck:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_json_errors_report_no_position(self, tmp_path, capsys):
+        path = write(tmp_path, "g.json", '{"n": Infinity}')
+        assert main(["special", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'n' must be an integer, got inf")
+        assert "at position" not in err
+
+    @pytest.mark.parametrize("text", ["sg 3_0", "hg 1_0 0", "sg +3",
+                                      "sg \u0663 +\u0660-\u0661"])
+    def test_non_ascii_decimal_text_is_exit_3(self, tmp_path, capsys, text):
+        assert main(["spectrum", write(tmp_path, "g.txt", text)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_census_is_exit_3(self, tmp_path, capsys):
         assert main(["maximal", "--census", str(tmp_path / "missing.txt"),
                      "--out", str(tmp_path / "out")]) == 3

@@ -7,7 +7,9 @@ import pytest
 from golden_spectra.algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
-    AlgebraError,
+    IntPolynomial,
+    char_poly,
+    compare_smallest_roots,
     lambda_min_approx,
     lambda_min_at_least,
     lambda_min_equals,
@@ -108,12 +110,6 @@ class TestEnumerateSigned:
         monkeypatch.setattr(enumeration, "canonical_key", counted_key)
         census = enumeration.enumerate_signed(6, NEG_TAU, (T1,))
         assert keys == children > sum(len(v) for v in census.by_n.values())
-
-    def test_cutoff_outside_q_sqrt5(self):
-        from golden_spectra.enumeration import class_thresholds
-        for max_n in (0, 1, 3):
-            with pytest.raises(AlgebraError):
-                enumerate_signed(max_n, class_thresholds()["sqrt2"])
 
     def test_disconnected_mode(self):
         census = enumerate_signed(4, NEG_TAU, (T1,), connected=False)
@@ -217,11 +213,6 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_signed_keys(8)
         assert brute_force_signed_keys(0) == {}
-
-    def test_cutoff_outside_q_sqrt5(self):
-        from golden_spectra.enumeration import class_thresholds
-        with pytest.raises(ValueError):
-            brute_force_signed_keys(3, class_thresholds()["sqrt2"])
 
 
 class TestQRecognition:
@@ -335,6 +326,25 @@ class TestClassification:
     def test_lambda_table(self, classification):
         counts = lambda_min_table_check([m for _, m in classification.exceptional])
         assert counts == {"sqrt2": 2, "sqrt17": 3, "cubic": 1, "tau": 9}
+
+    def test_descriptor_classes_by_root_comparison(self, census7):
+        # an independent exact route for the class on each descriptor: the
+        # smallest root of the characteristic polynomial equals that of the
+        # class polynomial and of no other
+        classes = {"tau": IntPolynomial((-1, 1, 1)),
+                   "sqrt2": IntPolynomial((-2, 0, 1)),
+                   "sqrt17": IntPolynomial((-4, -1, 1)),
+                   "cubic": IntPolynomial((7, -3, -3, 1))}
+        counts = Counter()
+        for members in exceptional_members(census7).values():
+            for m in members:
+                p = char_poly(signed_adjacency(m.graph).entries)
+                equal = [name for name, f in classes.items()
+                         if compare_smallest_roots(p, f) == 0]
+                assert equal == [m.lam.known], to_text(m.graph)
+                counts[m.lam.known] += 1
+        # the 15 realizable members and the two without a realization
+        assert counts == {"tau": 10, "sqrt2": 3, "sqrt17": 3, "cubic": 1}
 
     def test_unrealizable_reported(self, classification):
         texts = sorted(to_text(m.graph) for m in classification.unrealizable)

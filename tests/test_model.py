@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from golden_spectra.model import (
     CatalogError,
@@ -185,6 +185,26 @@ class TestPredicates:
         assert is_connected_signed(make_q(2, 1, 3))
 
 
+# pieces of both exchange formats, and characters that int() or \d accept
+# beyond ASCII decimals
+GRAMMAR_TOKENS = ("hg", "sg", " ", "0", "1", "2", "7", "99999999999", "+", "-",
+                  ",", "_", "\t", "\u0663", "{", "}", "[", "]", ":", '"n"',
+                  '"slim"', '"fat"', '"edges"', '"plus"', '"minus"')
+SEED_TEXTS = ("sg 4 +0-1,2-3 -1-2", "hg 2 1 0-1,0-2,1-2", "hg 3 0",
+              '{"n": 2, "plus": [[0, 1]]}', '{"slim": 1, "fat": 1, "edges": [[0, 1]]}')
+
+
+@st.composite
+def near_graph_texts(draw):
+    """A valid graph text with up to three pieces cut out or put in."""
+    text = draw(st.sampled_from(SEED_TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(GRAMMAR_TOKENS + ("",))) + text[at + cut:]
+    return text
+
+
 class TestFormats:
     def test_round_trips(self):
         rng = random.Random(5)
@@ -220,6 +240,42 @@ class TestFormats:
             parse_graph('{"noise": 1}')
         with pytest.raises(ParseError):
             parse_graph('{bad json')
+
+    @pytest.mark.parametrize("text", ["sg 3_0", "hg 1_0 0", "sg +3",
+                                      "sg \u0663 +\u0660-\u0661"])
+    def test_text_numbers_are_ascii_decimals(self, text):
+        # int() and \d would read these as sg 30, hg 10 0, sg 3, sg 3 +0-1
+        with pytest.raises(ParseError, match="decimal integer|bad edge token"):
+            from_text(text)
+
+    def test_huge_fat_count_is_checked_edge_by_edge(self):
+        with pytest.raises(ParseError, match="fat vertex 1 has no slim neighbor"):
+            from_text("hg 1 1000000000000")
+        with pytest.raises(ParseError, match="fat vertex 2 has no slim neighbor"):
+            parse_graph('{"slim": 1, "fat": 1000000000000, "edges": [[0, 1]]}')
+
+    def test_json_errors_carry_no_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_graph('{"n": -1}')
+        assert err.value.position is None
+        assert "at position" not in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse_graph('{"n": 1,}')
+        assert err.value.position == 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        near_graph_texts(),
+        st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=12).map("".join),
+        st.text(alphabet="".join(GRAMMAR_TOKENS), max_size=16)))
+    def test_fuzz_parse_round_trips_or_raises_parse_error(self, text):
+        # parsing only: a parsed vertex count may be far too large to build
+        # a matrix for
+        try:
+            g = parse_graph(text)
+        except ParseError:
+            return
+        assert parse_graph(to_text(g)) == g
 
     def test_text_sorted_deterministic(self):
         g1 = hoffman(2, 1, [(1, 2), (0, 2)])
