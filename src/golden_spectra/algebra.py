@@ -10,7 +10,11 @@ work, entry by entry, so a search that grows a matrix one row or one entry
 at a time decides each prefix without redoing the block before it.  It is
 the only route to such a decision; every cutoff lies in Q(sqrt5).  Sturm
 chains remain for eigenvalue descriptors (an isolating interval for the
-smallest root) and root comparison.
+smallest root) and root comparison.  One bisection serves both: its
+endpoints are integer numerators over one shared denominator, a Sturm
+count decides each step until the smallest root is alone in the
+interval, and from then on one sign of the squarefree part does.
+Polynomial division is long division in integers.
 
 Every decision procedure in this module is exact over the integers and
 rationals.  Floating point appears only in reporting helpers
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class AlgebraError(ValueError):
@@ -220,6 +224,10 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x) -> int:
+        """Sign of the value at an int or Fraction x, in integers."""
+        return _sign_at(self.coeffs, x.numerator, x.denominator)
+
     def eval_golden(self, g: "GoldenNumber") -> "GoldenNumber":
         acc = GoldenNumber.of(0)
         for c in reversed(self.coeffs):
@@ -248,28 +256,32 @@ class IntPolynomial:
         return IntPolynomial(c // g for c in self.coeffs)
 
     def try_div(self, divisor: "IntPolynomial") -> Optional["IntPolynomial"]:
-        """Exact quotient self / divisor over Z[x], or None if not exact."""
+        """Exact quotient self / divisor over Z[x], or None if not exact.
+
+        Long division in integers: each quotient coefficient must divide
+        out of the leading remainder coefficient exactly, so the first
+        nonzero remainder of that division ends it."""
         if divisor.is_zero():
             raise AlgebraError("division by the zero polynomial")
         if self.is_zero():
             return IntPolynomial.zero()
         if self.degree < divisor.degree:
             return None
-        rem = [Fraction(c) for c in self.coeffs]
-        dv = divisor.coeffs
-        dlead = Fraction(dv[-1])
-        q = [Fraction(0)] * (len(rem) - len(dv) + 1)
+        rem = list(self.coeffs)
+        *dv, dlead = divisor.coeffs
+        m = len(dv)
+        q = [0] * (len(rem) - m)
         for k in range(len(q) - 1, -1, -1):
-            coef = rem[k + len(dv) - 1] / dlead
+            coef, r = divmod(rem[k + m], dlead)
+            if r:
+                return None
             q[k] = coef
             if coef:
                 for j, d in enumerate(dv):
                     rem[k + j] -= coef * d
-        if any(rem):
+        if any(rem[:m]):
             return None
-        if any(c.denominator != 1 for c in q):
-            return None
-        return IntPolynomial(int(c) for c in q)
+        return IntPolynomial(q)
 
     def divexact(self, divisor: "IntPolynomial") -> "IntPolynomial":
         q = self.try_div(divisor)
@@ -597,11 +609,10 @@ def _variations(signs: Iterable[int]) -> int:
     return count
 
 
-def _sign_at_rational(cs: Sequence[int], x: Fraction) -> int:
-    """Sign of p(x) for rational x, all-integer Horner."""
+def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0, all-integer Horner."""
     if not cs:
         return 0
-    num, den = x.numerator, x.denominator
     acc = cs[-1]
     dpow = 1
     for c in reversed(cs[:-1]):
@@ -623,33 +634,10 @@ def _sign_at_golden_scaled(cs: Sequence[int], c: int, d: int, e: int) -> int:
     return _sign_root5(A, B)
 
 
-def _count_below_rational(chain: list[list[int]], x: Fraction) -> int:
-    """Distinct real roots of chain[0] strictly below rational x.
-
-    Requires chain[0](x) != 0.
-    """
-    v_inf = _variations(_sign_at_neg_inf(q) for q in chain)
-    v_x = _variations(_sign_at_rational(q, x) for q in chain)
-    return v_inf - v_x
-
-
 def _count_in_open_interval(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
-    v_lo = _variations(_sign_at_rational(q, lo) for q in chain)
-    v_hi = _variations(_sign_at_rational(q, hi) for q in chain)
+    v_lo = _variations(_sign_at(q, lo.numerator, lo.denominator) for q in chain)
+    v_hi = _variations(_sign_at(q, hi.numerator, hi.denominator) for q in chain)
     return v_lo - v_hi
-
-
-def _nonroot_point(polys: list[Sequence[int]], lo: Fraction, hi: Fraction) -> Fraction:
-    """A rational strictly inside (lo, hi) that is a root of none of polys."""
-    k = 2
-    while True:
-        for j in range(1, k):
-            cand = lo + (hi - lo) * Fraction(j, k)
-            if all(_sign_at_rational(p, cand) != 0 for p in polys):
-                return cand
-        k += 1
-        if k > 4096:  # polys have finitely many roots; unreachable in practice
-            raise AlgebraError("could not find a non-root sample point")
 
 
 def deflate(p: IntPolynomial, t: Threshold) -> tuple[IntPolynomial, int]:
@@ -684,17 +672,6 @@ def count_roots_below(p: IntPolynomial, t: Threshold) -> int:
     v_inf = _variations(_sign_at_neg_inf(q) for q in chain)
     v_t = _variations(_sign_at_golden_scaled(q, c, d, e) for q in chain)
     return v_inf - v_t
-
-
-def count_roots_in_interval(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of p in the open interval (lo, hi); endpoints
-    must not be roots."""
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    if _sign_at_rational(sf.coeffs, lo) == 0 or _sign_at_rational(sf.coeffs, hi) == 0:
-        raise AlgebraError("interval endpoints must not be roots")
-    return _count_in_open_interval(_sturm_chain(list(sf.coeffs)), lo, hi)
 
 
 def _symmetric_rows(matrix) -> tuple[tuple[int, ...], ...]:
@@ -854,6 +831,57 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
+def _isolating_intervals(sf: IntPolynomial,
+                         max_width: Fraction) -> Iterator[tuple[int, int, int]]:
+    """The bisection of the smallest real root of the squarefree sf: each
+    interval lo/den..hi/den (den > 0) it passes through, one step apart,
+    from the first that isolates the root and is at most max_width wide.
+
+    The bisection starts from the root bound and keeps no root at or below
+    lo.  Each step samples the midpoint, or when that is a root j/k of the
+    way for k = 3, 4, ... and j = 1..k-1, the first that is not, over one
+    shared denominator, all in integers.  While more than one distinct
+    root lies below hi, the Sturm count at the sample point decides the
+    step.  Once the one root in (lo, hi) is isolated, a simple root, the
+    sign of sf at the sample point decides it: it differs from the sign
+    below every root exactly when the root lies below the sample point."""
+    cs = sf.coeffs
+    chain = _sturm_chain(list(cs))
+    v_inf = _variations(_sign_at_neg_inf(q) for q in chain)
+    sign_lo = _sign_at_neg_inf(cs)
+    bound = root_bound(sf)
+    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
+    below = v_inf - _variations(_sign_at(q, hi, den) for q in chain)
+    if below == 0:
+        raise AlgebraError("polynomial has no real roots")
+    width_num, width_den = max_width.numerator, max_width.denominator
+    while True:
+        if below == 1 and (hi - lo) * width_den <= width_num * den:
+            yield lo, hi, den
+        k, j = 2, 1
+        while True:
+            mid = lo * k + (hi - lo) * j
+            sign = _sign_at(cs, mid, den * k)
+            if sign:
+                break
+            j += 1
+            if j == k:
+                k, j = k + 1, 1
+                if k > 4096:  # sf has finitely many roots; unreachable in practice
+                    raise AlgebraError("could not find a non-root sample point")
+        lo, hi, den = lo * k, hi * k, den * k
+        if below > 1:
+            count = v_inf - _variations(_sign_at(q, mid, den) for q in chain)
+            if count == 0:
+                lo = mid
+            else:
+                hi, below = mid, count
+        elif sign == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
 def isolate_smallest_root(p: IntPolynomial, max_width: Fraction) -> tuple[Fraction, Fraction]:
     """Interval [lo, hi) of width <= max_width isolating the smallest real
     root of p: no root at or below lo, none at hi, and no other distinct
@@ -861,20 +889,8 @@ def isolate_smallest_root(p: IntPolynomial, max_width: Fraction) -> tuple[Fracti
     sf = squarefree_part(p)
     if sf.degree < 1:
         raise AlgebraError("polynomial has no roots")
-    chain = _sturm_chain(list(sf.coeffs))
-    bound = root_bound(sf)
-    lo, hi = -bound, bound
-    below = _count_below_rational(chain, hi)
-    if below == 0:
-        raise AlgebraError("polynomial has no real roots")
-    while below > 1 or hi - lo > max_width:
-        mid = _nonroot_point([sf.coeffs], lo, hi)
-        count = _count_below_rational(chain, mid)
-        if count == 0:
-            lo = mid
-        else:
-            hi, below = mid, count
-    return lo, hi
+    lo, hi, den = next(_isolating_intervals(sf, Fraction(max_width)))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def lambda_min_approx(matrix) -> float:
@@ -899,34 +915,24 @@ def compare_smallest_roots(pa: IntPolynomial, pb: IntPolynomial) -> int:
     """
     sa, sb = squarefree_part(pa), squarefree_part(pb)
     ca, cb = _sturm_chain(list(sa.coeffs)), _sturm_chain(list(sb.coeffs))
-    ia = isolate_smallest_root(pa, root_bound(sa))
-    ib = isolate_smallest_root(pb, root_bound(sb))
+    steps_a = _isolating_intervals(sa, root_bound(sa))
+    steps_b = _isolating_intervals(sb, root_bound(sb))
     h = poly_gcd(sa, sb)
     ch = _sturm_chain(list(h.coeffs)) if h.degree >= 1 else None
     while True:
+        la, ha, da = next(steps_a)
+        lb, hb, db = next(steps_b)
         # isolating intervals are [lo, hi) with the root strictly inside
         # (lo, hi), so interval separation decides strictly
-        if ia[1] <= ib[0]:
+        if ha * db <= lb * da:
             return -1
-        if ib[1] <= ia[0]:
+        if hb * da <= la * db:
             return 1
         if ch is not None:
-            lo = min(ia[0], ib[0])
-            hi = max(ia[1], ib[1])
-            if (_sign_at_rational(sa.coeffs, lo) != 0 and _sign_at_rational(sa.coeffs, hi) != 0
-                    and _sign_at_rational(sb.coeffs, lo) != 0 and _sign_at_rational(sb.coeffs, hi) != 0
+            lo = min(Fraction(la, da), Fraction(lb, db))
+            hi = max(Fraction(ha, da), Fraction(hb, db))
+            if (all(f.sign_at(x) for f in (sa, sb) for x in (lo, hi))
                     and _count_in_open_interval(ca, lo, hi) == 1
                     and _count_in_open_interval(cb, lo, hi) == 1
                     and _count_in_open_interval(ch, lo, hi) >= 1):
                 return 0
-        ia = _halve(sa, ca, ia)
-        ib = _halve(sb, cb, ib)
-
-
-def _halve(sf: IntPolynomial, chain: list[list[int]],
-           iv: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    lo, hi = iv
-    mid = _nonroot_point([sf.coeffs], lo, hi)
-    if _count_below_rational(chain, mid) == 0:
-        return mid, hi
-    return lo, mid

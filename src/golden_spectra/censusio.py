@@ -77,23 +77,27 @@ def read_text(path) -> str:
 
 
 def read_hoffman_census(path) -> HoffmanCensus:
-    """Reparse a census file; every graph is revalidated and its canonical
-    key recomputed and checked against the stored one."""
+    """Reparse a census file; every graph is revalidated, and its canonical
+    key and eigenvalue descriptor recomputed and checked against the
+    stored columns."""
     members = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) < 4:
-            raise ParseError(f"census line {lineno}: expected tab-separated fields")
+        if len(fields) != 8:
+            raise ParseError(f"census line {lineno}: expected 8 tab-separated fields")
         key_hex, name, special, text = fields[:4]
         graph = from_text(text)
         key = canonical_key(graph)
         if key.hex() != key_hex:
             raise ParseError(
                 f"census line {lineno}: stored key does not match the graph")
-        members.append(HoffmanCensusMember(
-            name, graph, key, special, lambda_descriptor(b_matrix(graph).entries)))
+        lam = lambda_descriptor(b_matrix(graph).entries)
+        if fields[4:] != _lam_fields(lam):
+            raise ParseError(
+                f"census line {lineno}: stored eigenvalue columns do not match the graph")
+        members.append(HoffmanCensusMember(name, graph, key, special, lam))
     return HoffmanCensus(tuple(members))
 
 

@@ -62,13 +62,21 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 
+# The largest matrix `spectrum` and `check` build, dense and of this order
+# at most; the census graphs have at most 12 vertices.
+MAX_MATRIX_ORDER = 64
+
 
 def _read_graph(path: str):
     return parse_graph(read_text(path))
 
 
 def _matrix_of(graph):
-    if isinstance(graph, HoffmanGraph):
+    hoffman = isinstance(graph, HoffmanGraph)
+    order = graph.slim_count if hoffman else graph.vertex_count
+    if order > MAX_MATRIX_ORDER:
+        raise ParseError(f"matrix order {order} exceeds the limit {MAX_MATRIX_ORDER}")
+    if hoffman:
         return b_matrix(graph).entries, "B"
     return signed_adjacency(graph).entries, "M"
 

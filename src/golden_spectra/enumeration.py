@@ -40,7 +40,6 @@ from .algebra import (
     IntPolynomial,
     Threshold,
     char_poly,
-    count_roots_in_interval,
     eliminate,
     isolate_smallest_root,
     lambda_min_at_least,
@@ -100,17 +99,21 @@ _KNOWN_FACTORS = {
 
 def lambda_descriptor(matrix) -> LambdaDescriptor:
     """The descriptor of the smallest eigenvalue of a symmetric integer
-    matrix.  The interval holds no other root of the characteristic
-    polynomial and none lies below it, so a known factor that divides the
-    eigenvalue's squarefree factor and has a root in the interval has the
-    eigenvalue as its smallest root."""
+    matrix.  The interval isolates it: no other root of the characteristic
+    polynomial lies in it, none below it and none at its ends.  A divisor
+    of the polynomial's squarefree part has only simple roots, so it has
+    the eigenvalue as a root exactly when its signs at the two ends
+    differ; a known factor that divides the eigenvalue's squarefree factor
+    and passes that test has the eigenvalue as its smallest root."""
     p = char_poly(matrix)
     lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
-    factor, mult = next((f, m) for f, m in squarefree_decomposition(p)
-                        if count_roots_in_interval(f, lo, hi))
+
+    def has_root(f: IntPolynomial) -> bool:
+        return f.sign_at(lo) != f.sign_at(hi)
+
+    factor, mult = next((f, m) for f, m in squarefree_decomposition(p) if has_root(f))
     known = next((name for name, k in _KNOWN_FACTORS.items()
-                  if factor.try_div(k) is not None and count_roots_in_interval(k, lo, hi)),
-                 None)
+                  if has_root(k) and factor.try_div(k) is not None), None)
     if known is not None:
         factor = _KNOWN_FACTORS[known]
     return LambdaDescriptor(factor, mult, (lo, hi), float(lo + (hi - lo) / 2), known)
@@ -597,12 +600,18 @@ def maximal_members(census: HoffmanCensus) -> HoffmanCensus:
 
     The two-slim members at the threshold and every six-slim member must
     come out maximal (an embedding between realizations would force the
-    fat classes to match exactly); violations raise."""
+    fat classes to match exactly); violations raise.  A member can only
+    embed in one with at least as many slim and as many fat vertices and
+    more vertices in all: an embedding onto every vertex would be an
+    isomorphism, and the keys are distinct."""
     out = []
     for m in census.members:
+        g = m.graph
         embedded = any(
-            contains_induced(other.graph, m.graph) is not None
-            for other in census.members if other.key != m.key)
+            contains_induced(h, g) is not None
+            for h in (other.graph for other in census.members)
+            if g.slim_count <= h.slim_count and g.fat_count <= h.fat_count
+            and g.vertex_count < h.vertex_count)
         if not embedded:
             out.append(m)
     keys = {m.key for m in out}

@@ -506,18 +506,21 @@ def from_text(line: str):
     if len(tokens) < 2:
         raise ParseError("expected 'sg n [+edges] [-edges]'", len(tokens[0]))
     n = _parse_count(tokens[1], "vertex count", len("sg "))
-    plus, minus = [], []
+    lists = {}
     offset = len(" ".join(tokens[:2])) + 1
     for token in tokens[2:]:
-        if token.startswith("+"):
-            plus.extend(_parse_pairs(token[1:], offset + 1))
-        elif token.startswith("-"):
-            minus.extend(_parse_pairs(token[1:], offset + 1))
-        else:
+        kind = token[:1]
+        if kind not in ("+", "-"):
             raise ParseError(f"edge list must start with '+' or '-', got {token!r}",
                              offset)
+        # to_text writes each list at most once and never an empty one
+        if kind in lists:
+            raise ParseError(f"second '{kind}' edge list", offset)
+        if len(token) == 1:
+            raise ParseError(f"empty '{kind}' edge list", offset)
+        lists[kind] = _parse_pairs(token[1:], offset + 1)
         offset += len(token) + 1
-    s = signed(n, plus, minus)
+    s = signed(n, lists.get("+", ()), lists.get("-", ()))
     msg = validate_signed(s)
     if msg is not None:
         raise ParseError(msg, offset)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import lcm
 
 import numpy as np
@@ -13,6 +13,8 @@ from golden_spectra.algebra import (
     AlgebraError,
     Elimination,
     _semidefinite_nullity,
+    _sturm_chain,
+    _variations,
     as_int_rows,
     GoldenNumber,
     IntPolynomial,
@@ -20,7 +22,6 @@ from golden_spectra.algebra import (
     char_poly,
     compare_smallest_roots,
     count_roots_below,
-    count_roots_in_interval,
     deflate,
     det_exact,
     isolate_smallest_root,
@@ -28,11 +29,13 @@ from golden_spectra.algebra import (
     lambda_min_at_least,
     lambda_min_equals,
     parse_threshold,
+    root_bound,
     squarefree_decomposition,
     squarefree_part,
 )
 
 TAU = (1 + 5 ** 0.5) / 2
+DESCRIPTOR_WIDTH = Fraction(1, 2 * 10 ** 9)
 
 
 def rand_symmetric(rng, n, lo=-1, hi=1):
@@ -41,6 +44,72 @@ def rand_symmetric(rng, n, lo=-1, hi=1):
         for j in range(i, n):
             m[i][j] = m[j][i] = rng.randint(lo, hi)
     return m
+
+
+def fraction_try_div(p, divisor):
+    """The long division in Fractions that the integer one replaced."""
+    if p.is_zero():
+        return p
+    if p.degree < divisor.degree:
+        return None
+    rem = [Fraction(c) for c in p.coeffs]
+    dv = divisor.coeffs
+    q = [Fraction(0)] * (len(rem) - len(dv) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + len(dv) - 1] / dv[-1]
+        for j, d in enumerate(dv):
+            rem[k + j] -= q[k] * d
+    if any(rem) or any(c.denominator != 1 for c in q):
+        return None
+    return IntPolynomial(int(c) for c in q)
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def sturm_count_below(chain, x: Fraction) -> int:
+    """Distinct real roots of chain[0] below x, which is not one, by
+    evaluating each polynomial of the Sturm chain in Fractions."""
+    at_inf = (sign(q[-1]) * (-1) ** (len(q) - 1) for q in chain)
+    return _variations(at_inf) - _variations(sign(IntPolynomial(q)(x)) for q in chain)
+
+
+def count_roots_in_interval(p, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of p in (lo, hi); neither end is a root."""
+    sf = squarefree_part(p)
+    if sf.degree <= 0:
+        return 0
+    assert sf(lo) and sf(hi), "interval ends must not be roots"
+    chain = _sturm_chain(list(sf.coeffs))
+    return sturm_count_below(chain, hi) - sturm_count_below(chain, lo)
+
+
+def fraction_isolation(p, max_width: Fraction) -> tuple:
+    """The bisection that the integer one replaced: Fractions throughout,
+    the Sturm count at every step, and as sample point the midpoint or,
+    when that is a root, the first non-root j/k of the way, k = 3, 4, ..."""
+    sf = squarefree_part(p)
+    chain = _sturm_chain(list(sf.coeffs))
+    lo, hi = -root_bound(sf), root_bound(sf)
+    below = sturm_count_below(chain, hi)
+    assert below
+    while below > 1 or hi - lo > max_width:
+        mid = next(x for k in count(2) for j in range(1, k)
+                   if sf(x := lo + (hi - lo) * Fraction(j, k)))
+        n = sturm_count_below(chain, mid)
+        if n == 0:
+            lo = mid
+        else:
+            hi, below = mid, n
+    return lo, hi
+
+
+def poly_with_roots(roots) -> IntPolynomial:
+    p = IntPolynomial((1,))
+    for r in roots:
+        p = p * IntPolynomial((-r.numerator, r.denominator))
+    return p
 
 
 class TestGoldenNumber:
@@ -95,6 +164,33 @@ class TestPolynomials:
         p = IntPolynomial((-1, 1, 1)) * IntPolynomial((5, 7))
         assert p.divexact(IntPolynomial((5, 7))) == IntPolynomial((-1, 1, 1))
         assert p.try_div(IntPolynomial((1, 1))) is None
+
+    def test_try_div_in_integers(self):
+        x = IntPolynomial.x()
+        # exact over Q but not over Z: the quotient x/2 is not integral
+        assert (2 * x * (x + 1)).try_div(4 * x + 4) is None
+        assert (x * x + 1).try_div(2 * x) is None
+        assert (6 * x * x - 3).try_div(IntPolynomial((3,))) == 2 * x * x - 1
+        assert IntPolynomial.zero().try_div(x) == IntPolynomial.zero()
+        assert x.try_div(x * x) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+           st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),
+           st.lists(st.integers(-3, 3), max_size=3),
+           st.sampled_from((1, -1, 2, 3, -4)))
+    def test_try_div_matches_fraction_long_division(self, q, d, r, scale):
+        # p = q*d + r divided by scale*d: non-monic divisors, remainders,
+        # and quotients q/scale that are not integral
+        divisor = IntPolynomial(d) * scale
+        p = IntPolynomial(q) * IntPolynomial(d) + IntPolynomial(r[:len(d) - 1])
+        got = p.try_div(divisor)
+        assert got == fraction_try_div(p, divisor)
+        if not any(r[:len(d) - 1]):
+            if all(c % scale == 0 for c in q):
+                assert got == IntPolynomial(c // scale for c in q)
+            else:
+                assert got is None
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
            st.lists(st.integers(-9, 9), min_size=1, max_size=6))
@@ -238,17 +334,16 @@ class TestRootCounting:
     def test_interval_isolates_roots_closer_than_the_width(self):
         # roots -1 - 1e-10 and -1, far closer than the width asked for
         p = IntPolynomial((1, 1)) * IntPolynomial((10 ** 10 + 1, 10 ** 10))
-        lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
+        lo, hi = isolate_smallest_root(p, DESCRIPTOR_WIDTH)
         assert count_roots_in_interval(p, lo, hi) == 1
         assert lo < Fraction(-(10 ** 10 + 1), 10 ** 10) < hi < -1
+        assert (lo, hi) == fraction_isolation(p, DESCRIPTOR_WIDTH)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.fractions(-3, 3, max_denominator=40), min_size=1, max_size=5),
            st.fractions(Fraction(1, 1000), 2, max_denominator=1000))
     def test_interval_isolates_the_smallest_root(self, roots, width):
-        p = IntPolynomial((1,))
-        for r in roots:
-            p = p * IntPolynomial((-r.numerator, r.denominator))
+        p = poly_with_roots(roots)
         lo, hi = isolate_smallest_root(p, width)
         assert hi - lo <= width
         assert lo < min(roots) < hi
@@ -258,6 +353,59 @@ class TestRootCounting:
         t = parse_threshold("0")
         assert count_roots_below(IntPolynomial((0, 1)), t) == 0  # root at 0
         assert count_roots_below(IntPolynomial((1, 1)), t) == 1  # root at -1
+
+
+class TestIsolationOracle:
+    """`isolate_smallest_root` returns the very intervals of the Fraction
+    bisection with a Sturm count at every step, not just isolating ones."""
+
+    @staticmethod
+    def assert_same_intervals(matrices):
+        for m in matrices:
+            p = char_poly(m)
+            assert isolate_smallest_root(p, DESCRIPTOR_WIDTH) == \
+                fraction_isolation(p, DESCRIPTOR_WIDTH), m
+
+    @pytest.mark.parametrize("cutoff", ["-2", "-1", "0"])
+    def test_signed_graphs_up_to_five(self, cutoff):
+        from golden_spectra.enumeration import enumerate_signed
+        from golden_spectra.spectral import signed_adjacency
+        census = enumerate_signed(5, parse_threshold(cutoff), ())
+        members = [m for n in census.by_n for m in census.by_n[n]]
+        assert members
+        self.assert_same_intervals(signed_adjacency(m.graph).entries for m in members)
+
+    def test_tau_census(self, census7):
+        from golden_spectra.spectral import signed_adjacency
+        members = [m for n in census7.by_n for m in census7.by_n[n]]
+        assert max(m.graph.vertex_count for m in members) == 7
+        self.assert_same_intervals(signed_adjacency(m.graph).entries for m in members)
+
+    def test_irreducible_census_b_matrices(self, classification):
+        from golden_spectra.spectral import b_matrix
+        members = classification.irreducible.members
+        assert len(members) == 39
+        self.assert_same_intervals(b_matrix(m.graph).entries for m in members)
+
+    def test_midpoint_on_the_root(self):
+        # B(H_I) = [-1]: bound 2, then midpoint 0 and next -1, the root;
+        # every later step samples a third of the way
+        lo, hi = isolate_smallest_root(IntPolynomial((1, 1)), DESCRIPTOR_WIDTH)
+        assert (lo, hi) == (Fraction(-10460353204, 10460353203),
+                            Fraction(-3486784400, 3486784401))
+        assert (lo, hi) == fraction_isolation(IntPolynomial((1, 1)), DESCRIPTOR_WIDTH)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-8, 8), min_size=1, max_size=5),
+           st.lists(st.fractions(-4, 4, max_denominator=16), max_size=3),
+           st.sampled_from((1, 2, 3)),
+           st.sampled_from((DESCRIPTOR_WIDTH, Fraction(1, 3), Fraction(1, 64), Fraction(5, 2))))
+    def test_integer_and_dyadic_roots(self, ints, fractions, multiplicity, width):
+        # integer and dyadic roots land on midpoints of the dyadic bisection
+        # and on j/k points, and repeated roots are collapsed first
+        dyadic = [Fraction(round(f * 8), 8) for f in fractions]
+        p = poly_with_roots([Fraction(r) for r in ints] * multiplicity + dyadic)
+        assert isolate_smallest_root(p, width) == fraction_isolation(p, width)
 
 
 class TestApproxAndCompare:
@@ -286,6 +434,15 @@ class TestApproxAndCompare:
         assert compare_smallest_roots(pa, pb) == -1
         assert compare_smallest_roots(pb, pa) == 1
         assert compare_smallest_roots(pa, pa * IntPolynomial((-1, 1))) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+           st.lists(st.fractions(-3, 3, max_denominator=8), min_size=1, max_size=4))
+    def test_compare_against_the_roots(self, a, b):
+        # integer roots put the midpoints on roots, dyadic ones the sign test
+        ra, rb = [Fraction(r) for r in a], b
+        want = sign(min(ra) - min(rb))
+        assert compare_smallest_roots(poly_with_roots(ra), poly_with_roots(rb)) == want
 
     def test_lambda_min_equals(self):
         assert lambda_min_equals([[-2, 1], [1, -1]], NEG_ONE_MINUS_TAU)

@@ -39,6 +39,15 @@ class TestSpectrumAndCheck:
         assert data["char_poly"] == [-1, 0, 1]
         assert abs(data["lambda_min"] + 1) < 1e-9
 
+    def test_matrix_order_above_the_cap_is_exit_3(self, tmp_path, capsys):
+        from golden_spectra.cli import MAX_MATRIX_ORDER
+        at_cap = write(tmp_path, "at.txt", f"sg {MAX_MATRIX_ORDER}")
+        above = write(tmp_path, "above.txt", f"sg {MAX_MATRIX_ORDER + 1}")
+        assert main(["check", "--threshold", "-tau", at_cap]) == 0
+        assert main(["check", "--threshold", "-tau", above]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix order") and "Traceback" not in err
+
     def test_check_exit_codes(self, tmp_path, capsys):
         good = write(tmp_path, "good.txt", to_text(catalog("H_XVI")))
         bad = write(tmp_path, "bad.txt", to_text(catalog("K1T(3)")))
@@ -279,6 +288,24 @@ class TestCensusIO:
         bad.write_text(broken + "\n")
         with pytest.raises(ParseError):
             read_hoffman_census(bad)
+
+    @pytest.mark.parametrize("column, value", [
+        (4, "1 + 1*x^2"), (5, "0..1"), (6, "-1.000000000000"), (7, "mult=2")])
+    def test_tampered_eigenvalue_column_is_exit_3(self, tmp_path, capsys,
+                                                  classification, column, value):
+        # the stored factor, interval, approximation and multiplicity are
+        # checked against the recomputed descriptor, not rewritten
+        path = tmp_path / "census-37.txt"
+        write_hoffman_census(classification.irreducible, path)
+        lines = path.read_text().splitlines()
+        fields = lines[0].split("\t")
+        assert fields[column] != value
+        fields[column] = value
+        path.write_text("\n".join(["\t".join(fields)] + lines[1:]) + "\n")
+        out = tmp_path / "out"
+        assert main(["maximal", "--census", str(path), "--out", str(out)]) == 3
+        assert "eigenvalue columns" in capsys.readouterr().err
+        assert not (out / "census-18.txt").exists()
 
 
 def test_version_matches_pyproject():

@@ -248,6 +248,13 @@ class TestFormats:
         with pytest.raises(ParseError, match="decimal integer|bad edge token"):
             from_text(text)
 
+    @pytest.mark.parametrize("text", ["sg 3 +", "sg 3 + -", "sg 3 +0-1 -",
+                                      "sg 3 +0-1 +1-2"])
+    def test_text_rejects_edge_lists_to_text_never_writes(self, text):
+        # an empty list, or a second list of the same sign
+        with pytest.raises(ParseError):
+            parse_graph(text)
+
     def test_huge_fat_count_is_checked_edge_by_edge(self):
         with pytest.raises(ParseError, match="fat vertex 1 has no slim neighbor"):
             from_text("hg 1 1000000000000")
