@@ -39,6 +39,7 @@ from .enumeration import (
     derive_two_slim,
     enumerate_signed,
     exceptional_members,
+    fat_classes,
     is_q_graph,
     lambda_min_table_check,
     maximal_members,

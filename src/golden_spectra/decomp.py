@@ -6,17 +6,20 @@ slim vertices' parts, and the cross-part compatibility rule: slim vertices
 in different parts share at most one fat vertex, exactly one iff they are
 adjacent.
 
-The module also builds the two constructive reducibility witnesses (the
-one-fat-vertex-per-edge construction for slim graphs, and the shared-fat
-construction for graphs whose special graph is a Q shape) and verifies
-family-membership witnesses: a target graph shown induced inside a
-container that decomposes into parts drawn from a fixed family.
+The module builds the constructive reducibility witnesses (one fat vertex
+per edge for slim graphs, a shared fat vertex over the clique of a Q
+shape) and searches for reducibility certificates.  It also finds and
+verifies H-line witnesses: a target shown induced in a container that
+decomposes into whole members of a fixed family.  The search runs over
+the family closed under induced Hoffman subgraphs and lifts each part it
+finds into the member it was cut from.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional, Sequence, Union
 
@@ -31,15 +34,12 @@ from .model import (
     EdgeSignedGraph,
     HoffmanGraph,
     InvalidGraphError,
-    QShape,
     adjacency,
-    catalog,
     fat_neighbors,
     from_text,
     hoffman,
     induced_hoffman_subgraph,
     is_fat,
-    recognize_q,
     require_valid,
     to_text,
     validate_hoffman,
@@ -276,6 +276,7 @@ def _biclique_partitions(edges: list, left: frozenset, right: frozenset,
                          capacity: dict):
     """Exact partitions of a crossing edge set into bicliques A x B.
 
+    Every edge is oriented (left, right); A lies in `left`, B in `right`.
     Each biclique becomes one added fat vertex; a crossing pair may be
     covered by exactly one biclique (slim pairs across parts may share at
     most one fat vertex).  `capacity` bounds how many bicliques may touch
@@ -290,10 +291,8 @@ def _biclique_partitions(edges: list, left: frozenset, right: frozenset,
         x, y = min(uncovered)
         if cap[x] < 1 or cap[y] < 1:
             return
-        lcands = sorted(u for u in left
-                        if cap[u] >= 1 and ((u, y) in edge_set or (y, u) in edge_set))
-        rcands = sorted(v for v in right
-                        if cap[v] >= 1 and ((x, v) in edge_set or (v, x) in edge_set))
+        lcands = sorted(u for u in left if cap[u] >= 1 and (u, y) in edge_set)
+        rcands = sorted(v for v in right if cap[v] >= 1 and (x, v) in edge_set)
         for la in range(len(lcands)):
             for aset in combinations(lcands, la + 1):
                 if x not in aset:
@@ -302,7 +301,7 @@ def _biclique_partitions(edges: list, left: frozenset, right: frozenset,
                     for bset in combinations(rcands, lb + 1):
                         if y not in bset:
                             continue
-                        pairs = {tuple(sorted((u, v))) for u in aset for v in bset}
+                        pairs = {(u, v) for u in aset for v in bset}
                         if not pairs <= uncovered:
                             continue
                         ncap = dict(cap)
@@ -311,7 +310,7 @@ def _biclique_partitions(edges: list, left: frozenset, right: frozenset,
                         for rest in rec(uncovered - frozenset(pairs), ncap):
                             yield [(aset, bset)] + rest
 
-    yield from rec(frozenset(tuple(sorted(e)) for e in edges), dict(capacity))
+    yield from rec(frozenset(edges), dict(capacity))
 
 
 def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
@@ -349,7 +348,7 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
                         dead = True
                         break
                     if adj and shared == 0:
-                        need.append((x, y) if x < y else (y, x))
+                        need.append((x, y))
                 if dead:
                     break
             if dead:
@@ -432,95 +431,110 @@ def verify_hline_witness(w: HLineWitness, family: Iterable) -> bool:
     return True
 
 
-def _witness(target, container, embedding, parts) -> HLineWitness:
-    d = Decomposition(container, tuple(frozenset(p) for p in parts))
-    assignment = tuple(canonical_key(pg).hex() for pg in d.part_graphs())
-    return HLineWitness(target, container, tuple(embedding), d, assignment)
+MAX_WITNESS_SLIM = 8
+
+
+@lru_cache(maxsize=16)
+def _closure(members: frozenset) -> tuple:
+    """The member keys, and the family closed under induced Hoffman
+    subgraphs: the key of each member's subgraph on a nonempty slim subset
+    with all its fat neighbors -> (member, cut), first found in member key
+    and subset order.  Read-only: every caller shares one result."""
+    closure: dict = {}
+    for F in sorted(members, key=canonical_key):
+        for size in range(1, F.slim_count + 1):
+            for slims in combinations(range(F.slim_count), size):
+                cut = frozenset(slims).union(*(fat_neighbors(F, v) for v in slims))
+                closure.setdefault(canonical_key(induced_hoffman_subgraph(F, cut)),
+                                   (F, cut))
+    return frozenset(canonical_key(F) for F in members), closure
+
+
+def _lift(g: HoffmanGraph, d: Decomposition, cuts: list) -> HLineWitness:
+    """Grow each part of d into the whole member it was cut from.
+
+    Each part is matched onto its cut and the member's other vertices are
+    added; a slim vertex is joined to a slim vertex of another part
+    exactly when the two share a fat vertex, which holds already for the
+    container's own pairs.  Added slim vertices are numbered after the
+    container's slim vertices and added fat vertices after its fat
+    vertices, so the target keeps its ids up to that shift."""
+    c = d.parent
+    # a vertex is a container id, or (part index, member id) when added
+    labels, member_edges = [], []
+    for i, (part, (F, cut)) in enumerate(zip(d.parts, cuts)):
+        pv = sorted(part, key=lambda v: (not c.is_slim(v), v))
+        fv = sorted(cut, key=lambda v: (not F.is_slim(v), v))
+        iso = contains_induced(induced_hoffman_subgraph(F, cut),
+                               induced_hoffman_subgraph(c, part))
+        label = {v: (i, v) for v in range(F.vertex_count)}
+        label.update((fv[iso[j]], u) for j, u in enumerate(pv))
+        labels.append(label)
+        member_edges += [(label[a], label[b]) for a, b in F.edges]
+
+    def slim(x) -> bool:
+        return c.is_slim(x) if isinstance(x, int) else cuts[x[0]][0].is_slim(x[1])
+
+    added = [x for label in labels for x in label.values() if not isinstance(x, int)]
+    order = sorted([*range(c.vertex_count), *added],
+                   key=lambda x: (not slim(x), not isinstance(x, int)))
+    ids = {x: i for i, x in enumerate(order)}
+    part_of = {x: i for i, label in enumerate(labels) for x in label.values() if slim(x)}
+    # member edges put the slim end first
+    fat_of = {x: {b for a, b in member_edges if a == x and not slim(b)} for x in part_of}
+    edges = member_edges + [(a, b) for a, b in combinations(part_of, 2)
+                            if part_of[a] != part_of[b] and fat_of[a] & fat_of[b]]
+    lifted = hoffman(len(part_of), len(order) - len(part_of),
+                     [(ids[a], ids[b]) for a, b in edges])
+    split = Decomposition(lifted, tuple(frozenset(ids[x] for x in label.values())
+                                        for label in labels))
+    return HLineWitness(g, lifted, tuple(ids[v] for v in range(g.vertex_count)), split,
+                        tuple(canonical_key(pg).hex() for pg in split.part_graphs()))
 
 
 def find_hline_witness(g: HoffmanGraph, family: Sequence,
                        fat_budget: int = 3) -> Optional[HLineWitness]:
-    """Search for a family-membership witness.
+    """A witness that g is induced in a container decomposing into whole
+    family members, or None within the fat budget.
 
-    Routes, in order: (a) g induced in a family member taken whole;
-    (b) the shared-fat construction when the special graph has a Q shape,
-    with bare one-slim parts upgraded to their two-slim fattening when the
-    family lacks the double star; (c) bounded search adding up to
-    `fat_budget` fat vertices and partitioning the slim vertices.
-    Deterministic: family ordered by canonical key, candidates generated in
-    lexicographic order, first verified witness returned.
-    """
+    One search over the family closed under induced Hoffman subgraphs:
+    k = 0..`fat_budget` added fat vertices, each on a nonempty slim subset,
+    then every slim set partition, in lexicographic order.  The first valid
+    decomposition with every part in the closure is lifted by `_lift` and
+    returned if the lift verifies (two slim vertices may come to share two
+    fat vertices).  k = 0 with one part finds a g induced in a member.
+    Targets with more than MAX_WITNESS_SLIM slim vertices raise."""
     require_valid(g)
     if not is_fat(g):
         raise DecompositionError("witness search requires a fat graph")
     if not lambda_min_at_least(b_matrix(g).entries, NEG_ONE_MINUS_TAU):
         raise DecompositionError("witness search requires the eigenvalue bound")
-    members = sorted(family, key=canonical_key)
-    family_keys = {canonical_key(F) for F in members}
-
-    # (a) whole family member as its own one-part decomposition
-    for F in members:
-        emb = contains_induced(F, g)
-        if emb is not None:
-            w = _witness(g, F, emb, [frozenset(range(F.vertex_count))])
-            if verify_hline_witness(w, family_keys):
-                return w
-
-    # (b) shared-fat construction over a recognized Q shape
-    if g.slim_count and all(len(fat_neighbors(g, v)) == 1 for v in g.slim_vertices()):
-        shape = recognize_q(special_graph(g))
-        if shape is not None:
-            w = _q_shape_witness(g, shape, family_keys)
-            if w is not None:
-                return w
-
-    # (c) bounded fat augmentation plus slim partitioning
-    return _bounded_search_witness(g, family_keys, fat_budget)
-
-
-def _q_shape_witness(g: HoffmanGraph, shape: QShape, family_keys) -> Optional[HLineWitness]:
-    vp = tuple(v for v, _ in shape.plus_pendants)
-    vq = tuple(v for v, _ in shape.minus_pendants)
-    container, d = reduce_q_realization(g, (vp, vq, shape.clique))
-    w = _witness(g, container, range(g.vertex_count), d.parts)
-    if verify_hline_witness(w, family_keys):
-        return w
-    # a bare clique vertex yields the one-slim double star; if the family
-    # holds its two-slim fattening instead, graft a pendant slim onto each
-    # bare vertex and decompose into the fattened parts
-    double_star = canonical_key(catalog("H_II"))
-    fattened = canonical_key(catalog("H_XVI"))
-    if double_star in family_keys or fattened not in family_keys:
-        return None
-    anchored = {a for _, a in shape.plus_pendants} | {a for _, a in shape.minus_pendants}
-    bare = [c for c in shape.clique if c not in anchored]
-    if not bare:
-        return None
-    ns, nf = g.slim_count, g.fat_count
-    nb = len(bare)
-    # new ids: slims 0..ns-1 old, ns..ns+nb-1 grafted; fats shift by nb
-    slim_new = {c: ns + i for i, c in enumerate(bare)}
-    shift = lambda v: v if g.is_slim(v) else v + nb
-    edges = [(shift(a), shift(b)) for a, b in g.edges]
-    f_star = ns + nb + nf
-    edges += [(c, f_star) for c in shape.clique]
-    edges += [(c, slim_new[c]) for c in bare]
-    edges += [(slim_new[c], f_star + 1 + i) for i, c in enumerate(bare)]
-    container = hoffman(ns + nb, nf + 1 + nb, edges)
-    fat_of = {v: shift(min(fat_neighbors(g, v))) for v in g.slim_vertices()}
-    anchor_of = dict((a, v) for v, a in shape.plus_pendants + shape.minus_pendants)
-    parts = []
-    for c in shape.clique:
-        if c in anchor_of:
-            x = anchor_of[c]
-            parts.append(frozenset({x, c, fat_of[x], fat_of[c], f_star}))
-        else:
-            i = bare.index(c)
-            parts.append(frozenset(
-                {c, slim_new[c], fat_of[c], f_star, f_star + 1 + i}))
-    embedding = [shift(v) for v in range(g.vertex_count)]
-    w = _witness(g, container, embedding, parts)
-    return w if verify_hline_witness(w, family_keys) else None
+    ns = g.slim_count
+    if ns > MAX_WITNESS_SLIM:
+        raise DecompositionError(
+            f"witness search is limited to {MAX_WITNESS_SLIM} slim vertices")
+    family_keys, closure = _closure(frozenset(family))
+    subsets = [c for size in range(1, ns + 1) for c in combinations(range(ns), size)]
+    for k in range(fat_budget + 1):
+        for chosen in combinations_with_replacement(subsets, k):
+            edges = list(g.edges)
+            for i, sub in enumerate(chosen):
+                edges += [(v, g.vertex_count + i) for v in sub]
+            container = hoffman(ns, g.fat_count + k, edges)
+            cfat = [fat_neighbors(container, v) for v in range(ns)]
+            for blocks in set_partitions(ns):
+                d = Decomposition(container, tuple(
+                    frozenset(block).union(*(cfat[v] for v in block))
+                    for block in blocks))
+                if validate_decomposition(d) is not None:
+                    continue
+                cuts = [closure.get(canonical_key(pg)) for pg in d.part_graphs()]
+                if None in cuts:
+                    continue
+                w = _lift(g, d, cuts)
+                if verify_hline_witness(w, family_keys):
+                    return w
+    return None
 
 
 def set_partitions(n: int):
@@ -542,44 +556,3 @@ def set_partitions(n: int):
         blocks.pop()
 
     yield from rec(0, [])
-
-
-def _bounded_search_witness(g: HoffmanGraph, family_keys,
-                            fat_budget: int, cap: int = 200_000) -> Optional[HLineWitness]:
-    ns = g.slim_count
-    if ns == 0 or ns > 8:
-        return None
-    subsets = []
-    for size in range(1, ns + 1):
-        subsets.extend(combinations(range(ns), size))
-    examined = 0
-    for k in range(fat_budget + 1):
-        for chosen in combinations_with_replacement(subsets, k):
-            edges = list(g.edges)
-            base = g.vertex_count
-            for i, sub in enumerate(chosen):
-                edges += [(v, base + i) for v in sub]
-            container = hoffman(ns, g.fat_count + k, edges)
-            if validate_hoffman(container) is not None:
-                continue
-            cadj = {v: fat_neighbors(container, v) for v in range(ns)}
-            for blocks in set_partitions(ns):
-                examined += 1
-                if examined > cap:
-                    return None
-                parts = []
-                for block in blocks:
-                    fats = set()
-                    for v in block:
-                        fats |= cadj[v]
-                    parts.append(frozenset(block) | fats)
-                d = Decomposition(container, tuple(parts))
-                if validate_decomposition(d) is not None:
-                    continue
-                keys = [canonical_key(pg) for pg in d.part_graphs()]
-                if all(key in family_keys for key in keys):
-                    w = HLineWitness(g, container, tuple(range(g.vertex_count)),
-                                     d, tuple(key.hex() for key in keys))
-                    if verify_hline_witness(w, family_keys):
-                        return w
-    return None

@@ -15,9 +15,9 @@ the census for n <= 7: a depth-first search over labelled graphs that
 adds each vertex one pair symbol at a time and decides every prefix by
 the same bordered step; it shares only that exact kernel with the
 generator.  On top of them sit the one-vertex extension verifier for the
-Q family, the exhaustive two-slim derivation, realization of Hoffman
-graphs from their special graphs, the irreducible census and its maximal
-members, and the three-vertex diagonal sweep.  Characteristic polynomials
+Q family, the fat-class generator and its two-slim slice, realization of
+Hoffman graphs from their special graphs, the irreducible census and its
+maximal members, and the three-vertex diagonal sweep.  Characteristic polynomials
 and Sturm chains appear only where an eigenvalue is described
 (`lambda_descriptor`); the eigenvalue class of an exceptional graph is read
 off its descriptor.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -324,43 +324,58 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# two-slim derivation, realizations, census, maximal members
+# fat classes, realizations, census, maximal members
 
 
-def derive_two_slim() -> tuple:
-    """Exhaustive derivation of the fat indecomposable Hoffman graphs with
-    at most two slim vertices, each with at most two fat neighbors, at or
-    above -1-tau.  Exactly six graphs must come out."""
-    # the two-fat cap is certified: a slim vertex with three fats carries
-    # an induced one-slim triple star, which lies strictly below threshold
+def _fat_children(parent: HoffmanGraph) -> Iterator[HoffmanGraph]:
+    """Every fat Hoffman graph made by adding one slim vertex to parent:
+    joined to any subset of the earlier slim vertices and to one or two
+    fat vertices, each an old one or a new one."""
+    s, f = parent.slim_count, parent.fat_count
+    # the new slim vertex takes id s, so the old fat ids move up by one
+    edges = [(a, b + 1) if b >= s else (a, b) for a, b in parent.edges]
+    old = tuple(range(s + 1, s + 1 + f))
+    new = (s + 1 + f, s + 2 + f)
+    fat_choices = ([(a,) for a in old] + list(combinations(old, 2))
+                   + [(a, new[0]) for a in old] + [new[:1], new])
+    for size in range(s + 1):
+        for slims in combinations(range(s), size):
+            for fats in fat_choices:
+                added = sum(1 for x in fats if x >= new[0])
+                yield hoffman(s + 1, f + added,
+                              edges + [(v, s) for v in slims] + [(s, x) for x in fats])
+
+
+def fat_classes(max_slim: int) -> dict:
+    """The fat Hoffman graphs with 1..max_slim slim vertices at or above
+    -1-tau up to isomorphism: slim count -> {key: graph}, sorted by key.
+
+    Level s grows from level s-1 by `_fat_children`, which is complete
+    because the filter is hereditary: without one slim vertex and its
+    private fat vertices, B is a principal submatrix.  Three fat neighbors
+    induce the one-slim triple star, certified below -1-tau here."""
     star3 = b_matrix(catalog("K1T(3)")).entries
     if lambda_min_at_least(star3, NEG_ONE_MINUS_TAU):
         raise ClassificationError("fat-degree cap certificate failed")
-    found: dict = {}
-    for t in (1, 2):
-        g = catalog(f"K1T({t})")
-        if lambda_min_at_least(b_matrix(g).entries, NEG_ONE_MINUS_TAU):
-            found.setdefault(canonical_key(g), g)
-    for edge in (0, 1):
-        for c in range(0, 3):
-            for a in range(0, 3 - c):
-                for b in range(0, 3 - c):
-                    if a + c < 1 or b + c < 1:
-                        continue
-                    edges = [(0, 1)] if edge else []
-                    fid = 2
-                    for _ in range(a):
-                        edges.append((0, fid)); fid += 1
-                    for _ in range(b):
-                        edges.append((1, fid)); fid += 1
-                    for _ in range(c):
-                        edges.append((0, fid)); edges.append((1, fid)); fid += 1
-                    g = hoffman(2, fid - 2, edges)
-                    if not is_connected_signed(special_graph(g)):
-                        continue
-                    if not lambda_min_at_least(b_matrix(g).entries, NEG_ONE_MINUS_TAU):
-                        continue
-                    found.setdefault(canonical_key(g), g)
+    levels: dict = {}
+    level = [hoffman(0, 0)]
+    for s in range(1, max_slim + 1):
+        found: dict = {}
+        for parent in level:
+            for child in _fat_children(parent):
+                if lambda_min_at_least(b_matrix(child).entries, NEG_ONE_MINUS_TAU):
+                    found.setdefault(canonical_key(child), child)
+        levels[s] = {k: found[k] for k in sorted(found)}
+        level = list(levels[s].values())
+    return levels
+
+
+def derive_two_slim() -> tuple:
+    """The fat indecomposable Hoffman graphs with at most two slim vertices
+    at or above -1-tau, sorted by key: the slice of `fat_classes(2)` with a
+    connected special graph.  Exactly six graphs must come out."""
+    found = {k: g for level in fat_classes(2).values() for k, g in level.items()
+             if is_connected_signed(special_graph(g))}
     out = tuple(found[k] for k in sorted(found))
     if len(out) != 6:
         raise ClassificationError(

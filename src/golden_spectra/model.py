@@ -470,15 +470,24 @@ def _parse_count(token: str, what: str, position: int) -> int:
 
 
 def _parse_pairs(text: str, offset: int) -> list:
+    """Edge tokens 'a-b'; like `to_text`, each edge at most once and with
+    its smaller end first (the constructors fold the other forms)."""
     pairs = []
     if not text:
         return pairs
+    seen = set()
     pos = offset
     for token in text.split(","):
         m = re.fullmatch(f"({_DECIMAL})-({_DECIMAL})", token)
         if not m:
             raise ParseError(f"bad edge token {token!r}", pos)
-        pairs.append((int(m.group(1)), int(m.group(2))))
+        pair = (int(m.group(1)), int(m.group(2)))
+        if pair[0] > pair[1]:
+            raise ParseError(f"reversed edge {token!r}", pos)
+        if pair in seen:
+            raise ParseError(f"repeated edge {token!r}", pos)
+        seen.add(pair)
+        pairs.append(pair)
         pos += len(token) + 1
     return pairs
 

@@ -11,6 +11,7 @@ from golden_spectra import (
     signed,
 )
 from golden_spectra.algebra import NEG_TAU
+from golden_spectra.enumeration import fat_classes
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +27,11 @@ def classification(census7):
 @pytest.fixture(scope="session")
 def maximal(classification):
     return maximal_members(classification.irreducible)
+
+
+@pytest.fixture(scope="session")
+def fat_classes4():
+    return fat_classes(4)
 
 
 def random_hoffman(rng: random.Random, max_vertices: int = 8):

@@ -318,21 +318,6 @@ def test_version_matches_pyproject():
     assert version == TOOL_VERSION == __version__
 
 
-def test_run_full_census_script_help(monkeypatch, capsys):
-    # importing the script resolves every engine name it uses
-    import importlib.util
-    import sys
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_census.py"
-    spec = importlib.util.spec_from_file_location("run_full_census", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(script), "--help"])
-    with pytest.raises(SystemExit) as exc:
-        module.main()
-    assert exc.value.code == 0
-    assert "--out" in capsys.readouterr().out
-
-
 def test_import_starts_no_process_machinery():
     import subprocess
     import sys

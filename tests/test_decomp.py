@@ -1,6 +1,8 @@
+from itertools import combinations, combinations_with_replacement, permutations
+
 import pytest
 
-from golden_spectra.algebra import NEG_ONE_MINUS_TAU, lambda_min_approx
+from golden_spectra.algebra import NEG_ONE_MINUS_TAU, lambda_min_approx, lambda_min_at_least
 from golden_spectra.decomp import (
     Decomposition,
     DecompositionError,
@@ -16,8 +18,52 @@ from golden_spectra.decomp import (
     verify_hline_witness,
 )
 from golden_spectra.iso import canonical_key, is_isomorphic
-from golden_spectra.model import catalog, hoffman, recognize_q
+from golden_spectra.model import (
+    catalog,
+    fat_neighbors,
+    from_text,
+    hoffman,
+    recognize_q,
+    to_text,
+    validate_hoffman,
+)
 from golden_spectra.spectral import b_matrix, special_graph
+
+
+def brute_reducible(g, max_added=2):
+    """Oracle for the reducibility search: some container adding at most
+    `max_added` fat vertices, with arbitrary slim neighborhoods, has a
+    two-part decomposition with both parts at or above -1-tau."""
+    ns = g.slim_count
+    subsets = [c for size in range(1, ns + 1)
+               for c in combinations(range(ns), size)]
+    for k in range(max_added + 1):
+        for chosen in combinations_with_replacement(subsets, k):
+            edges = list(g.edges)
+            base = g.vertex_count
+            for i, sub in enumerate(chosen):
+                edges += [(v, base + i) for v in sub]
+            container = hoffman(ns, g.fat_count + k, edges)
+            if validate_hoffman(container) is not None:
+                continue
+            cfat = {v: fat_neighbors(container, v) for v in range(ns)}
+            for size in range(0, ns - 1):
+                for extra in combinations(range(1, ns), size):
+                    left = frozenset({0} | set(extra))
+                    parts = []
+                    for block in (left, frozenset(range(ns)) - left):
+                        pf = set()
+                        for v in block:
+                            pf |= cfat[v]
+                        parts.append(frozenset(block) | pf)
+                    d = Decomposition(container, tuple(parts))
+                    if validate_decomposition(d) is not None:
+                        continue
+                    if all(lambda_min_at_least(b_matrix(pg).entries, NEG_ONE_MINUS_TAU)
+                           for pg in d.part_graphs()):
+                        return True
+    return False
+
 
 K3_SHARED = hoffman(3, 1, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
 # the shared-fat double cover of the two-slim edge: splits into two double stars
@@ -187,47 +233,40 @@ class TestReducibilityWitness:
         g = hoffman(3, 3, [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5)])
         assert find_reducibility_witness(g) is not None
 
+    @pytest.mark.parametrize("text", [
+        "hg 4 4 0-3,0-4,1-2,1-5,2-3,2-6,3-7",
+        "hg 4 2 0-2,0-3,0-4,1-2,1-3,1-5,2-3,2-4,3-5"])
+    def test_crossing_pair_with_larger_left_id_is_covered(self, text):
+        # realizations of the all-plus path Q(2,0,2) whose only witnesses
+        # put the larger id of a crossing pair on the left side
+        g = from_text(text)
+        assert brute_reducible(g)
+        container, d = find_reducibility_witness(g)
+        assert validate_decomposition(d) is None
+        assert all(lambda_min_at_least(b_matrix(pg).entries, NEG_ONE_MINUS_TAU)
+                   for pg in d.part_graphs())
+
+    def test_every_relabelled_fat_class_matches_brute_force(self, fat_classes4):
+        # the verdict must not depend on vertex labels, so every slim
+        # relabelling of every class with 2..4 slim vertices is searched
+        disagree = []
+        for s in (2, 3, 4):
+            for g in fat_classes4[s].values():
+                expected = brute_reducible(g)
+                for perm in permutations(range(s)):
+                    h = hoffman(s, g.fat_count, [
+                        tuple(perm[v] if g.is_slim(v) else v for v in e)
+                        for e in g.edges])
+                    if (find_reducibility_witness(h) is not None) != expected:
+                        disagree.append(to_text(h))
+        assert disagree == []
+
     def test_never_misses_a_brute_force_witness(self):
         # wherever an unstructured container search (arbitrary added-fat
         # neighborhoods) certifies reducibility, the structured
         # bipartition-plus-biclique-cover search must as well
         import random
-        from itertools import combinations, combinations_with_replacement
         from conftest import random_hoffman
-        from golden_spectra.algebra import lambda_min_at_least
-        from golden_spectra.model import fat_neighbors, validate_hoffman
-
-        def brute(g, max_added=2):
-            ns = g.slim_count
-            subsets = [c for size in range(1, ns + 1)
-                       for c in combinations(range(ns), size)]
-            for k in range(max_added + 1):
-                for chosen in combinations_with_replacement(subsets, k):
-                    edges = list(g.edges)
-                    base = g.vertex_count
-                    for i, sub in enumerate(chosen):
-                        edges += [(v, base + i) for v in sub]
-                    container = hoffman(ns, g.fat_count + k, edges)
-                    if validate_hoffman(container) is not None:
-                        continue
-                    cfat = {v: fat_neighbors(container, v) for v in range(ns)}
-                    for size in range(0, ns - 1):
-                        for extra in combinations(range(1, ns), size):
-                            left = frozenset({0} | set(extra))
-                            parts = []
-                            for block in (left, frozenset(range(ns)) - left):
-                                pf = set()
-                                for v in block:
-                                    pf |= cfat[v]
-                                parts.append(frozenset(block) | pf)
-                            d = Decomposition(container, tuple(parts))
-                            if validate_decomposition(d) is not None:
-                                continue
-                            if all(lambda_min_at_least(b_matrix(pg).entries,
-                                                       NEG_ONE_MINUS_TAU)
-                                   for pg in d.part_graphs()):
-                                return True
-            return False
 
         rng = random.Random(90210)
         checked = 0
@@ -237,7 +276,7 @@ class TestReducibilityWitness:
                 continue
             checked += 1
             mine = find_reducibility_witness(g)
-            if brute(g):
+            if brute_reducible(g):
                 assert mine is not None
             if mine is not None:
                 container, d = mine
@@ -304,6 +343,38 @@ class TestHLineWitness:
             find_hline_witness(hoffman(1, 0), [catalog("H_I")])
         with pytest.raises(DecompositionError):
             find_hline_witness(catalog("K1T(3)"), [catalog("H_I")])
+
+    def test_more_than_eight_slim_vertices_raise(self):
+        # nine slim vertices, each with its own fat vertex: B = -I
+        g = hoffman(9, 9, [(v, 9 + v) for v in range(9)])
+        with pytest.raises(DecompositionError, match="8 slim vertices"):
+            find_hline_witness(g, [catalog("H_I")])
+
+    def test_lift_grows_parts_into_whole_members(self):
+        # Q(0,0,3) with one fat vertex per slim vertex and one added fat
+        # vertex over the triangle: each part is a double star, cut from
+        # H_XVII, whose other slim vertex the lift adds
+        g = hoffman(3, 3, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
+        w = find_hline_witness(g, [catalog("H_XVI"), catalog("H_XVII")])
+        assert w.container.slim_count == 6
+        assert all(is_isomorphic(pg, catalog("H_XVII"))
+                   for pg in w.decomposition.part_graphs())
+
+    def test_theorem_every_fat_class_up_to_four_slim(self, fat_classes4, maximal):
+        # every fat Hoffman graph with smallest eigenvalue at least -1-tau
+        # is an H-line graph over the maximal irreducible members; a class
+        # without a witness is a counterexample or an engine fault
+        family = [m.graph for m in maximal.members]
+        family_keys = {m.key for m in maximal.members}
+        assert {s: len(level) for s, level in fat_classes4.items()} == \
+            {1: 2, 2: 10, 3: 45, 4: 252}
+        missing = []
+        for level in fat_classes4.values():
+            for g in level.values():
+                w = find_hline_witness(g, family)
+                if w is None or not verify_hline_witness(w, family_keys):
+                    missing.append(to_text(g))
+        assert missing == []
 
 
 def test_set_partitions_count():

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -29,7 +29,7 @@ from golden_spectra.enumeration import (
     verify_three_vertex_diagonal_lemma,
 )
 from golden_spectra.iso import canonical_key, contains_induced, is_isomorphic
-from golden_spectra.model import catalog, is_connected_signed, make_q, signed, to_text
+from golden_spectra.model import catalog, hoffman, is_connected_signed, make_q, signed, to_text
 from golden_spectra.spectral import b_matrix, signed_adjacency
 
 from conftest import random_signed
@@ -281,6 +281,35 @@ class TestTwoSlim:
         assert (at_minus_one, at_minus_two, at_threshold) == (1, 3, 2)
 
 
+class TestFatClasses:
+    def test_levels_sorted_by_key_and_at_the_bound(self, fat_classes4):
+        for s, level in fat_classes4.items():
+            assert list(level) == sorted(level)
+            for key, g in level.items():
+                assert key == canonical_key(g) and g.slim_count == s
+                assert lambda_min_at_least(b_matrix(g).entries, NEG_ONE_MINUS_TAU)
+
+    def test_levels_match_a_labelled_search_up_to_three_slim(self, fat_classes4):
+        # every labelled graph: any slim edges, and fat vertices given as a
+        # multiset of nonempty slim neighborhoods, one or two per slim vertex
+        for s in (1, 2, 3):
+            subsets = [c for size in range(1, s + 1) for c in combinations(range(s), size)]
+            pairs = list(combinations(range(s), 2))
+            keys = set()
+            for k in range(1, 2 * s + 1):
+                for fats in combinations_with_replacement(subsets, k):
+                    degree = Counter(v for sub in fats for v in sub)
+                    if any(not 1 <= degree[v] <= 2 for v in range(s)):
+                        continue
+                    for mask in product((0, 1), repeat=len(pairs)):
+                        edges = [p for p, on in zip(pairs, mask) if on]
+                        edges += [(v, s + i) for i, sub in enumerate(fats) for v in sub]
+                        g = hoffman(s, k, edges)
+                        if lambda_min_at_least(b_matrix(g).entries, NEG_ONE_MINUS_TAU):
+                            keys.add(canonical_key(g))
+            assert keys == set(fat_classes4[s])
+
+
 class TestRealize:
     def test_all_minus_path(self):
         reals = realize_hoffman(signed(3, [], [(0, 1), (1, 2)]))
@@ -377,6 +406,24 @@ class TestClassification:
             assert all(len(fat_neighbors(g, v)) <= 2 for v in g.slim_vertices())
         assert not lambda_min_at_least(
             b_matrix(catalog("K1T(3)")).entries, NEG_ONE_MINUS_TAU)
+
+    def test_h61_realizations_pairwise_non_isomorphic_by_brute_force(self, classification):
+        # no canonical key: two Hoffman graphs are isomorphic exactly when
+        # some slim permutation maps the slim edges onto the other's slim
+        # edges and the multiset of fat neighborhoods onto the other's
+        def image(g, perm):
+            slim_edges = {frozenset((perm[a], perm[b]))
+                          for a, b in g.edges if g.is_slim(b)}
+            fat_nbhds = sorted(sorted(perm[v] for v in g.slim_vertices() if g.has_edge(v, f))
+                               for f in g.fat_vertices())
+            return slim_edges, fat_nbhds
+
+        graphs = [m.graph for m in classification.irreducible.members
+                  if m.name.startswith("H6.1.")]
+        assert len(graphs) == 7 and all(g.slim_count == 6 for g in graphs)
+        for g, h in combinations(graphs, 2):
+            target = image(h, range(6))
+            assert all(image(g, perm) != target for perm in permutations(range(6)))
 
     def test_small_members_named(self, classification):
         names = [m.name for m in classification.irreducible.members[:5]]

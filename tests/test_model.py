@@ -249,9 +249,11 @@ class TestFormats:
             from_text(text)
 
     @pytest.mark.parametrize("text", ["sg 3 +", "sg 3 + -", "sg 3 +0-1 -",
-                                      "sg 3 +0-1 +1-2"])
+                                      "sg 3 +0-1 +1-2", "sg 3 +0-1,0-1", "sg 3 +1-0",
+                                      "hg 2 1 2-0,1-2", "hg 2 1 0-2,0-2,1-2"])
     def test_text_rejects_edge_lists_to_text_never_writes(self, text):
-        # an empty list, or a second list of the same sign
+        # an empty list, a second list of the same sign, a repeated edge or
+        # an edge with its larger end first
         with pytest.raises(ParseError):
             parse_graph(text)
 
