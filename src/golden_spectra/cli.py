@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -154,11 +155,22 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _forbidden_patterns(text: str) -> list:
+    """The catalog graphs named in `--forbid`, a list split at the commas
+    outside parentheses, so that `Q(p,q,r)` stays whole; each must be an
+    edge-signed graph."""
+    patterns = []
+    for name in re.split(r",(?![^(]*\))", text) if text else ():
+        g = catalog(name)
+        if not isinstance(g, EdgeSignedGraph):
+            raise ParseError(f"--forbid takes edge-signed graphs, not the "
+                             f"Hoffman graph {name.strip()}")
+        patterns.append(g)
+    return patterns
+
+
 def cmd_enumerate(args) -> int:
-    forbidden = []
-    if args.forbid:
-        for name in args.forbid.split(","):
-            forbidden.append(catalog(name.strip()))
+    forbidden = _forbidden_patterns(args.forbid)
     census = enumerate_signed(args.max_n, args.threshold, forbidden,
                               connected=args.connected)
     out = Path(args.out)
@@ -312,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True, dest="max_n",
                    choices=range(MAX_ENUM_N + 1))
     p.add_argument("--threshold", default="-tau", type=_threshold_arg)
-    p.add_argument("--forbid", default="", help="comma-separated catalog names")
+    p.add_argument("--forbid", default="",
+                   help="comma-separated catalog names of edge-signed graphs")
     p.add_argument("--connected", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default="census-out")
     p.set_defaults(func=cmd_enumerate)

@@ -6,18 +6,22 @@ bound, forbidden induced patterns, and connectivity.  One generator makes
 every one-vertex extension, for each level of the census (the first grown
 from the empty graph) and for the Q extension verifier.  It eliminates
 the parent's adjacency matrix once at the cutoff, an exact semidefinite
-elimination over Z[sqrt5], grows each sign vector vertex by vertex by one
-bordered step on that elimination, and drops a prefix as soon as the
-principal submatrix on its vertices and the new one lies below the
-cutoff, which is sound by eigenvalue interlacing; complete vectors are
-checked for connectivity and forbidden patterns.  A second route checks
-the census for n <= 7: a depth-first search over labelled graphs that
-adds each vertex one pair symbol at a time and decides every prefix by
-the same bordered step; it shares only that exact kernel with the
-generator.  On top of them sit the one-vertex extension verifier for the
-Q family, the fat-class generator and its two-slim slice, realization of
-Hoffman graphs from their special graphs, the irreducible census and its
-maximal members, and the three-vertex diagonal sweep.  Characteristic polynomials
+elimination over Z[sqrt5], and compiles the forbidden patterns once into
+constraints on the new row: the parent is pattern-free, so a pattern in
+a child runs through the new vertex.  It grows each sign vector vertex by
+vertex by one bordered step on that elimination, and drops a prefix as
+soon as its last entry completes a pattern or the principal submatrix on
+its vertices and the new one lies below the cutoff, which is sound by
+eigenvalue interlacing; complete vectors are checked for connectivity.
+A second route checks the census for n <= 7: a depth-first search over
+labelled graphs that adds each vertex one pair symbol at a time and
+decides every prefix by the same two prunes.  It shares them, the
+bordered exact step and the pattern-row prune, with the generator, and
+Tier-1 checks the prune against a whole-graph pattern search.  On top of
+them sit the one-vertex extension verifier for the Q family, the
+fat-class generator and its two-slim slice, realization of Hoffman graphs
+from their special graphs, the irreducible census and its maximal
+members, and the three-vertex diagonal sweep.  Characteristic polynomials
 and Sturm chains appear only where an eigenvalue is described
 (`lambda_descriptor`); the eigenvalue class of an exceptional graph is read
 off its descriptor.
@@ -46,12 +50,13 @@ from .algebra import (
     squarefree_decomposition,
 )
 from .decomp import set_partitions
-from .iso import CanonicalKey, canonical_key, contains_induced
+from .iso import CanonicalKey, canonical_key, contains_induced, induced_embeddings
 from .model import (
     EdgeSignedGraph,
     HoffmanGraph,
     catalog,
     hoffman,
+    induced_signed_subgraph,
     is_connected_signed,
     is_fat,
     make_q,
@@ -154,23 +159,67 @@ def _extend(parent: EdgeSignedGraph, row: tuple) -> EdgeSignedGraph:
     return EdgeSignedGraph(n + 1, frozenset(plus), frozenset(minus))
 
 
+def _signed_patterns(forbidden: Sequence) -> tuple:
+    patterns = tuple(forbidden)
+    for pat in patterns:
+        if not isinstance(pat, EdgeSignedGraph):
+            raise TypeError(f"forbidden patterns must be edge-signed graphs, got {pat!r}")
+    return patterns
+
+
+def _forbidden_rows(parent: EdgeSignedGraph, forbidden: tuple) -> Optional[dict]:
+    """The forbidden patterns as constraints on the new row of a child of
+    `parent`, which must be free of every pattern; None if every child
+    contains one.
+
+    An embedding of a pattern P into the child that the parent lacks sends
+    some pattern vertex a to the new vertex and the others to an induced
+    copy e of P - a in the parent, so the child contains it exactly when
+    row[e(u)] == P.sign(a, u) for every other pattern vertex u, zero
+    included.  Each constraint is keyed by the last position it fixes and
+    holds its value there and its earlier (position, value) pairs.  A
+    pattern with at most one vertex lies in every child: the empty one in
+    any graph, a single vertex at the new vertex."""
+    rows: dict = {}
+    for pat in forbidden:
+        k = pat.vertex_count
+        if k <= 1:
+            return None
+        for a in range(k):
+            others = [u for u in range(k) if u != a]
+            signs = [pat.sign(a, u) for u in others]
+            for e in induced_embeddings(parent, induced_signed_subgraph(pat, others)):
+                *earlier, (j, value) = sorted(zip(e, signs))
+                rows.setdefault(j, set()).add((value, tuple(earlier)))
+    return rows
+
+
+def _blocked(rows: dict, row: tuple) -> set:
+    """The entries that complete a forbidden pattern when appended to row."""
+    return {a for a, earlier in rows.get(len(row), ())
+            if all(row[p] == v for p, v in earlier)}
+
+
 def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
               connected: bool) -> list:
     """Every one-vertex extension of parent that passes all filters, in
     lexicographic order of its new row over the entries 0, 1, -1; the only
     generator of one-vertex extensions, for the census and for the Q
-    extension step.
+    extension step.  The parent must be free of the forbidden patterns.
 
     The parent is eliminated once at the cutoff (a parent below it has no
     children), and the new row grows one entry at a time by a bordered
     step on that elimination.  A prefix is dropped as soon as the subgraph
     on its vertices and the new one lies below the cutoff, which is sound
-    by eigenvalue interlacing.  A complete row must give a connected child
-    (when asked), a pending diagonal that is not negative, and no
-    forbidden pattern."""
+    by eigenvalue interlacing, or as soon as its last entry completes a
+    forbidden pattern through the new vertex (`_forbidden_rows`), the only
+    place a pattern can appear in a child of a pattern-free parent.  A
+    complete row must give a connected child (when asked) and a pending
+    diagonal that is not negative."""
     n = parent.vertex_count
     block = eliminate(signed_adjacency(parent).entries, threshold)
-    if block is None:
+    rows = _forbidden_rows(parent, forbidden)
+    if block is None or rows is None:
         return []
     out = []
 
@@ -178,13 +227,13 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
         if len(row) == n:
             if connected and n and not any(row):
                 return
-            if not block.copy().close(border):
-                return
-            child = _extend(parent, row)
-            if all(contains_induced(child, pat) is None for pat in forbidden):
-                out.append(child)
+            if block.copy().close(border):
+                out.append(_extend(parent, row))
             return
+        blocked = _blocked(rows, row) if rows else ()
         for a in (0, 1, -1):
+            if a in blocked:
+                continue
             grown = block.extend(border, (a,))
             if grown is not None:
                 grow(row + (a,), grown)
@@ -202,11 +251,12 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
     one, the first from the empty graph, by adding a single vertex with a
     sign vector; each child is keyed once, and the first child with a key
     is kept.  Every level from 1 to max_n is listed, empty or not.  The
-    cutoff, like every `Threshold`, lies in Q(sqrt5).
+    cutoff, like every `Threshold`, lies in Q(sqrt5); each forbidden
+    pattern must be an `EdgeSignedGraph` (TypeError otherwise).
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
-    forbidden = tuple(forbidden)
+    forbidden = _signed_patterns(forbidden)
     by_n: dict = {}
     level = [signed(0)]
     for n in range(1, max_n + 1):
@@ -235,34 +285,40 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     """Every labelled edge-signed graph on 1..max_n vertices, connected or
     not, that is at or above the cutoff and free of the forbidden patterns.
 
-    A depth-first search over labelled graphs: vertex m is added entry by
-    entry, its pair symbols to vertices 0..m-1 in order, and after each
-    entry j the induced subgraph on {0..j, m} is decided by one bordered
-    elimination step, zero entries included.  A complete vertex is dropped
-    if the graph contains a forbidden pattern.  Both prunes are sound
+    A depth-first search over labelled graphs: vertex m is added to its
+    parent, the graph on 0..m-1, entry by entry, its pair symbols to
+    vertices 0..m-1 in order.  After each entry j the induced subgraph on
+    {0..j, m} is decided by one bordered elimination step, zero entries
+    included, and the entry is dropped first if it completes a forbidden
+    pattern through vertex m; every parent is a yielded graph, so it is
+    free of the patterns (`_forbidden_rows`).  Both prunes are sound
     because each filter is hereditary on induced subgraphs."""
-    forbidden = tuple(forbidden)
+    forbidden = _signed_patterns(forbidden)
+    empty = signed(0)
+    rows = _forbidden_rows(empty, forbidden)
+    if max_n < 1 or rows is None:
+        return
     start = Elimination.start(threshold)
-    stack = [(start, start.open(0), (), ())] if max_n >= 1 else []
+    stack = [(start, start.open(0), empty, rows, ())]
     while stack:
-        block, border, plus, minus = stack.pop()
-        m, j = len(block.steps), len(border[0])
-        if j < m:
-            for a, p, q in ((0, plus, minus), (1, plus + ((j, m),), minus),
-                            (-1, plus, minus + ((j, m),))):
+        block, border, parent, rows, row = stack.pop()
+        m = parent.vertex_count
+        if len(row) < m:
+            blocked = _blocked(rows, row) if rows else ()
+            for a in (0, 1, -1):
+                if a in blocked:
+                    continue
                 grown = block.extend(border, (a,))
                 if grown is not None:
-                    stack.append((block, grown, p, q))
+                    stack.append((block, grown, parent, rows, row + (a,)))
             continue
         child = block.copy()
         if not child.close(border):
             continue
-        g = signed(m + 1, plus, minus)
-        if any(contains_induced(g, pat) is not None for pat in forbidden):
-            continue
+        g = _extend(parent, row)
         yield g
         if m + 1 < max_n:
-            stack.append((child, child.open(0), plus, minus))
+            stack.append((child, child.open(0), g, _forbidden_rows(g, forbidden), ()))
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -270,10 +326,11 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
                             connected: bool = True) -> dict:
     """Independent oracle for the census: the canonical keys, per vertex
     count, of every labelled graph from `labelled_signed_graphs` (connected
-    ones only, if asked).  It shares only the exact kernel, the bordered
-    step of `Elimination`, with the census generator: it grows labelled
-    graphs, not orbit representatives, and takes a canonical key of every
-    connected survivor.  Practical for n <= 7."""
+    ones only, if asked).  It shares two things with the census generator,
+    the bordered step of `Elimination` and the pattern-row prune of
+    `_forbidden_rows`; it grows labelled graphs, not orbit
+    representatives, and takes a canonical key of every connected
+    survivor.  Practical for n <= 7."""
     if max_n > MAX_ORACLE_N:
         raise ValueError(f"the brute-force oracle is limited to n <= {MAX_ORACLE_N}")
     keys: dict = {n: set() for n in range(1, max_n + 1)}

@@ -14,9 +14,8 @@ because fat vertices are pairwise non-adjacent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .model import EdgeSignedGraph, HoffmanGraph
 
@@ -212,19 +211,25 @@ def _classed(x: GraphLike) -> tuple:
     raise TypeError(f"not a graph: {x!r}")
 
 
-def contains_induced(host: GraphLike, pattern: GraphLike) -> Optional[tuple]:
-    """Embedding of `pattern` into `host` as an induced subgraph, or None.
+def induced_embeddings(host: GraphLike, pattern: GraphLike) -> Iterator[tuple]:
+    """Every embedding of `pattern` into `host` as an induced subgraph, each
+    once, as a tuple mapping pattern vertex id to host vertex id.
 
-    The embedding preserves vertex classes (slim/fat) and matches every
-    pair symbol exactly.  Result is a tuple mapping pattern vertex id to
-    host vertex id; the empty pattern embeds with the empty tuple, so test
-    `is not None` rather than truthiness.
-    """
+    An embedding preserves vertex classes (slim/fat) and matches every pair
+    symbol exactly, zero included; the empty pattern has the one embedding
+    `()`."""
     if type(host) is not type(pattern):
         raise TypeError("host and pattern must be graphs of the same kind")
     hsym, hcls = _classed(host)
     psym, pcls = _classed(pattern)
-    return _embed(hsym, hcls, psym, pcls)
+    return _embeddings(hsym, hcls, psym, pcls)
+
+
+def contains_induced(host: GraphLike, pattern: GraphLike) -> Optional[tuple]:
+    """The first of `induced_embeddings(host, pattern)`, or None; the empty
+    pattern embeds with the empty tuple, so test `is not None` rather than
+    truthiness."""
+    return next(induced_embeddings(host, pattern), None)
 
 
 def is_induced_embedding(host: GraphLike, pattern: GraphLike, mapping) -> bool:
@@ -246,49 +251,45 @@ def is_induced_embedding(host: GraphLike, pattern: GraphLike, mapping) -> bool:
     )
 
 
-def _embed(hsym, hcls, psym, pcls) -> Optional[tuple]:
+def _embeddings(hsym, hcls, psym, pcls) -> Iterator[tuple]:
     m, n = len(psym), len(hsym)
     if m == 0:
-        return ()
+        yield ()
+        return
     if m > n:
-        return None
-    pprof = [Counter((psym[v][u], pcls[u]) for u in range(m) if psym[v][u])
-             for v in range(m)]
-    hprof = [Counter((hsym[v][u], hcls[u]) for u in range(n) if hsym[v][u])
-             for v in range(n)]
+        return
     # most-constrained-first ordering: anchored to placed vertices, then degree
     order: list = []
-    placed = set()
     for _ in range(m):
-        choice = max(
-            (v for v in range(m) if v not in placed),
+        order.append(max(
+            (v for v in range(m) if v not in order),
             key=lambda v: (sum(1 for u in order if psym[v][u]),
-                           sum(pprof[v].values()), -v),
-        )
-        order.append(choice)
-        placed.add(choice)
+                           sum(1 for x in psym[v] if x), -v)))
+    # each pattern vertex is matched against the placed ones; one with a
+    # placed neighbour draws its candidates from the host neighbours of that
+    # neighbour's image, in increasing order like range(n)
+    steps = []
+    for i, v in enumerate(order):
+        placed = [(u, psym[v][u]) for u in order[:i]]
+        steps.append((v, pcls[v], next((u for u, x in placed if x), None), placed))
+    neighbours = [[c for c in range(n) if row[c]] for row in hsym]
     mapping = [None] * m
     used = [False] * n
 
-    def rec(i: int) -> bool:
-        if i == m:
-            return True
-        v = order[i]
-        prof = pprof[v]
-        for c in range(n):
-            if used[c] or hcls[c] != pcls[v]:
+    def rec(i: int) -> Iterator[tuple]:
+        v, cls, anchor, placed = steps[i]
+        for c in range(n) if anchor is None else neighbours[mapping[anchor]]:
+            if used[c] or hcls[c] != cls:
                 continue
-            hp = hprof[c]
-            if any(hp[key] < cnt for key, cnt in prof.items()):
-                continue
-            if any(psym[v][order[j]] != hsym[c][mapping[order[j]]] for j in range(i)):
+            row = hsym[c]
+            if any(row[mapping[u]] != x for u, x in placed):
                 continue
             mapping[v] = c
+            if i + 1 == m:
+                yield tuple(mapping)
+                continue
             used[c] = True
-            if rec(i + 1):
-                return True
-            mapping[v] = None
+            yield from rec(i + 1)
             used[c] = False
-        return False
 
-    return tuple(mapping) if rec(0) else None
+    yield from rec(0)

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from golden_spectra.algebra import NEG_TAU
 from golden_spectra.cli import main
 from golden_spectra.censusio import read_hoffman_census, write_hoffman_census
+from golden_spectra.enumeration import enumerate_signed
 from golden_spectra.model import ParseError, catalog, to_text
 
 
@@ -221,6 +223,37 @@ class TestEnumerateCommand:
         assert main(["enumerate", "--max-n", "3", "--threshold", "-sqrt2",
                      "--out", str(tmp_path / "out")]) == 2
         assert "cannot parse threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def forbid(self, tmp_path, text: str) -> dict:
+        out = tmp_path / "out"
+        assert main(["enumerate", "--max-n", "4", "--forbid", text, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_forbid_parameterised_name(self, tmp_path, capsys):
+        manifest = self.forbid(tmp_path, "Q(1,1,2)")
+        capsys.readouterr()
+        assert manifest["forbidden"] == [to_text(catalog("Q(1,1,2)"))]
+        census = enumerate_signed(4, NEG_TAU, (catalog("Q(1,1,2)"),))
+        assert manifest["counts_per_n"] == {
+            str(n): len(census.members(n)) for n in range(1, 5)}
+        assert manifest["counts_per_n"]["4"] < len(enumerate_signed(4).members(4))
+
+    def test_forbid_mixed_list(self, tmp_path, capsys):
+        names = ("T1", "Q(0,1,1)", "S22")
+        manifest = self.forbid(tmp_path, "T1, Q(0,1,1),S22")
+        capsys.readouterr()
+        assert manifest["forbidden"] == [to_text(catalog(name)) for name in names]
+        census = enumerate_signed(4, NEG_TAU, [catalog(name) for name in names])
+        assert manifest["counts_per_n"] == {
+            str(n): len(census.members(n)) for n in range(1, 5)}
+
+    @pytest.mark.parametrize("name", ["H_I", "K1T(2)"])
+    def test_forbid_hoffman_graph_is_exit_3(self, tmp_path, capsys, name):
+        assert main(["enumerate", "--max-n", "3", "--forbid", f"T1,{name}",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_deterministic_bytes(self, tmp_path, capsys):

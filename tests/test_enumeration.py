@@ -36,6 +36,37 @@ from conftest import random_signed
 
 T1 = catalog("T1")
 
+# forbidden pattern sets for the row prune; S11 and Q(0,0,0) have one and
+# no vertex, so every graph with a vertex contains them
+PATTERN_SETS = (("T1", "T2"), ("S21",), ("S22",), ("S11",), ("Q(0,0,0)",), ("Q(1,1,2)",))
+
+
+def labelled(n: int, code):
+    """The labelled graph on n vertices with pair symbols `code` over
+    (0, 1, -1), pairs in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
+    return signed(n, [p for p, c in zip(pairs, code) if c == 1],
+                  [p for p, c in zip(pairs, code) if c == -1])
+
+
+def random_labelled(rng: random.Random, n: int, symbols: tuple):
+    return labelled(n, [rng.choice(symbols) for _ in range(n * (n - 1) // 2)])
+
+
+@pytest.fixture(scope="module")
+def labelled_sweep():
+    """Every labelled graph on 1..4 vertices at or above each of two
+    cutoffs, decided one whole graph at a time."""
+    out = {}
+    for threshold in (NEG_TAU, parse_threshold("-2")):
+        out[threshold] = []
+        for n in range(1, 5):
+            for code in product((0, 1, -1), repeat=n * (n - 1) // 2):
+                g = labelled(n, code)
+                if lambda_min_at_least(signed_adjacency(g).entries, threshold):
+                    out[threshold].append(g)
+    return out
+
 
 class TestEnumerateSigned:
     def test_two_vertices(self):
@@ -172,6 +203,53 @@ class TestScreen:
         half = parse_threshold("1/2")
         assert _children(signed(0), half, (), False) == []
         assert reference(signed(0), half, (), False) == []
+        # the pattern-row prune against the whole-graph search, on parents
+        # free of every pattern with two or more vertices; a pattern with at
+        # most one vertex lies in every child, whatever the parent
+        rng = random.Random(8)
+        for names in PATTERN_SETS:
+            forbidden = tuple(catalog(name) for name in names)
+            parents = children = pruned = 0
+            while parents < 10:
+                parent = random_labelled(rng, rng.randint(0, 6),
+                                         rng.choice(((0, 1, -1), (0, 1), (0, -1))))
+                if any(pat.vertex_count > 1 and contains_induced(parent, pat) is not None
+                       for pat in forbidden):
+                    continue
+                parents += 1
+                for threshold in (NEG_TAU, parse_threshold("-2")):
+                    found = check(parent, threshold, forbidden) or 0
+                    children += found
+                    pruned += (check(parent, threshold, ()) or 0) - found
+            if min(pat.vertex_count for pat in forbidden) <= 1:
+                assert children == 0 and pruned > 50
+            else:
+                assert children > 10 and pruned > 10
+
+    def test_patterns_compiled_once_per_parent(self, monkeypatch):
+        # no leaf searches the whole child: each parent runs one embedding
+        # search per pattern vertex, T1 has three
+        from golden_spectra import enumeration
+        searches = 0
+        real = enumeration.induced_embeddings
+
+        def counted(host, pattern):
+            nonlocal searches
+            searches += 1
+            return real(host, pattern)
+
+        def whole_graph(host, pattern):
+            raise AssertionError("whole-graph pattern search in a generator")
+
+        monkeypatch.setattr(enumeration, "induced_embeddings", counted)
+        monkeypatch.setattr(enumeration, "contains_induced", whole_graph)
+        census = enumeration.enumerate_signed(6, NEG_TAU, (T1,))
+        parents = 1 + sum(len(census.members(n)) for n in range(1, 6))
+        assert searches == 3 * parents
+        searches = 0
+        labelled = Counter(g.vertex_count
+                           for g in enumeration.labelled_signed_graphs(4, NEG_TAU, (T1,)))
+        assert searches == 3 * (1 + labelled[1] + labelled[2] + labelled[3])
 
 
 class TestBruteForce:
@@ -208,6 +286,22 @@ class TestBruteForce:
                         and contains_induced(g, T1) is None):
                     swept += 1
             assert swept == found[n]
+
+    @pytest.mark.parametrize("names", PATTERN_SETS)
+    def test_labelled_prune_matches_a_whole_graph_sweep(self, names, labelled_sweep):
+        forbidden = tuple(catalog(name) for name in names)
+        for threshold, above in labelled_sweep.items():
+            found = list(labelled_signed_graphs(4, threshold, forbidden))
+            assert len(found) == len(set(found))
+            assert set(found) == {g for g in above if all(
+                contains_induced(g, pat) is None for pat in forbidden)}
+
+    def test_patterns_must_be_edge_signed(self):
+        for call in (lambda f: enumerate_signed(3, NEG_TAU, f),
+                     lambda f: list(labelled_signed_graphs(3, NEG_TAU, f))):
+            for pattern in (catalog("H_I"), catalog("K1T(2)")):
+                with pytest.raises(TypeError):
+                    call((T1, pattern))
 
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from golden_spectra.iso import (
     CanonicalKey,
     canonical_key,
     contains_induced,
+    induced_embeddings,
     is_induced_embedding,
     is_isomorphic,
 )
@@ -14,6 +16,8 @@ from golden_spectra.model import (
     EdgeSignedGraph,
     catalog,
     hoffman,
+    induced_hoffman_subgraph,
+    induced_signed_subgraph,
     make_q,
     signed,
 )
@@ -205,3 +209,58 @@ class TestContainsInduced:
         grown = signed(host.vertex_count + 1, host.plus_edges, host.minus_edges)
         if found is not None:
             assert contains_induced(grown, pattern) is not None
+
+
+class TestInducedEmbeddings:
+    @staticmethod
+    def brute_force(host, pattern):
+        return {m for m in permutations(range(host.vertex_count), pattern.vertex_count)
+                if is_induced_embedding(host, pattern, m)}
+
+    def check(self, host, pattern):
+        found = list(induced_embeddings(host, pattern))
+        assert len(found) == len(set(found))
+        assert set(found) == self.brute_force(host, pattern)
+        assert (contains_induced(host, pattern) is None) == (not found)
+        return len(found)
+
+    def test_signed_pairs_match_a_permutation_search(self):
+        # half the patterns are induced subgraphs of their host, so most
+        # pairs have several embeddings
+        rng = random.Random(11)
+        total = empty = 0
+        for trial in range(120):
+            host = random_signed(rng, rng.randint(0, 6))
+            if trial % 2 and host.vertex_count:
+                keep = rng.sample(range(host.vertex_count),
+                                  rng.randint(1, min(4, host.vertex_count)))
+                pattern = induced_signed_subgraph(host, keep)
+            else:
+                pattern = random_signed(rng, rng.randint(0, 4))
+            found = self.check(host, pattern)
+            total += found
+            empty += found == 0
+        assert total > 200 and empty > 10
+
+    def test_hoffman_pairs_match_a_permutation_search(self):
+        rng = random.Random(12)
+        total = empty = 0
+        for trial in range(120):
+            host = random_hoffman(rng, 7)
+            pattern = random_hoffman(rng, 4)
+            if trial % 2:
+                slims = rng.sample(range(host.slim_count),
+                                   rng.randint(1, min(3, host.slim_count)))
+                fats = [f for f in host.fat_vertices()
+                        if any(host.has_edge(v, f) for v in slims) and rng.random() < 0.7]
+                pattern = induced_hoffman_subgraph(host, tuple(slims + fats))
+            found = self.check(host, pattern)
+            total += found
+            empty += found == 0
+        assert total > 200 and empty > 10
+
+    def test_empty_pattern_and_kind_mismatch(self):
+        assert list(induced_embeddings(make_q(1, 0, 2), signed(0))) == [()]
+        assert list(induced_embeddings(signed(2), signed(3))) == []
+        with pytest.raises(TypeError):
+            induced_embeddings(catalog("H_I"), signed(1))
