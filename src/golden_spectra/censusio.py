@@ -23,7 +23,7 @@ from .enumeration import (
     lambda_descriptor,
 )
 from .iso import CanonicalKey, canonical_key
-from .model import ParseError, from_text, to_text
+from .model import HoffmanGraph, ParseError, from_text, to_text
 from .spectral import b_matrix, signed_adjacency
 
 TOOL_NAME = "golden-spectra"
@@ -77,9 +77,9 @@ def read_text(path) -> str:
 
 
 def read_hoffman_census(path) -> HoffmanCensus:
-    """Reparse a census file; every graph is revalidated, and its canonical
-    key and eigenvalue descriptor recomputed and checked against the
-    stored columns."""
+    """Reparse a census file; every graph must be a Hoffman graph and is
+    revalidated, and its canonical key and eigenvalue descriptor are
+    recomputed and checked against the stored columns."""
     members = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
@@ -89,6 +89,8 @@ def read_hoffman_census(path) -> HoffmanCensus:
             raise ParseError(f"census line {lineno}: expected 8 tab-separated fields")
         key_hex, name, special, text = fields[:4]
         graph = from_text(text)
+        if not isinstance(graph, HoffmanGraph):
+            raise ParseError(f"census line {lineno}: expected a Hoffman graph")
         key = canonical_key(graph)
         if key.hex() != key_hex:
             raise ParseError(

@@ -499,11 +499,13 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
 
     One search over the family closed under induced Hoffman subgraphs:
     k = 0..`fat_budget` added fat vertices, each on a nonempty slim subset,
-    then every slim set partition, in lexicographic order.  The first valid
-    decomposition with every part in the closure is lifted by `_lift` and
-    returned if the lift verifies (two slim vertices may come to share two
-    fat vertices).  k = 0 with one part finds a g induced in a member.
-    Targets with more than MAX_WITNESS_SLIM slim vertices raise."""
+    then every slim set partition, in lexicographic order.  Each container
+    is validated once, and a partition needs only the cross-part rule
+    (`_crossing_ok`).  The first valid decomposition with every part in
+    the closure is lifted by `_lift` and returned if the lift verifies
+    (two slim vertices may come to share two fat vertices).  k = 0 with
+    one part finds a g induced in a member.  Targets with more than
+    MAX_WITNESS_SLIM slim vertices raise."""
     require_valid(g)
     if not is_fat(g):
         raise DecompositionError("witness search requires a fat graph")
@@ -514,6 +516,26 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
         raise DecompositionError(
             f"witness search is limited to {MAX_WITNESS_SLIM} slim vertices")
     family_keys, closure = _closure(frozenset(family))
+    for container, cfat in _containers(g, fat_budget):
+        for blocks in set_partitions(ns):
+            if not _crossing_ok(container, blocks, cfat):
+                continue
+            d = Decomposition(container, tuple(
+                frozenset(block).union(*(cfat[v] for v in block)) for block in blocks))
+            cuts = [closure.get(canonical_key(pg)) for pg in d.part_graphs()]
+            if None in cuts:
+                continue
+            w = _lift(g, d, cuts)
+            if verify_hline_witness(w, family_keys):
+                return w
+    return None
+
+
+def _containers(g: HoffmanGraph, fat_budget: int):
+    """The containers of the witness search in order, each validated once:
+    g with k = 0..fat_budget added fat vertices, each on a nonempty slim
+    subset, and the fat neighbor set of each slim vertex."""
+    ns = g.slim_count
     subsets = [c for size in range(1, ns + 1) for c in combinations(range(ns), size)]
     for k in range(fat_budget + 1):
         for chosen in combinations_with_replacement(subsets, k):
@@ -521,20 +543,20 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
             for i, sub in enumerate(chosen):
                 edges += [(v, g.vertex_count + i) for v in sub]
             container = hoffman(ns, g.fat_count + k, edges)
-            cfat = [fat_neighbors(container, v) for v in range(ns)]
-            for blocks in set_partitions(ns):
-                d = Decomposition(container, tuple(
-                    frozenset(block).union(*(cfat[v] for v in block))
-                    for block in blocks))
-                if validate_decomposition(d) is not None:
-                    continue
-                cuts = [closure.get(canonical_key(pg)) for pg in d.part_graphs()]
-                if None in cuts:
-                    continue
-                w = _lift(g, d, cuts)
-                if verify_hline_witness(w, family_keys):
-                    return w
-    return None
+            if validate_hoffman(container) is None:
+                yield container, [fat_neighbors(container, v) for v in range(ns)]
+
+
+def _crossing_ok(container: HoffmanGraph, blocks: list, cfat: list) -> bool:
+    """Whether the slim blocks, each with its fat neighbors, decompose a
+    valid container: slim vertices in different blocks share at most one
+    fat vertex, and one exactly when they are adjacent.  The other rules
+    hold by construction: the blocks partition the slim vertices, each
+    part holds its slim vertices' fat neighbors, and every fat vertex has
+    a slim neighbor."""
+    part = {v: i for i, block in enumerate(blocks) for v in block}
+    return all(part[x] == part[y] or len(cfat[x] & cfat[y]) == container.has_edge(x, y)
+               for x, y in combinations(range(len(cfat)), 2))
 
 
 def set_partitions(n: int):

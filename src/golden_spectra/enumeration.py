@@ -50,7 +50,14 @@ from .algebra import (
     squarefree_decomposition,
 )
 from .decomp import set_partitions
-from .iso import CanonicalKey, canonical_key, contains_induced, induced_embeddings
+from .iso import (
+    CanonicalKey,
+    canonical_key,
+    contains_induced,
+    prepare_host,
+    prepare_pattern,
+    prepared_embeddings,
+)
 from .model import (
     EdgeSignedGraph,
     HoffmanGraph,
@@ -167,10 +174,26 @@ def _signed_patterns(forbidden: Sequence) -> tuple:
     return patterns
 
 
-def _forbidden_rows(parent: EdgeSignedGraph, forbidden: tuple) -> Optional[dict]:
-    """The forbidden patterns as constraints on the new row of a child of
-    `parent`, which must be free of every pattern; None if every child
-    contains one.
+def _pattern_cuts(forbidden: tuple) -> Optional[tuple]:
+    """Each forbidden pattern P less one vertex a, prepared once as a
+    pattern, with a's signs to the other vertices in order; None if some
+    pattern has at most one vertex.  Built once per generator call."""
+    cuts = []
+    for pat in forbidden:
+        k = pat.vertex_count
+        if k <= 1:
+            return None
+        for a in range(k):
+            others = [u for u in range(k) if u != a]
+            cuts.append((prepare_pattern(induced_signed_subgraph(pat, others)),
+                         [pat.sign(a, u) for u in others]))
+    return tuple(cuts)
+
+
+def _forbidden_rows(parent: EdgeSignedGraph, cuts: Optional[tuple]) -> Optional[dict]:
+    """The forbidden patterns, given by their `_pattern_cuts`, as
+    constraints on the new row of a child of `parent`, which must be free
+    of every pattern; None if every child contains one.
 
     An embedding of a pattern P into the child that the parent lacks sends
     some pattern vertex a to the new vertex and the others to an induced
@@ -179,18 +202,16 @@ def _forbidden_rows(parent: EdgeSignedGraph, forbidden: tuple) -> Optional[dict]
     included.  Each constraint is keyed by the last position it fixes and
     holds its value there and its earlier (position, value) pairs.  A
     pattern with at most one vertex lies in every child: the empty one in
-    any graph, a single vertex at the new vertex."""
+    any graph, a single vertex at the new vertex.  The parent is prepared
+    once as a host for all the cuts."""
+    if cuts is None:
+        return None
     rows: dict = {}
-    for pat in forbidden:
-        k = pat.vertex_count
-        if k <= 1:
-            return None
-        for a in range(k):
-            others = [u for u in range(k) if u != a]
-            signs = [pat.sign(a, u) for u in others]
-            for e in induced_embeddings(parent, induced_signed_subgraph(pat, others)):
-                *earlier, (j, value) = sorted(zip(e, signs))
-                rows.setdefault(j, set()).add((value, tuple(earlier)))
+    host = prepare_host(parent) if cuts else None
+    for pattern, signs in cuts:
+        for e in prepared_embeddings(host, pattern):
+            *earlier, (j, value) = sorted(zip(e, signs))
+            rows.setdefault(j, set()).add((value, tuple(earlier)))
     return rows
 
 
@@ -200,12 +221,13 @@ def _blocked(rows: dict, row: tuple) -> set:
             if all(row[p] == v for p, v in earlier)}
 
 
-def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
+def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tuple],
               connected: bool) -> list:
     """Every one-vertex extension of parent that passes all filters, in
     lexicographic order of its new row over the entries 0, 1, -1; the only
     generator of one-vertex extensions, for the census and for the Q
-    extension step.  The parent must be free of the forbidden patterns.
+    extension step.  The parent must be free of the forbidden patterns,
+    which come as their `_pattern_cuts`.
 
     The parent is eliminated once at the cutoff (a parent below it has no
     children), and the new row grows one entry at a time by a bordered
@@ -218,7 +240,7 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, forbidden: tuple,
     diagonal that is not negative."""
     n = parent.vertex_count
     block = eliminate(signed_adjacency(parent).entries, threshold)
-    rows = _forbidden_rows(parent, forbidden)
+    rows = _forbidden_rows(parent, cuts)
     if block is None or rows is None:
         return []
     out = []
@@ -257,12 +279,13 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
     forbidden = _signed_patterns(forbidden)
+    cuts = _pattern_cuts(forbidden)
     by_n: dict = {}
     level = [signed(0)]
     for n in range(1, max_n + 1):
         found: dict = {}
         for parent in level:
-            for child in _children(parent, threshold, forbidden, connected):
+            for child in _children(parent, threshold, cuts, connected):
                 found.setdefault(canonical_key(child), child)
         keys = sorted(found)
         level = [found[k] for k in keys]
@@ -293,9 +316,9 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     pattern through vertex m; every parent is a yielded graph, so it is
     free of the patterns (`_forbidden_rows`).  Both prunes are sound
     because each filter is hereditary on induced subgraphs."""
-    forbidden = _signed_patterns(forbidden)
+    cuts = _pattern_cuts(_signed_patterns(forbidden))
     empty = signed(0)
-    rows = _forbidden_rows(empty, forbidden)
+    rows = _forbidden_rows(empty, cuts)
     if max_n < 1 or rows is None:
         return
     start = Elimination.start(threshold)
@@ -318,7 +341,7 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
         g = _extend(parent, row)
         yield g
         if m + 1 < max_n:
-            stack.append((child, child.open(0), g, _forbidden_rows(g, forbidden), ()))
+            stack.append((child, child.open(0), g, _forbidden_rows(g, cuts), ()))
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -377,7 +400,7 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
         raise ClassificationError("Q base unexpectedly contains the forbidden triangle")
     bumped = {(p + 1, q, r), (p, q + 1, r), (p, q, r + 1)}
     return all(is_q_graph(child) in bumped
-               for child in _children(base, NEG_TAU, (t1,), True))
+               for child in _children(base, NEG_TAU, _pattern_cuts((t1,)), True))
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +698,16 @@ def maximal_members(census: HoffmanCensus) -> HoffmanCensus:
     fat classes to match exactly); violations raise.  A member can only
     embed in one with at least as many slim and as many fat vertices and
     more vertices in all: an embedding onto every vertex would be an
-    isomorphism, and the keys are distinct."""
+    isomorphism, and the keys are distinct.  Each member is prepared once
+    as a host and once as a pattern of the induced-subgraph search."""
+    graphs = [m.graph for m in census.members]
+    hosts = [prepare_host(h) for h in graphs]
     out = []
     for m in census.members:
-        g = m.graph
+        g, pattern = m.graph, prepare_pattern(m.graph)
         embedded = any(
-            contains_induced(h, g) is not None
-            for h in (other.graph for other in census.members)
+            next(prepared_embeddings(host, pattern), None) is not None
+            for h, host in zip(graphs, hosts)
             if g.slim_count <= h.slim_count and g.fat_count <= h.fat_count
             and g.vertex_count < h.vertex_count)
         if not embedded:

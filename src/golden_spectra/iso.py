@@ -10,6 +10,16 @@ highly symmetric graphs such as all-(+) cliques.
 Fat vertices never mix with slim ones; once a slim ordering is fixed the
 fat side is canonicalized by sorting fat neighborhoods, which is complete
 because fat vertices are pairwise non-adjacent.
+
+The induced-subgraph search is one bit-set kernel (Ullmann's candidate
+domains).  A host is prepared once into one int per vertex and pair
+symbol, with bit d set when that vertex has that symbol to d, and one
+int per vertex class; a pattern is prepared once into its vertex order
+(most links to placed vertices, then degree, then lowest id).  The
+candidates of a step are one AND of those ints over the placed vertices,
+walked in increasing order, so the embeddings come in an order fixed by
+the two graphs.  Callers that search one graph
+many times prepare it once and call `prepared_embeddings`.
 """
 
 from __future__ import annotations
@@ -211,18 +221,86 @@ def _classed(x: GraphLike) -> tuple:
     raise TypeError(f"not a graph: {x!r}")
 
 
+def prepare_host(host: GraphLike) -> tuple:
+    """A graph laid out once as a host of the induced-subgraph search:
+    its kind, rows[c][x] with bit d set when the pair symbol of c and d
+    is x (d != c), and one bit set per vertex class (slim, fat)."""
+    sym, cls = _classed(host)
+    rows = []
+    for c, row in enumerate(sym):
+        bits = [0, 0, 0]
+        for d, x in enumerate(row):
+            if d != c:
+                bits[x] |= 1 << d
+        rows.append(tuple(bits))
+    masks = tuple(sum(1 << c for c, k in enumerate(cls) if k == x) for x in (0, 1))
+    return type(host), tuple(rows), masks
+
+
+def prepare_pattern(pattern: GraphLike) -> tuple:
+    """A graph laid out once as a pattern of the induced-subgraph search:
+    its kind and its steps in search order.  The next vertex has
+    the most links to the placed ones, then the highest degree, then the
+    lowest id; each step holds its vertex, its class and its pair symbol
+    to every placed vertex, zeros included."""
+    sym, cls = _classed(pattern)
+    m = len(sym)
+    order: list = []
+    for _ in range(m):
+        order.append(max(
+            (v for v in range(m) if v not in order),
+            key=lambda v: (sum(1 for u in order if sym[v][u]),
+                           sum(1 for x in sym[v] if x), -v)))
+    steps = tuple((v, cls[v], tuple((u, sym[v][u]) for u in order[:i]))
+                  for i, v in enumerate(order))
+    return type(pattern), steps
+
+
+def prepared_embeddings(host: tuple, pattern: tuple) -> Iterator[tuple]:
+    """Every embedding of a prepared pattern into a prepared host as an
+    induced subgraph, each once, as a tuple mapping pattern vertex id to
+    host vertex id; the empty pattern has the one embedding `()`.
+
+    The candidates of a step are the free host vertices of its class that
+    carry the step's symbol to the image of every placed vertex: one AND
+    of bit sets per placed vertex, and a branch ends as soon as the set is
+    empty.  They are tried in increasing order, so the embeddings come in
+    lexicographic order of the step images."""
+    kind, rows, masks = host
+    pkind, steps = pattern
+    if kind is not pkind:
+        raise TypeError("host and pattern must be graphs of the same kind")
+    m = len(steps)
+    mapping = [0] * m
+
+    def rec(i: int, free: int) -> Iterator[tuple]:
+        if i == m:
+            yield tuple(mapping)
+            return
+        v, cls, placed = steps[i]
+        cand = free & masks[cls]
+        for u, x in placed:
+            if not cand:
+                return
+            cand &= rows[mapping[u]][x]
+        while cand:
+            low = cand & -cand
+            mapping[v] = low.bit_length() - 1
+            yield from rec(i + 1, free ^ low)
+            cand ^= low
+
+    return rec(0, (1 << len(rows)) - 1)
+
+
 def induced_embeddings(host: GraphLike, pattern: GraphLike) -> Iterator[tuple]:
     """Every embedding of `pattern` into `host` as an induced subgraph, each
     once, as a tuple mapping pattern vertex id to host vertex id.
 
     An embedding preserves vertex classes (slim/fat) and matches every pair
     symbol exactly, zero included; the empty pattern has the one embedding
-    `()`."""
-    if type(host) is not type(pattern):
-        raise TypeError("host and pattern must be graphs of the same kind")
-    hsym, hcls = _classed(host)
-    psym, pcls = _classed(pattern)
-    return _embeddings(hsym, hcls, psym, pcls)
+    `()`.  A caller that searches one graph many times prepares it once
+    and calls `prepared_embeddings`."""
+    return prepared_embeddings(prepare_host(host), prepare_pattern(pattern))
 
 
 def contains_induced(host: GraphLike, pattern: GraphLike) -> Optional[tuple]:
@@ -249,47 +327,3 @@ def is_induced_embedding(host: GraphLike, pattern: GraphLike, mapping) -> bool:
         psym[v][u] == hsym[m[v]][m[u]]
         for v in range(len(m)) for u in range(v + 1, len(m))
     )
-
-
-def _embeddings(hsym, hcls, psym, pcls) -> Iterator[tuple]:
-    m, n = len(psym), len(hsym)
-    if m == 0:
-        yield ()
-        return
-    if m > n:
-        return
-    # most-constrained-first ordering: anchored to placed vertices, then degree
-    order: list = []
-    for _ in range(m):
-        order.append(max(
-            (v for v in range(m) if v not in order),
-            key=lambda v: (sum(1 for u in order if psym[v][u]),
-                           sum(1 for x in psym[v] if x), -v)))
-    # each pattern vertex is matched against the placed ones; one with a
-    # placed neighbour draws its candidates from the host neighbours of that
-    # neighbour's image, in increasing order like range(n)
-    steps = []
-    for i, v in enumerate(order):
-        placed = [(u, psym[v][u]) for u in order[:i]]
-        steps.append((v, pcls[v], next((u for u, x in placed if x), None), placed))
-    neighbours = [[c for c in range(n) if row[c]] for row in hsym]
-    mapping = [None] * m
-    used = [False] * n
-
-    def rec(i: int) -> Iterator[tuple]:
-        v, cls, anchor, placed = steps[i]
-        for c in range(n) if anchor is None else neighbours[mapping[anchor]]:
-            if used[c] or hcls[c] != cls:
-                continue
-            row = hsym[c]
-            if any(row[mapping[u]] != x for u, x in placed):
-                continue
-            mapping[v] = c
-            if i + 1 == m:
-                yield tuple(mapping)
-                continue
-            used[c] = True
-            yield from rec(i + 1)
-            used[c] = False
-
-    yield from rec(0)

@@ -340,6 +340,24 @@ class TestCensusIO:
         assert "eigenvalue columns" in capsys.readouterr().err
         assert not (out / "census-18.txt").exists()
 
+    def test_edge_signed_line_is_exit_3(self, tmp_path, capsys):
+        # a census line holding an edge-signed graph, its key and eigenvalue
+        # columns made to match it, is malformed input, not a crash
+        from golden_spectra.censusio import _lam_fields
+        from golden_spectra.enumeration import lambda_descriptor
+        from golden_spectra.iso import canonical_key
+        from golden_spectra.model import from_text
+        from golden_spectra.spectral import signed_adjacency
+        g = from_text("sg 3 +0-1,1-2")
+        lam = lambda_descriptor(signed_adjacency(g).entries)
+        line = "\t".join([canonical_key(g).hex(), "S3.1", "S3.1", to_text(g),
+                          *_lam_fields(lam)])
+        path = write(tmp_path, "census-37.txt", line)
+        out = tmp_path / "out"
+        assert main(["maximal", "--census", path, "--out", str(out)]) == 3
+        assert "census line 1: expected a Hoffman graph" in capsys.readouterr().err
+        assert not (out / "census-18.txt").exists()
+
 
 def test_version_matches_pyproject():
     import tomllib

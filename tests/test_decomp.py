@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -375,6 +376,25 @@ class TestHLineWitness:
                 if w is None or not verify_hline_witness(w, family_keys):
                     missing.append(to_text(g))
         assert missing == []
+
+    def test_crossing_rule_alone_decides_the_searched_partitions(self, fat_classes4):
+        # on every container the witness search tries for the fat classes
+        # with at most three slim vertices (up to two added fat vertices),
+        # checking the cross-part rule alone agrees with a full validation
+        # of the decomposition into the slim blocks with their fat neighbors
+        from golden_spectra.decomp import _containers, _crossing_ok
+        verdicts = Counter()
+        for s in (1, 2, 3):
+            for g in fat_classes4[s].values():
+                for container, cfat in _containers(g, 2):
+                    for blocks in set_partitions(s):
+                        d = Decomposition(container, tuple(
+                            frozenset(block).union(*(cfat[v] for v in block))
+                            for block in blocks))
+                        ok = _crossing_ok(container, blocks, cfat)
+                        assert ok == (validate_decomposition(d) is None)
+                        verdicts[ok] += 1
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
 
 
 def test_set_partitions_count():

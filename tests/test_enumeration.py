@@ -156,7 +156,7 @@ class TestScreen:
     def test_children_match_unscreened_loop(self):
         # the pruned generator against a loop over every new row:
         # connectivity, one exact decision per child, forbidden patterns
-        from golden_spectra.enumeration import _children, _extend
+        from golden_spectra.enumeration import _children, _extend, _pattern_cuts
 
         def reference(parent, threshold, forbidden, connected):
             out = []
@@ -172,7 +172,7 @@ class TestScreen:
 
         def check(parent, threshold, forbidden):
             connected = is_connected_signed(parent)
-            got = _children(parent, threshold, forbidden, connected)
+            got = _children(parent, threshold, _pattern_cuts(forbidden), connected)
             assert got == reference(parent, threshold, forbidden, connected)
             if not lambda_min_at_least(signed_adjacency(parent).entries, threshold):
                 assert got == []
@@ -227,29 +227,42 @@ class TestScreen:
                 assert children > 10 and pruned > 10
 
     def test_patterns_compiled_once_per_parent(self, monkeypatch):
-        # no leaf searches the whole child: each parent runs one embedding
-        # search per pattern vertex, T1 has three
+        # no leaf searches the whole child: each P - a is prepared once per
+        # generator call, each parent once as a host, and each parent runs
+        # one embedding search per pattern vertex, T1 has three
         from golden_spectra import enumeration
-        searches = 0
-        real = enumeration.induced_embeddings
+        calls = Counter()
 
-        def counted(host, pattern):
-            nonlocal searches
-            searches += 1
-            return real(host, pattern)
+        def counted(name):
+            real = getattr(enumeration, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(enumeration, name, call)
 
         def whole_graph(host, pattern):
             raise AssertionError("whole-graph pattern search in a generator")
 
-        monkeypatch.setattr(enumeration, "induced_embeddings", counted)
+        for name in ("prepare_host", "prepare_pattern", "prepared_embeddings"):
+            counted(name)
         monkeypatch.setattr(enumeration, "contains_induced", whole_graph)
         census = enumeration.enumerate_signed(6, NEG_TAU, (T1,))
         parents = 1 + sum(len(census.members(n)) for n in range(1, 6))
-        assert searches == 3 * parents
-        searches = 0
+        assert calls == {"prepare_pattern": 3, "prepare_host": parents,
+                         "prepared_embeddings": 3 * parents}
+        calls.clear()
         labelled = Counter(g.vertex_count
                            for g in enumeration.labelled_signed_graphs(4, NEG_TAU, (T1,)))
-        assert searches == 3 * (1 + labelled[1] + labelled[2] + labelled[3])
+        parents = 1 + labelled[1] + labelled[2] + labelled[3]
+        assert calls == {"prepare_pattern": 3, "prepare_host": parents,
+                         "prepared_embeddings": 3 * parents}
+        # the Q extension step checks its base by a whole-graph search
+        monkeypatch.setattr(enumeration, "contains_induced", contains_induced)
+        calls.clear()
+        assert enumeration.verify_extension_step(1, 1, 5)
+        assert calls == {"prepare_pattern": 3, "prepare_host": 1,
+                         "prepared_embeddings": 3}
 
 
 class TestBruteForce:
@@ -326,7 +339,8 @@ class TestExtensionStep:
         # every admissible child of a base with 7 <= p+q+r <= 8 is T1-free,
         # and its Q shape is a bumped triple exactly when its canonical key
         # is the key of a bumped Q graph
-        from golden_spectra.enumeration import _children
+        from golden_spectra.enumeration import _children, _pattern_cuts
+        cuts = _pattern_cuts((T1,))
         children = 0
         for total in (7, 8):
             for r in range((total + 1) // 2, total + 1):
@@ -334,7 +348,7 @@ class TestExtensionStep:
                     q = total - r - p
                     bumped = {(p + 1, q, r), (p, q + 1, r), (p, q, r + 1)}
                     keys = {canonical_key(make_q(*b)) for b in bumped if b[0] + b[1] <= b[2]}
-                    for child in _children(make_q(p, q, r), NEG_TAU, (T1,), True):
+                    for child in _children(make_q(p, q, r), NEG_TAU, cuts, True):
                         children += 1
                         assert contains_induced(child, T1) is None
                         assert (is_q_graph(child) in bumped) == (canonical_key(child) in keys)

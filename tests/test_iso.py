@@ -4,8 +4,10 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden_spectra import enumeration
 from golden_spectra.iso import (
     CanonicalKey,
+    _classed,
     canonical_key,
     contains_induced,
     induced_embeddings,
@@ -264,3 +266,111 @@ class TestInducedEmbeddings:
         assert list(induced_embeddings(signed(2), signed(3))) == []
         with pytest.raises(TypeError):
             induced_embeddings(catalog("H_I"), signed(1))
+
+
+def list_embeddings(host, pattern):
+    """The list-based search the bitset kernel replaced, kept as its
+    oracle: the same pattern vertex order, each candidate drawn from the
+    host neighbours of a placed neighbour's image (or from all host
+    vertices) and tested against every placed vertex by list lookups."""
+    hsym, hcls = _classed(host)
+    psym, pcls = _classed(pattern)
+    m, n = len(psym), len(hsym)
+    if m == 0:
+        yield ()
+        return
+    if m > n:
+        return
+    order = []
+    for _ in range(m):
+        order.append(max(
+            (v for v in range(m) if v not in order),
+            key=lambda v: (sum(1 for u in order if psym[v][u]),
+                           sum(1 for x in psym[v] if x), -v)))
+    steps = []
+    for i, v in enumerate(order):
+        placed = [(u, psym[v][u]) for u in order[:i]]
+        steps.append((v, pcls[v], next((u for u, x in placed if x), None), placed))
+    neighbours = [[c for c in range(n) if row[c]] for row in hsym]
+    mapping = [None] * m
+    used = [False] * n
+
+    def rec(i):
+        v, cls, anchor, placed = steps[i]
+        for c in range(n) if anchor is None else neighbours[mapping[anchor]]:
+            if used[c] or hcls[c] != cls:
+                continue
+            row = hsym[c]
+            if any(row[mapping[u]] != x for u, x in placed):
+                continue
+            mapping[v] = c
+            if i + 1 == m:
+                yield tuple(mapping)
+                continue
+            used[c] = True
+            yield from rec(i + 1)
+            used[c] = False
+
+    yield from rec(0)
+
+
+class TestBitsetKernel:
+    """The bitset kernel yields the list oracle's embeddings in the same
+    order, which `contains_induced` and the H-line lift rely on."""
+
+    @staticmethod
+    def same_sequence(host, pattern):
+        found = list(induced_embeddings(host, pattern))
+        assert found == list(list_embeddings(host, pattern))
+        return len(found)
+
+    def test_signed_sequences(self):
+        rng = random.Random(21)
+        total = 0
+        for trial in range(300):
+            host = random_signed(rng, rng.randint(0, 7))
+            if trial % 2 and host.vertex_count:
+                keep = rng.sample(range(host.vertex_count),
+                                  rng.randint(1, min(5, host.vertex_count)))
+                rng.shuffle(keep)
+                pattern = induced_signed_subgraph(host, keep)
+            else:
+                pattern = random_signed(rng, rng.randint(0, 5))
+            total += self.same_sequence(host, pattern)
+        assert total > 500
+
+    def test_hoffman_sequences(self):
+        rng = random.Random(22)
+        total = 0
+        for trial in range(300):
+            host = random_hoffman(rng, 9)
+            pattern = random_hoffman(rng, 5)
+            if trial % 2:
+                slims = rng.sample(range(host.slim_count),
+                                   rng.randint(1, min(4, host.slim_count)))
+                fats = [f for f in host.fat_vertices()
+                        if any(host.has_edge(v, f) for v in slims) and rng.random() < 0.7]
+                pattern = induced_hoffman_subgraph(host, tuple(slims + fats))
+            total += self.same_sequence(host, pattern)
+        assert total > 500
+
+    def test_edge_cases(self):
+        # the empty pattern, a pattern larger than the host, and a host
+        # without a vertex of a class the pattern needs
+        for host in (signed(0), make_q(1, 0, 2), hoffman(0, 0), catalog("H_XVI")):
+            pattern = signed(0) if isinstance(host, EdgeSignedGraph) else hoffman(0, 0)
+            assert self.same_sequence(host, pattern) == 1
+        assert self.same_sequence(signed(2), signed(3)) == 0
+        assert self.same_sequence(catalog("H_I"), catalog("H_XVI")) == 0
+        slim_only = hoffman(3, 0, [(0, 1), (1, 2)])
+        assert self.same_sequence(slim_only, hoffman(1, 1, [(0, 1)])) == 0
+        assert self.same_sequence(slim_only, hoffman(2, 0, [(0, 1)])) == 4
+
+    def test_maximal_members_with_the_oracle(self, classification, maximal, monkeypatch):
+        monkeypatch.setattr(enumeration, "prepare_host", lambda g: g)
+        monkeypatch.setattr(enumeration, "prepare_pattern", lambda g: g)
+        monkeypatch.setattr(enumeration, "prepared_embeddings", list_embeddings)
+        members = classification.irreducible.members
+        assert len(members) == 39
+        by_oracle = enumeration.maximal_members(classification.irreducible)
+        assert by_oracle.members == maximal.members
