@@ -79,8 +79,10 @@ def read_text(path) -> str:
 def read_hoffman_census(path) -> HoffmanCensus:
     """Reparse a census file; every graph must be a Hoffman graph and is
     revalidated, and its canonical key and eigenvalue descriptor are
-    recomputed and checked against the stored columns."""
+    recomputed and checked against the stored columns.  No member may
+    repeat."""
     members = []
+    seen: set = set()
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
@@ -95,6 +97,9 @@ def read_hoffman_census(path) -> HoffmanCensus:
         if key.hex() != key_hex:
             raise ParseError(
                 f"census line {lineno}: stored key does not match the graph")
+        if key in seen:
+            raise ParseError(f"census line {lineno}: repeated member")
+        seen.add(key)
         lam = lambda_descriptor(b_matrix(graph).entries)
         if fields[4:] != _lam_fields(lam):
             raise ParseError(

@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_special)
 
-    p = sub.add_parser("decompose", help="split along special-graph components")
+    p = sub.add_parser("decompose",
+                       help="split along the components of the forced slim pairs")
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)

@@ -4,7 +4,13 @@ A decomposition is a family of induced Hoffman subgraphs covering the
 graph, with pairwise disjoint slim parts, fat neighbors pulled into their
 slim vertices' parts, and the cross-part compatibility rule: slim vertices
 in different parts share at most one fat vertex, exactly one iff they are
-adjacent.
+adjacent.  A slim pair is forced when its shared fat count differs from
+its adjacency (0 or 1): no decomposition separates it.  Every slim set
+partition that keeps the forced pairs inside its blocks satisfies the
+rule, so the decompositions of a graph are exactly the set partitions of
+the components of its forced pairs (`partitions_joining`), each block
+with its fat neighbors.  `validate_decomposition` checks all four rules
+independently.
 
 The module builds the constructive reducibility witnesses (one fat vertex
 per edge for slim graphs, a shared fat vertex over the clique of a Q
@@ -31,10 +37,10 @@ from .algebra import (
 )
 from .iso import CanonicalKey, canonical_key, contains_induced, is_induced_embedding
 from .model import (
-    EdgeSignedGraph,
     HoffmanGraph,
     InvalidGraphError,
     adjacency,
+    components,
     fat_neighbors,
     from_text,
     hoffman,
@@ -121,22 +127,19 @@ def validate_decomposition(d: Decomposition) -> Union[str, None]:
 
 
 def split_by_special_components(g: HoffmanGraph) -> Optional[Decomposition]:
-    """Split along connected components of the special graph; None when the
-    special graph is connected (the graph is indecomposable)."""
+    """Split into the components of the forced slim pairs, each with its fat
+    neighbors; None when they are connected (the graph is indecomposable).
+
+    When no slim pair shares two fat vertices the forced pairs are the
+    edges of the special graph, so the parts are its components."""
     require_valid(g)
     if g.slim_count == 0:
         return None
-    s = special_graph(g)
-    comp = _components(s)
+    fats = [fat_neighbors(g, v) for v in g.slim_vertices()]
+    comp = components(g.slim_count, _forced_pairs(g, fats))
     if len(comp) <= 1:
         return None
-    parts = []
-    for block in comp:
-        fats = set()
-        for v in block:
-            fats |= fat_neighbors(g, v)
-        parts.append(frozenset(block) | fats)
-    d = Decomposition(g, tuple(parts))
+    d = Decomposition(g, tuple(_parts(comp, fats)))
     msg = validate_decomposition(d)
     if msg is not None:
         raise InternalCheckError(
@@ -144,29 +147,16 @@ def split_by_special_components(g: HoffmanGraph) -> Optional[Decomposition]:
     return d
 
 
-def _components(s: EdgeSignedGraph) -> list:
-    n = s.vertex_count
-    nbr = [set() for _ in range(n)]
-    for a, b in s.all_edges():
-        nbr[a].add(b)
-        nbr[b].add(a)
-    seen = set()
-    out = []
-    for v in range(n):
-        if v in seen:
-            continue
-        block = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in nbr[u]:
-                if w not in seen:
-                    seen.add(w)
-                    block.add(w)
-                    stack.append(w)
-        out.append(sorted(block))
-    return out
+def _forced_pairs(g: HoffmanGraph, fats: Sequence) -> list:
+    """The slim pairs no decomposition of g separates: those whose shared
+    fat count differs from their adjacency."""
+    return [(x, y) for x, y in combinations(range(g.slim_count), 2)
+            if len(fats[x] & fats[y]) != g.has_edge(x, y)]
+
+
+def _parts(blocks: Iterable, fats: Sequence) -> list:
+    """Each slim block with the fat neighbors of its vertices."""
+    return [frozenset(block).union(*(fats[v] for v in block)) for block in blocks]
 
 
 def lambda_min_of_sum_check(d: Decomposition) -> bool:
@@ -318,11 +308,15 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
     container (g plus added fat vertices) admitting a two-part
     decomposition with both parts at or above -1-tau.
 
-    A container that only adds fat vertices is characterized exactly by a
-    slim bipartition plus an exact biclique cover of the crossing adjacent
-    pairs lacking a common fat (each new fat vertex covers one biclique of
-    crossing pairs; covering a pair twice or touching a non-adjacent
-    crossing pair would break the decomposition rules).  The search is
+    Added fat vertices only raise shared fat counts, so a slim pair that
+    shares two fat vertices, or one without being adjacent, stays forced
+    in every container; the two parts are unions of the components of
+    these pairs, the one of vertex 0 on the left.  A container that only
+    adds fat vertices is then characterized exactly by such a bipartition
+    plus an exact biclique cover of the crossing adjacent pairs lacking a
+    common fat (each new fat vertex covers one biclique of them; covering
+    a pair twice would break the cross-part rule).  Each part is decided
+    on its principal submatrix of the container's B.  The search is
     complete over such containers; added slim vertices are never used by
     the constructions this certifies.  Returns (container, decomposition)
     or None."""
@@ -330,49 +324,35 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
     ns = g.slim_count
     if ns < 2:
         return None
-    fats = {v: fat_neighbors(g, v) for v in range(ns)}
-    rest = list(range(1, ns))
-    for size in range(0, ns - 1):
-        for extra in combinations(rest, size):
-            left = frozenset({0} | set(extra))
-            right = frozenset(range(ns)) - left
-            if not right:
-                continue
-            dead = False
-            need = []
-            for x in sorted(left):
-                for y in sorted(right):
-                    shared = len(fats[x] & fats[y])
-                    adj = g.has_edge(x, y)
-                    if shared > 1 or (shared == 1 and not adj):
-                        dead = True
-                        break
-                    if adj and shared == 0:
-                        need.append((x, y))
-                if dead:
-                    break
-            if dead:
-                continue
-            capacity = {v: 2 - len(fats[v]) for v in range(ns)}
-            for cover in _biclique_partitions(need, left, right, capacity):
-                edges = list(g.edges)
-                base = g.vertex_count
-                for i, (aset, bset) in enumerate(cover):
-                    edges += [(v, base + i) for v in aset + bset]
-                container = hoffman(ns, g.fat_count + len(cover), edges)
-                cfat = {v: fat_neighbors(container, v) for v in range(ns)}
-                parts = []
-                for block in (left, right):
-                    pf = set()
-                    for v in block:
-                        pf |= cfat[v]
-                    parts.append(frozenset(block) | pf)
-                d = Decomposition(container, tuple(parts))
-                if validate_decomposition(d) is not None:
-                    continue
-                if all(lambda_min_at_least(b_matrix(pg).entries, NEG_ONE_MINUS_TAU)
-                       for pg in d.part_graphs()):
-                    return container, d
+    fats = [fat_neighbors(g, v) for v in range(ns)]
+    comp = components(ns, [(x, y) for x, y in combinations(range(ns), 2)
+                           if len(fats[x] & fats[y]) > g.has_edge(x, y)])
+    # smallest left sides first, ties in lexicographic order
+    lefts = sorted((sorted(comp[0] + [v for block in chosen for v in block])
+                    for size in range(len(comp) - 1)
+                    for chosen in combinations(comp[1:], size)),
+                   key=lambda left: (len(left), left))
+    capacity = {v: 2 - len(fats[v]) for v in range(ns)}
+    for left in lefts:
+        right = sorted(frozenset(range(ns)).difference(left))
+        need = [(x, y) for x in left for y in right
+                if g.has_edge(x, y) and not fats[x] & fats[y]]
+        for cover in _biclique_partitions(need, frozenset(left), frozenset(right),
+                                          capacity):
+            edges = list(g.edges)
+            for i, (aset, bset) in enumerate(cover):
+                edges += [(v, g.vertex_count + i) for v in aset + bset]
+            container = hoffman(ns, g.fat_count + len(cover), edges)
+            rows = b_matrix(container).entries
+            if all(lambda_min_at_least([[rows[x][y] for y in block] for x in block],
+                                       NEG_ONE_MINUS_TAU) for block in (left, right)):
+                cfat = [fat_neighbors(container, v) for v in range(ns)]
+                d = Decomposition(container, tuple(_parts((left, right), cfat)))
+                msg = validate_decomposition(d)
+                if msg is not None:
+                    raise InternalCheckError(
+                        f"reducibility witness failed validation: {msg}")
+                return container, d
     return None
 
 
@@ -499,13 +479,14 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
 
     One search over the family closed under induced Hoffman subgraphs:
     k = 0..`fat_budget` added fat vertices, each on a nonempty slim subset,
-    then every slim set partition, in lexicographic order.  Each container
-    is validated once, and a partition needs only the cross-part rule
-    (`_crossing_ok`).  The first valid decomposition with every part in
-    the closure is lifted by `_lift` and returned if the lift verifies
-    (two slim vertices may come to share two fat vertices).  k = 0 with
-    one part finds a g induced in a member.  Targets with more than
-    MAX_WITNESS_SLIM slim vertices raise."""
+    then every decomposition of the container, in lexicographic order of
+    its slim set partition: the partitions that keep each of the
+    container's forced pairs in one block (`partitions_joining`).  The
+    first decomposition with every part in the closure is lifted by
+    `_lift` and returned if the lift verifies (two slim vertices may come
+    to share two fat vertices).  k = 0 with one part finds a g induced in
+    a member.  Targets with more than MAX_WITNESS_SLIM slim vertices
+    raise."""
     require_valid(g)
     if not is_fat(g):
         raise DecompositionError("witness search requires a fat graph")
@@ -517,11 +498,8 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
             f"witness search is limited to {MAX_WITNESS_SLIM} slim vertices")
     family_keys, closure = _closure(frozenset(family))
     for container, cfat in _containers(g, fat_budget):
-        for blocks in set_partitions(ns):
-            if not _crossing_ok(container, blocks, cfat):
-                continue
-            d = Decomposition(container, tuple(
-                frozenset(block).union(*(cfat[v] for v in block)) for block in blocks))
+        for blocks in partitions_joining(ns, _forced_pairs(container, cfat)):
+            d = Decomposition(container, tuple(_parts(blocks, cfat)))
             cuts = [closure.get(canonical_key(pg)) for pg in d.part_graphs()]
             if None in cuts:
                 continue
@@ -547,18 +525,6 @@ def _containers(g: HoffmanGraph, fat_budget: int):
                 yield container, [fat_neighbors(container, v) for v in range(ns)]
 
 
-def _crossing_ok(container: HoffmanGraph, blocks: list, cfat: list) -> bool:
-    """Whether the slim blocks, each with its fat neighbors, decompose a
-    valid container: slim vertices in different blocks share at most one
-    fat vertex, and one exactly when they are adjacent.  The other rules
-    hold by construction: the blocks partition the slim vertices, each
-    part holds its slim vertices' fat neighbors, and every fat vertex has
-    a slim neighbor."""
-    part = {v: i for i, block in enumerate(blocks) for v in block}
-    return all(part[x] == part[y] or len(cfat[x] & cfat[y]) == container.has_edge(x, y)
-               for x, y in combinations(range(len(cfat)), 2))
-
-
 def set_partitions(n: int):
     """All set partitions of range(n) in a deterministic order."""
     if n == 0:
@@ -578,3 +544,13 @@ def set_partitions(n: int):
         blocks.pop()
 
     yield from rec(0, [])
+
+
+def partitions_joining(n: int, pairs: Iterable):
+    """The set partitions of range(n) that keep each pair inside one block,
+    in `set_partitions` order: the set partitions of the pairs'
+    components.  Two such partitions first differ at the least vertex of
+    a component, so the order on components is the order on vertices."""
+    comp = components(n, pairs)
+    for blocks in set_partitions(len(comp)):
+        yield [sorted(v for c in block for v in comp[c]) for block in blocks]

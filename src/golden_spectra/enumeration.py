@@ -49,7 +49,7 @@ from .algebra import (
     lambda_min_at_least,
     squarefree_decomposition,
 )
-from .decomp import set_partitions
+from .decomp import partitions_joining
 from .iso import (
     CanonicalKey,
     canonical_key,
@@ -466,36 +466,20 @@ def derive_two_slim() -> tuple:
 def realize_hoffman(s: EdgeSignedGraph) -> tuple:
     """All Hoffman graphs with one fat vertex per class of a partition of
     V(s), slim adjacency forced by the signs, special graph equal to s,
-    and smallest eigenvalue at or above -1-tau; deduplicated."""
+    and smallest eigenvalue at or above -1-tau; deduplicated.  The classes
+    hold the (-)-edges (`partitions_joining`) and no (+)-edge."""
     if s.vertex_count < 3 or not is_connected_signed(s):
         raise ValueError("realization requires a connected graph on >= 3 vertices")
     n = s.vertex_count
     found: dict = {}
-    for blocks in set_partitions(n):
-        cls = [0] * n
-        for bi, block in enumerate(blocks):
-            for v in block:
-                cls[v] = bi
-        edges = []
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                sg = s.sign(i, j)
-                if cls[i] == cls[j]:
-                    if sg == 1:
-                        ok = False
-                        break
-                    if sg == 0:
-                        edges.append((i, j))
-                elif sg == -1:
-                    ok = False
-                    break
-                elif sg == 1:
-                    edges.append((i, j))
-            if not ok:
-                break
-        if not ok:
+    for blocks in partitions_joining(n, s.minus_edges):
+        cls = {v: bi for bi, block in enumerate(blocks) for v in block}
+        if any(cls[a] == cls[b] for a, b in s.plus_edges):
             continue
+        # a pair in one class shares its fat vertex, so it is adjacent iff
+        # it is no (-)-edge; a pair across classes iff it is a (+)-edge
+        edges = [(i, j) for i, j in combinations(range(n), 2)
+                 if (cls[i] == cls[j]) == (s.sign(i, j) == 0)]
         for bi, block in enumerate(blocks):
             edges.extend((v, n + bi) for v in block)
         g = hoffman(n, len(blocks), edges)

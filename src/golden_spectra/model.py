@@ -172,23 +172,32 @@ def is_fat(g: HoffmanGraph) -> bool:
     return all(fat_neighbors(g, v) for v in g.slim_vertices())
 
 
+def components(n: int, pairs: Iterable) -> list:
+    """The connected components of the graph on range(n) with edges `pairs`:
+    sorted blocks, ordered by least vertex."""
+    nbr = [[] for _ in range(n)]
+    for a, b in pairs:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    seen: set = set()
+    out = []
+    for v in range(n):
+        if v in seen:
+            continue
+        seen.add(v)
+        block, stack = [v], [v]
+        while stack:
+            for w in nbr[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    block.append(w)
+                    stack.append(w)
+        out.append(sorted(block))
+    return out
+
+
 def is_connected_signed(s: EdgeSignedGraph) -> bool:
-    n = s.vertex_count
-    if n <= 1:
-        return True
-    nbr = [set() for _ in range(n)]
-    for a, b in s.all_edges():
-        nbr[a].add(b)
-        nbr[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in nbr[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
+    return len(components(s.vertex_count, s.all_edges())) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,11 @@ class TestGraphCommands:
         assert main(["decompose", dec]) == 0
         out = capsys.readouterr().out
         assert out.count("part") == 2
+        # adjacent slim vertices sharing two fat vertices: no special-graph
+        # edge joins them, yet no decomposition separates them
+        two = write(tmp_path, "g.txt", "hg 2 2 0-1,0-2,0-3,1-2,1-3")
+        assert main(["decompose", two]) == 0
+        assert capsys.readouterr().out.strip() == "indecomposable"
 
     def test_realize(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "sg 3 -0-1,1-2")
@@ -338,6 +343,18 @@ class TestCensusIO:
         out = tmp_path / "out"
         assert main(["maximal", "--census", str(path), "--out", str(out)]) == 3
         assert "eigenvalue columns" in capsys.readouterr().err
+        assert not (out / "census-18.txt").exists()
+
+    def test_repeated_member_is_exit_3(self, tmp_path, capsys, classification):
+        path = tmp_path / "census-37.txt"
+        write_hoffman_census(classification.irreducible, path)
+        lines = path.read_text().splitlines()
+        repeated = next(line for line in lines if "\tH6.1.1\t" in line)
+        path.write_text("\n".join(lines + [repeated]) + "\n")
+        out = tmp_path / "out"
+        assert main(["maximal", "--census", str(path), "--out", str(out)]) == 3
+        assert (f"census line {len(lines) + 1}: repeated member"
+                in capsys.readouterr().err)
         assert not (out / "census-18.txt").exists()
 
     def test_edge_signed_line_is_exit_3(self, tmp_path, capsys):

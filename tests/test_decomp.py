@@ -11,6 +11,7 @@ from golden_spectra.decomp import (
     find_hline_witness,
     find_reducibility_witness,
     lambda_min_of_sum_check,
+    partitions_joining,
     reduce_by_degree,
     reduce_q_realization,
     set_partitions,
@@ -155,6 +156,29 @@ class TestSplit:
                 if split_count <= 40:
                     assert lambda_min_of_sum_check(d)
         assert split_count > 30
+
+    def test_forced_pairs_decide_over_unfiltered_random(self):
+        # slim pairs may share two fat vertices: every split is a valid
+        # decomposition, and none exists exactly when the forced pairs
+        # (shared fat count other than the adjacency) connect the slims
+        import random
+        from conftest import random_hoffman
+        from golden_spectra.model import components
+        rng = random.Random(61)
+        split_count = double_count = 0
+        for _ in range(400):
+            g = random_hoffman(rng, 8)
+            fats = [fat_neighbors(g, v) for v in g.slim_vertices()]
+            forced = [(a, b) for a, b in combinations(g.slim_vertices(), 2)
+                      if len(fats[a] & fats[b]) != g.has_edge(a, b)]
+            double_count += any(len(fats[a] & fats[b]) > 1
+                                for a, b in combinations(g.slim_vertices(), 2))
+            d = split_by_special_components(g)
+            assert (d is None) == (len(components(g.slim_count, forced)) <= 1)
+            if d is not None:
+                split_count += 1
+                assert validate_decomposition(d) is None
+        assert split_count > 30 and double_count > 30
 
 
 class TestReduceByDegree:
@@ -380,20 +404,24 @@ class TestHLineWitness:
     def test_crossing_rule_alone_decides_the_searched_partitions(self, fat_classes4):
         # on every container the witness search tries for the fat classes
         # with at most three slim vertices (up to two added fat vertices),
-        # checking the cross-part rule alone agrees with a full validation
-        # of the decomposition into the slim blocks with their fat neighbors
-        from golden_spectra.decomp import _containers, _crossing_ok
+        # the partitions it yields are, in order, the slim set partitions
+        # whose decomposition into blocks with their fat neighbors is valid
+        from golden_spectra.decomp import _containers, _forced_pairs
         verdicts = Counter()
         for s in (1, 2, 3):
             for g in fat_classes4[s].values():
                 for container, cfat in _containers(g, 2):
+                    valid = []
                     for blocks in set_partitions(s):
                         d = Decomposition(container, tuple(
                             frozenset(block).union(*(cfat[v] for v in block))
                             for block in blocks))
-                        ok = _crossing_ok(container, blocks, cfat)
-                        assert ok == (validate_decomposition(d) is None)
+                        ok = validate_decomposition(d) is None
+                        if ok:
+                            valid.append(blocks)
                         verdicts[ok] += 1
+                    assert list(partitions_joining(
+                        s, _forced_pairs(container, cfat))) == valid
         assert verdicts[True] > 1000 and verdicts[False] > 1000
 
 
@@ -401,3 +429,14 @@ def test_set_partitions_count():
     # Bell numbers
     assert sum(1 for _ in set_partitions(4)) == 15
     assert sum(1 for _ in set_partitions(0)) == 1
+
+
+def test_partitions_joining_filters_set_partitions_in_order():
+    import random
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.15]
+        expected = [blocks for blocks in set_partitions(n)
+                    if all(any(a in b and c in b for b in blocks) for a, c in pairs)]
+        assert list(partitions_joining(n, pairs)) == expected

@@ -15,6 +15,7 @@ from golden_spectra.algebra import (
     lambda_min_equals,
     parse_threshold,
 )
+from golden_spectra.decomp import set_partitions
 from golden_spectra.enumeration import (
     ClassificationError,
     brute_force_signed_keys,
@@ -30,7 +31,7 @@ from golden_spectra.enumeration import (
 )
 from golden_spectra.iso import canonical_key, contains_induced, is_isomorphic
 from golden_spectra.model import catalog, hoffman, is_connected_signed, make_q, signed, to_text
-from golden_spectra.spectral import b_matrix, signed_adjacency
+from golden_spectra.spectral import b_matrix, signed_adjacency, special_graph
 
 from conftest import random_signed
 
@@ -418,7 +419,62 @@ class TestFatClasses:
             assert keys == set(fat_classes4[s])
 
 
+def realize_by_signs(s):
+    """Oracle for `realize_hoffman`: every set partition of V(s), each pair
+    checked against its sign, (+) only across classes and (-) only inside
+    one; the same deduplication and order."""
+    n = s.vertex_count
+    found = {}
+    for blocks in set_partitions(n):
+        cls = [0] * n
+        for bi, block in enumerate(blocks):
+            for v in block:
+                cls[v] = bi
+        edges = []
+        ok = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                sg = s.sign(i, j)
+                if cls[i] == cls[j]:
+                    if sg == 1:
+                        ok = False
+                        break
+                    if sg == 0:
+                        edges.append((i, j))
+                elif sg == -1:
+                    ok = False
+                    break
+                elif sg == 1:
+                    edges.append((i, j))
+            if not ok:
+                break
+        if not ok:
+            continue
+        for bi, block in enumerate(blocks):
+            edges.extend((v, n + bi) for v in block)
+        g = hoffman(n, len(blocks), edges)
+        assert special_graph(g) == s
+        if lambda_min_at_least(b_matrix(g).entries, NEG_ONE_MINUS_TAU):
+            found.setdefault(canonical_key(g), g)
+    return tuple(found[k] for k in sorted(found))
+
+
 class TestRealize:
+    def test_matches_sign_by_sign_oracle(self, census7):
+        # the same ordered tuple, representatives included, on the census
+        # at the rational cutoff -2 and on the 17 exceptional members
+        wide = enumerate_signed(5, parse_threshold("-2"), connected=True)
+        graphs = [m.graph for n in range(3, 6) for m in wide.members(n)]
+        graphs += [m.graph for members in exceptional_members(census7).values()
+                   for m in members]
+        assert len(graphs) > 100
+        realized = 0
+        for s in graphs:
+            reals = realize_hoffman(s)
+            assert reals == realize_by_signs(s), to_text(s)
+            realized += bool(reals)
+        assert realized > 20
+
     def test_all_minus_path(self):
         reals = realize_hoffman(signed(3, [], [(0, 1), (1, 2)]))
         assert len(reals) == 1
