@@ -47,6 +47,7 @@ from .enumeration import (
 )
 from .iso import canonical_key
 from .model import (
+    MAX_MATRIX_ORDER,
     CatalogError,
     EdgeSignedGraph,
     HoffmanGraph,
@@ -62,11 +63,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
-
-# The largest matrix `spectrum` and `check` build, dense and of this order
-# at most; the census graphs have at most 12 vertices.
-MAX_MATRIX_ORDER = 64
-
 
 def _read_graph(path: str):
     return parse_graph(read_text(path))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, takewhile
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
@@ -481,12 +481,13 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
     k = 0..`fat_budget` added fat vertices, each on a nonempty slim subset,
     then every decomposition of the container, in lexicographic order of
     its slim set partition: the partitions that keep each of the
-    container's forced pairs in one block (`partitions_joining`).  The
-    first decomposition with every part in the closure is lifted by
-    `_lift` and returned if the lift verifies (two slim vertices may come
-    to share two fat vertices).  k = 0 with one part finds a g induced in
-    a member.  Targets with more than MAX_WITNESS_SLIM slim vertices
-    raise."""
+    container's forced pairs in one block (`partitions_joining`).  Parts
+    are keyed one by one up to the first outside the closure, none when a
+    block outgrows every member.  The first decomposition with every part
+    in the closure is lifted by `_lift` and returned if the lift verifies
+    (two slim vertices may come to share two fat vertices).  k = 0 with
+    one part finds a g induced in a member.  Targets with more than
+    MAX_WITNESS_SLIM slim vertices raise."""
     require_valid(g)
     if not is_fat(g):
         raise DecompositionError("witness search requires a fat graph")
@@ -497,11 +498,16 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
         raise DecompositionError(
             f"witness search is limited to {MAX_WITNESS_SLIM} slim vertices")
     family_keys, closure = _closure(frozenset(family))
+    largest = max((F.slim_count for F in family), default=0)
     for container, cfat in _containers(g, fat_budget):
         for blocks in partitions_joining(ns, _forced_pairs(container, cfat)):
+            if max(map(len, blocks)) > largest:
+                continue
             d = Decomposition(container, tuple(_parts(blocks, cfat)))
-            cuts = [closure.get(canonical_key(pg)) for pg in d.part_graphs()]
-            if None in cuts:
+            cuts = list(takewhile(lambda cut: cut is not None, (
+                closure.get(canonical_key(induced_hoffman_subgraph(container, part)))
+                for part in d.parts)))
+            if len(cuts) < len(blocks):
                 continue
             w = _lift(g, d, cuts)
             if verify_hline_witness(w, family_keys):

@@ -3,9 +3,10 @@
 Canonical keys are total byte encodings invariant under isomorphism:
 sign-preserving bijections for edge-signed graphs, label-preserving
 bijections (slim to slim, fat to fat) for Hoffman graphs.  Keys are found
-by color refinement followed by a backtracking minimum-code search inside
-the refinement cells; a uniform-tail shortcut collapses the search on
-highly symmetric graphs such as all-(+) cliques.
+by color refinement followed by one backtracking minimum-code search inside
+the refinement cells, for both kinds; automorphisms read off leaves of
+equal value prune it, as in nauty and Traces (McKay & Piperno 2014), so
+all-(+) cliques and Q graphs take a handful of leaves.
 
 Fat vertices never mix with slim ones; once a slim ordering is fixed the
 fat side is canonicalized by sorting fat neighborhoods, which is complete
@@ -86,58 +87,65 @@ def _cells(colors: list) -> list:
     return [out[c] for c in sorted(out)]
 
 
-def _min_order_code(sym_code, cells, leaf_extra=None, use_tail=True):
-    """Lexicographically minimal flattened row code over all orders that
-    respect the given cell sequence; `leaf_extra` breaks ties at leaves."""
-    best: list = [None]
+def _orbit(v: int, gens: list) -> set:
+    """The orbit of v under the group generated by `gens`."""
+    orbit, todo = {v}, [v]
+    while todo:
+        x = todo.pop()
+        new = {g[x] for g in gens} - orbit
+        orbit |= new
+        todo += new
+    return orbit
 
-    def tail_uniform(placed, rest):
-        if len(rest) < 3:
-            return False
-        s0 = sym_code[rest[0]][rest[1]]
-        for i, ri in enumerate(rest):
-            row = sym_code[ri]
-            for j in range(i + 1, len(rest)):
-                if row[rest[j]] != s0:
-                    return False
-        for u in placed:
-            ru = sym_code[u]
-            s1 = ru[rest[0]]
-            for x in rest[1:]:
-                if ru[x] != s1:
-                    return False
-        return True
 
-    def finish(order, code):
-        extra = leaf_extra(order) if leaf_extra else ()
-        cand = (code, extra)
-        if best[0] is None or cand < best[0]:
-            best[0] = cand
+def _min_order_code(sym_code, cells, leaf_extra=None):
+    """The least leaf value `(code, leaf_extra(order))` over all orders that
+    respect the cell sequence; code is the flattened row code, and
+    `leaf_extra` (the Hoffman fat part) breaks ties.
 
-    def rec(cells_left, placed, code):
+    Children are tried in increasing row order, and the first whose row
+    takes the code past the best code's prefix ends the node.  A leaf of
+    the best value gives an automorphism: the map from the best leaf's
+    order onto its own keeps every pair symbol, cell and leaf extra.  One
+    rule prunes by these: a child that an automorphism fixing every placed
+    vertex maps from an earlier child is skipped, since it carries that
+    child's searched subtree onto this one leaf by leaf with equal values,
+    so the minimum stays exact.  The new automorphism is such a map at the
+    first level where the two orders part, so the search returns there."""
+    best: list = [None, None]
+    autos: list = []
+
+    def rec(cells_left, placed, code) -> int:
+        """Search below `placed`; the depth at which the search goes on."""
+        depth = len(placed)
         if not cells_left:
-            finish(placed, code)
-            return
-        if use_tail:
-            rest_flat = [v for cell in cells_left for v in cell]
-            if tail_uniform(placed, rest_flat):
-                order = list(placed)
-                cd = list(code)
-                for v in rest_flat:
-                    cd.extend(sym_code[u][v] for u in order)
-                    order.append(v)
-                finish(order, tuple(cd))
-                return
+            value = (code, leaf_extra(placed) if leaf_extra else ())
+            if best[0] is None or value < best[0]:
+                best[:] = value, placed
+            elif value == best[0]:
+                g = list(range(len(sym_code)))
+                for a, b in zip(best[1], placed):
+                    g[a] = b
+                autos.append(g)
+                return next(i for i, (a, b) in enumerate(zip(best[1], placed)) if a != b)
+            return depth
         cell = cells_left[0]
-        for idx, v in enumerate(cell):
-            row = tuple(sym_code[u][v] for u in placed)
+        tried: list = []
+        for row, v in sorted([(tuple([sym_code[u][v] for u in placed]), v) for v in cell]):
             new_code = code + row
             b = best[0]
             if b is not None and new_code > b[0][: len(new_code)]:
+                break
+            gens = [g for g in autos if all(g[u] == u for u in placed)]
+            if gens and not _orbit(v, gens).isdisjoint(tried):
                 continue
-            rest_cell = cell[:idx] + cell[idx + 1:]
+            tried.append(v)
+            rest_cell = [u for u in cell if u != v]
             nxt = ([rest_cell] if rest_cell else []) + cells_left[1:]
-            rec(nxt, placed + [v], new_code)
+            resume = rec(nxt, placed + [v], new_code)
+            if resume < depth:
+                return resume
+        return depth
 
     rec(list(cells), [], ())
     return best[0]
@@ -153,38 +161,23 @@ def _key_signed(s: EdgeSignedGraph) -> CanonicalKey:
 
 def _key_hoffman(g: HoffmanGraph) -> CanonicalKey:
     ns, nf = g.slim_count, g.fat_count
-    fat_masks = []
-    for f in g.fat_vertices():
-        fat_masks.append(frozenset(v for v in g.slim_vertices() if g.has_edge(v, f)))
-    # slim-slim relation for refinement: adjacency plus shared-fat count
-    adj = [[0] * ns for _ in range(ns)]
-    ref = [[0] * ns for _ in range(ns)]
+    fat_masks = [frozenset(v for v in g.slim_vertices() if g.has_edge(v, f))
+                 for f in g.fat_vertices()]
     slim_fats = [frozenset(f for f, mask in enumerate(fat_masks) if v in mask)
                  for v in range(ns)]
-    for i in range(ns):
-        for j in range(ns):
-            if i == j:
-                continue
-            a = int(g.has_edge(i, j))
-            shared = len(slim_fats[i] & slim_fats[j])
-            adj[i][j] = a
-            ref[i][j] = a | (shared << 1)
-    init = [len(slim_fats[v]) for v in range(ns)]
-    cells = _cells(_refine(ns, ref, init))
+    # slim-slim relation for refinement: adjacency plus shared-fat count
+    adj = [row[:ns] for row in _hoffman_sym(g)[:ns]]
+    ref = [[a | len(slim_fats[i] & slim_fats[j]) << 1 if i != j else 0
+            for j, a in enumerate(row)] for i, row in enumerate(adj)]
+    cells = _cells(_refine(ns, ref, [len(fats) for fats in slim_fats]))
 
     def leaf_extra(order):
         pos = {v: i for i, v in enumerate(order)}
         return tuple(sorted(tuple(sorted(pos[v] for v in mask)) for mask in fat_masks))
 
-    found = _min_order_code(adj, cells, leaf_extra=leaf_extra, use_tail=False)
-    code, masks = found if found is not None else ((), ())
-    blob = bytearray()
-    blob += b"h" + ns.to_bytes(2, "big") + nf.to_bytes(2, "big")
-    blob += bytes(code)
-    for mask in masks:
-        blob.append(0xFE)
-        blob += bytes(mask)
-    return CanonicalKey(bytes(blob))
+    code, masks = _min_order_code(adj, cells, leaf_extra)
+    return CanonicalKey(b"h" + ns.to_bytes(2, "big") + nf.to_bytes(2, "big") + bytes(code)
+                        + b"".join(b"\xfe" + bytes(mask) for mask in masks))
 
 
 def canonical_key(x: GraphLike) -> CanonicalKey:

@@ -288,6 +288,10 @@ _FIXED_CATALOG = {
 
 _PARAM_RE = re.compile(r"^(K1T|Q)\(([^)]*)\)$")
 
+# The most vertices a catalog family member may have, and the largest
+# matrix `spectrum` and `check` build; the census graphs have at most 12.
+MAX_MATRIX_ORDER = 64
+
 
 def catalog(name: str):
     """Named graph lookup: H_I..H_IV, H_XVI, H_XVII, T1, T2, S11, S21, S22,
@@ -301,13 +305,12 @@ def catalog(name: str):
             args = [int(x) for x in m.group(2).split(",")]
         except ValueError as exc:
             raise CatalogError(f"bad parameters in {name!r}") from exc
-        if m.group(1) == "K1T":
-            if len(args) != 1:
-                raise CatalogError("K1T takes one parameter")
-            return make_k1t(args[0])
-        if len(args) != 3:
-            raise CatalogError("Q takes three parameters")
-        return make_q(*args)
+        k1t = m.group(1) == "K1T"
+        if len(args) != (1 if k1t else 3):
+            raise CatalogError("K1T takes one parameter" if k1t else "Q takes three parameters")
+        if sum(args) + k1t > MAX_MATRIX_ORDER:
+            raise CatalogError(f"{name} has more than {MAX_MATRIX_ORDER} vertices")
+        return make_k1t(*args) if k1t else make_q(*args)
     raise CatalogError(f"unknown catalog name {name!r}")
 
 

@@ -135,6 +135,23 @@ class TestGraphCommands:
         assert main(["catalog", "NOPE"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("at_cap, above, huge", [
+        ("K1T(63)", "K1T(64)", "K1T(30000000)"),
+        ("Q(0,0,64)", "Q(1,0,64)", "Q(0,0,30000)"),
+    ])
+    def test_catalog_family_above_the_cap_is_exit_3(self, tmp_path, capsys, at_cap, above, huge):
+        # a family member with more than MAX_MATRIX_ORDER vertices is
+        # refused before it is built, also as a forbidden pattern
+        assert main(["catalog", at_cap]) == 0
+        capsys.readouterr()
+        for name in (above, huge):
+            assert main(["catalog", name]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+        assert main(["enumerate", "--max-n", "3", "--forbid", huge,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_special(self, tmp_path, capsys):
         path = write(tmp_path, "h4.txt", to_text(catalog("H_IV")))
         assert main(["special", path]) == 0

@@ -112,6 +112,18 @@ class TestEnumerateSigned:
         with pytest.raises(ValueError):
             enumerate_signed(13)
 
+    def test_levels_eight_to_twelve_are_the_q_graphs(self):
+        # a second route to acceptance 07: past n = 7 every level of the
+        # T1-free census at -tau holds exactly the Q(p,q,r) with
+        # p+q+r = n and p+q <= r, so no exceptional graph appears
+        census = enumerate_signed(12, NEG_TAU, (T1,))
+        for n in range(8, 13):
+            q_keys = {canonical_key(make_q(p, q, n - p - q))
+                      for p in range(n + 1) for q in range(n - p + 1)
+                      if 2 * (p + q) <= n}
+            assert {m.key for m in census.members(n)} == q_keys
+            assert exceptional_members(census)[n] == ()
+
     def test_every_level_listed_above_zero(self):
         # the one-vertex graph lies below a positive cutoff, so every level
         # is empty, and each is listed

@@ -4,7 +4,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from golden_spectra import enumeration
+from golden_spectra import enumeration, iso
+from golden_spectra.algebra import parse_threshold
+from golden_spectra.enumeration import enumerate_signed
 from golden_spectra.iso import (
     CanonicalKey,
     _classed,
@@ -80,9 +82,13 @@ class TestCanonicalKey:
             assert canonical_key(permute_hoffman(g, rng)) == k
 
     def test_symmetric_graphs_fast(self):
-        # the uniform-tail shortcut must keep big cliques instant
+        # the automorphisms found at the leaves keep big cliques and Q
+        # graphs instant; without them Q(0,1,11) takes minutes
         canonical_key(make_q(0, 0, 11))
         canonical_key(make_q(3, 2, 6))
+        canonical_key(make_q(1, 0, 10))
+        canonical_key(make_q(0, 1, 11))
+        canonical_key(make_q(9, 0, 9))
 
     def test_empty_graphs(self):
         assert canonical_key(signed(0)) == canonical_key(signed(0))
@@ -93,6 +99,91 @@ class TestCanonicalKey:
     def test_hex_round_trip(self):
         k = canonical_key(catalog("H_XVI"))
         assert CanonicalKey.from_hex(k.hex()) == k
+
+
+def min_order_code_oracle(sym_code, cells, leaf_extra=None):
+    """The minimum-code search without automorphisms, kept as the key
+    oracle: every order inside the cells, pruned only where the code
+    already exceeds the best code's prefix, so exact by construction."""
+    best: list = [None]
+
+    def rec(cells_left, placed, code):
+        if not cells_left:
+            value = (code, leaf_extra(placed) if leaf_extra else ())
+            if best[0] is None or value < best[0]:
+                best[0] = value
+            return
+        cell = cells_left[0]
+        for idx, v in enumerate(cell):
+            new_code = code + tuple(sym_code[u][v] for u in placed)
+            if best[0] is not None and new_code > best[0][0][: len(new_code)]:
+                continue
+            rest = cell[:idx] + cell[idx + 1:]
+            rec(([rest] if rest else []) + cells_left[1:], placed + [v], new_code)
+
+    rec(list(cells), [], ())
+    return best[0]
+
+
+class TestKeyOracle:
+    """The pruned search finds the oracle's minimum, so every key byte is
+    the same."""
+
+    @staticmethod
+    def same_keys(graphs, monkeypatch):
+        keys = [canonical_key(g) for g in graphs]
+        with monkeypatch.context() as m:
+            m.setattr(iso, "_min_order_code", min_order_code_oracle)
+            assert [canonical_key(g) for g in graphs] == keys
+
+    def test_census_members(self, census7, classification, monkeypatch):
+        wide = enumerate_signed(5, parse_threshold("-2"))
+        graphs = [m.graph for c in (census7, wide) for ms in c.by_n.values() for m in ms]
+        graphs += [m.graph for m in classification.irreducible.members]
+        assert len(graphs) > 350
+        self.same_keys(graphs, monkeypatch)
+
+    def test_fat_classes_and_q_graphs(self, fat_classes4, monkeypatch):
+        graphs = [g for s in (1, 2, 3) for g in fat_classes4[s].values()]
+        graphs += [make_q(p, q, r) for r in range(8) for p in range(r + 1)
+                   for q in range(r - p + 1) if p + q + r <= 7]
+        self.same_keys(graphs, monkeypatch)
+
+    def test_random_graphs(self, monkeypatch):
+        rng = random.Random(15)
+        graphs = [random_signed(rng, rng.randint(0, 7)) for _ in range(200)]
+        graphs += [random_hoffman(rng, 7) for _ in range(200)]
+        self.same_keys(graphs, monkeypatch)
+
+    @staticmethod
+    def cycle_unions(rng, choices, count):
+        """Randomly labelled disjoint unions of cycles: (vertex count,
+        edges)."""
+        for _ in range(count):
+            sizes = rng.choice(choices)
+            n = sum(sizes)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            starts = [sum(sizes[:k]) for k in range(len(sizes))]
+            yield n, [tuple(sorted((perm[b + j], perm[b + (j + 1) % s])))
+                      for b, s in zip(starts, sizes) for j in range(s)]
+
+    def test_randomly_labelled_cycle_unions(self, monkeypatch):
+        # vertex-transitive pieces give automorphisms that move placed
+        # vertices; an orbit prune that used them would miss the minimum
+        rng = random.Random(1)
+        choices = [(3, 6), (4, 5), (3, 7), (4, 6), (5, 5), (3, 3, 4), (9,), (10,), (3, 3, 3)]
+        graphs = [signed(n, edges) for n, edges in self.cycle_unions(rng, choices, 30)]
+        self.same_keys(graphs, monkeypatch)
+
+    def test_fat_cycle_unions(self, monkeypatch):
+        # no slim edges and one fat vertex on each cycle edge: every order
+        # has the same code, so only the fat part tells automorphisms apart
+        rng = random.Random(1)
+        choices = [(3, 3), (3, 4), (3,), (4,), (5,), (6,), (7,)]
+        graphs = [hoffman(n, len(edges), [(v, n + k) for k, e in enumerate(edges) for v in e])
+                  for n, edges in self.cycle_unions(rng, choices, 40)]
+        self.same_keys(graphs, monkeypatch)
 
 
 class TestIsIsomorphic:
