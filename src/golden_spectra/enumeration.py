@@ -13,18 +13,23 @@ vertex by one bordered step on that elimination, and drops a prefix as
 soon as its last entry completes a pattern or the principal submatrix on
 its vertices and the new one lies below the cutoff, which is sound by
 eigenvalue interlacing; complete vectors are checked for connectivity.
+It makes one child per orbit of new rows under the parent automorphisms
+that the parent's key search found: every filter is invariant under
+isomorphism, so the rows of one orbit give isomorphic children, and the
+first child of each class is never a skipped one.
 A second route checks the census for n <= 7: a depth-first search over
 labelled graphs that adds each vertex one pair symbol at a time and
 decides every prefix by the same two prunes.  It shares them, the
-bordered exact step and the pattern-row prune, with the generator, and
-Tier-1 checks the prune against a whole-graph pattern search.  On top of
+bordered exact step and the pattern-row prune, with the generator, but
+not the orbit pruning: it keys every labelled survivor.  Tier-1 checks
+the pattern prune against a whole-graph pattern search.  On top of
 them sit the one-vertex extension verifier for the Q family, the
 fat-class generator and its two-slim slice, realization of Hoffman graphs
 from their special graphs, the irreducible census and its maximal
 members, and the three-vertex diagonal sweep.  Characteristic polynomials
 and Sturm chains appear only where an eigenvalue is described
-(`lambda_descriptor`); the eigenvalue class of an exceptional graph is read
-off its descriptor.
+(`lambda_descriptor`, computed once per polynomial); the eigenvalue class
+of an exceptional graph is read off its descriptor.
 
 Everything is deterministic: children are generated in lexicographic
 sign-vector order and all outputs are sorted by canonical key.
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
@@ -53,6 +59,7 @@ from .decomp import partitions_joining
 from .iso import (
     CanonicalKey,
     canonical_key,
+    canonical_key_and_automorphisms,
     contains_induced,
     prepare_host,
     prepare_pattern,
@@ -111,13 +118,21 @@ _KNOWN_FACTORS = {
 
 def lambda_descriptor(matrix) -> LambdaDescriptor:
     """The descriptor of the smallest eigenvalue of a symmetric integer
-    matrix.  The interval isolates it: no other root of the characteristic
-    polynomial lies in it, none below it and none at its ends.  A divisor
-    of the polynomial's squarefree part has only simple roots, so it has
-    the eigenvalue as a root exactly when its signs at the two ends
-    differ; a known factor that divides the eigenvalue's squarefree factor
-    and passes that test has the eigenvalue as its smallest root."""
-    p = char_poly(matrix)
+    matrix, a function of its characteristic polynomial alone, so it is
+    computed once per polynomial (`_polynomial_descriptor`)."""
+    return _polynomial_descriptor(char_poly(matrix))
+
+
+@cache
+def _polynomial_descriptor(p: IntPolynomial) -> LambdaDescriptor:
+    """The descriptor of the smallest root of a characteristic polynomial.
+    The interval isolates it: no other root of p lies in it, none below it
+    and none at its ends.  A divisor of p's squarefree part has only simple
+    roots, so it has the eigenvalue as a root exactly when its signs at the
+    two ends differ; a known factor that divides the eigenvalue's
+    squarefree factor and passes that test has the eigenvalue as its
+    smallest root.  Memoized: p is immutable and the descriptor, frozen,
+    depends on nothing else."""
     lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
 
     def has_root(f: IntPolynomial) -> bool:
@@ -221,11 +236,30 @@ def _blocked(rows: dict, row: tuple) -> set:
             if all(row[p] == v for p, v in earlier)}
 
 
+def _row_orbit(row: tuple, automorphisms: tuple) -> set:
+    """The orbit of a new row under the group the parent automorphisms
+    generate; g sends row r to r' with r'[g[i]] = r[i]."""
+    orbit, todo = {row}, [row]
+    while todo:
+        r = todo.pop()
+        for g in automorphisms:
+            image = [0] * len(r)
+            for i, a in enumerate(r):
+                image[g[i]] = a
+            image = tuple(image)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
 def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tuple],
-              connected: bool) -> list:
-    """Every one-vertex extension of parent that passes all filters, in
-    lexicographic order of its new row over the entries 0, 1, -1; the only
-    generator of one-vertex extensions, for the census and for the Q
+              connected: bool, automorphisms: tuple) -> list:
+    """One one-vertex extension of parent per orbit of passing new rows
+    under the group that `automorphisms` (of the parent) generate, each
+    the first of its orbit in lexicographic order of the new row over the
+    entries 0, 1, -1; with no automorphisms, every passing extension.  The
+    only generator of one-vertex extensions, for the census and for the Q
     extension step.  The parent must be free of the forbidden patterns,
     which come as their `_pattern_cuts`.
 
@@ -237,20 +271,30 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tupl
     forbidden pattern through the new vertex (`_forbidden_rows`), the only
     place a pattern can appear in a child of a pattern-free parent.  A
     complete row must give a connected child (when asked) and a pending
-    diagonal that is not negative."""
+    diagonal that is not negative.
+
+    A parent automorphism g extended by the new vertex is an isomorphism
+    from the child of row r onto the child of its image, and every filter
+    (the cutoff, pattern-freeness, connectivity) is isomorphism-invariant,
+    so the rows of one orbit pass or fail together and give isomorphic
+    children.  A complete row in the orbit of an accepted one is skipped
+    before its last elimination step; it comes after that row, so the
+    first child of every isomorphism class is still returned."""
     n = parent.vertex_count
     block = eliminate(signed_adjacency(parent).entries, threshold)
     rows = _forbidden_rows(parent, cuts)
     if block is None or rows is None:
         return []
     out = []
+    taken: set = set()  # rows in the orbit of an accepted row
 
     def grow(row: tuple, border: tuple) -> None:
         if len(row) == n:
-            if connected and n and not any(row):
+            if (connected and n and not any(row)) or row in taken:
                 return
             if block.copy().close(border):
                 out.append(_extend(parent, row))
+                taken.update(_row_orbit(row, automorphisms))
             return
         blocked = _blocked(rows, row) if rows else ()
         for a in (0, 1, -1):
@@ -271,27 +315,32 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
 
     Every filter is hereditary, so each level is grown from the previous
     one, the first from the empty graph, by adding a single vertex with a
-    sign vector; each child is keyed once, and the first child with a key
-    is kept.  Every level from 1 to max_n is listed, empty or not.  The
-    cutoff, like every `Threshold`, lies in Q(sqrt5); each forbidden
-    pattern must be an `EdgeSignedGraph` (TypeError otherwise).
+    sign vector.  Each member is kept with the automorphisms its key search
+    found, and `_children` makes one child per orbit of new rows under
+    them: the rows of one orbit give isomorphic children, so the skipped
+    ones add no class.  Each child is keyed once, and the first child with
+    a key is kept, which is never a skipped one.  Every level from 1 to
+    max_n is listed, empty or not.  The cutoff, like every `Threshold`,
+    lies in Q(sqrt5); each forbidden pattern must be an `EdgeSignedGraph`
+    (TypeError otherwise).
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
     forbidden = _signed_patterns(forbidden)
     cuts = _pattern_cuts(forbidden)
     by_n: dict = {}
-    level = [signed(0)]
+    level = [(signed(0), ())]
     for n in range(1, max_n + 1):
         found: dict = {}
-        for parent in level:
-            for child in _children(parent, threshold, cuts, connected):
-                found.setdefault(canonical_key(child), child)
+        for parent, automorphisms in level:
+            for child in _children(parent, threshold, cuts, connected, automorphisms):
+                key, child_automorphisms = canonical_key_and_automorphisms(child)
+                found.setdefault(key, (child, child_automorphisms))
         keys = sorted(found)
         level = [found[k] for k in keys]
         by_n[n] = tuple(
             SignedCensusMember(g, k, lambda_descriptor(signed_adjacency(g).entries))
-            for k, g in zip(keys, level))
+            for k, (g, _) in zip(keys, level))
     return SignedCensus(max_n, threshold.name,
                         tuple(to_text(p) for p in forbidden), connected, by_n)
 
@@ -379,7 +428,10 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
     bumped, Q(p+1,q,r), Q(p,q+1,r) or Q(p,q,r+1).
 
     Admissible means connected, free of the one-(+)-two-(-) triangle, and
-    exactly at-or-above -tau; the children come from the census generator.
+    exactly at-or-above -tau; the children come from the census generator,
+    one per orbit under the automorphisms the base's key search finds
+    (isomorphic children have the same Q shape, so the verdict is that of
+    every child).
     Each child's Q shape is read off by `recognize_q`, which is unambiguous
     here because the clique has at least four vertices.  Extensions with at
     most seven vertices return True at once: they lie in the exhaustively
@@ -399,8 +451,10 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
     if contains_induced(base, t1) is not None:
         raise ClassificationError("Q base unexpectedly contains the forbidden triangle")
     bumped = {(p + 1, q, r), (p, q + 1, r), (p, q, r + 1)}
+    _, automorphisms = canonical_key_and_automorphisms(base)
     return all(is_q_graph(child) in bumped
-               for child in _children(base, NEG_TAU, _pattern_cuts((t1,)), True))
+               for child in _children(base, NEG_TAU, _pattern_cuts((t1,)), True,
+                                      automorphisms))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ bijections (slim to slim, fat to fat) for Hoffman graphs.  Keys are found
 by color refinement followed by one backtracking minimum-code search inside
 the refinement cells, for both kinds; automorphisms read off leaves of
 equal value prune it, as in nauty and Traces (McKay & Piperno 2014), so
-all-(+) cliques and Q graphs take a handful of leaves.
+all-(+) cliques and Q graphs take a handful of leaves.  The search returns
+those automorphisms with the key (`canonical_key_and_automorphisms`), and
+the census generator prunes its children by them.
 
 Fat vertices never mix with slim ones; once a slim ordering is fixed the
 fat side is canonicalized by sorting fat neighborhoods, which is complete
@@ -66,18 +68,20 @@ def _hoffman_sym(g: HoffmanGraph) -> list:
 
 def _refine(n: int, sym, colors: list) -> list:
     """1-dimensional color refinement; cell order is derived from sorted
-    signatures and is therefore isomorphism-invariant."""
-    while True:
-        sigs = []
-        for v in range(n):
-            row = sym[v]
-            nb = sorted((row[u], colors[u]) for u in range(n) if row[u])
-            sigs.append((colors[v], tuple(nb)))
+    signatures and is therefore isomorphism-invariant.  Colors that are
+    already the ranks 0..n-1 are returned at once: one more round would
+    give them back unchanged."""
+    links = [[(x, u) for u, x in enumerate(row) if x] for row in sym]
+    ranks = list(range(n))
+    while sorted(colors) != ranks:
+        sigs = [(colors[v], tuple(sorted((x, colors[u]) for x, u in links[v])))
+                for v in range(n)]
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [palette[sig] for sig in sigs]
         if new == colors:
-            return colors
+            break
         colors = new
+    return colors
 
 
 def _cells(colors: list) -> list:
@@ -98,10 +102,11 @@ def _orbit(v: int, gens: list) -> set:
     return orbit
 
 
-def _min_order_code(sym_code, cells, leaf_extra=None):
+def _min_order_code(sym_code, cells, leaf_extra=None) -> tuple:
     """The least leaf value `(code, leaf_extra(order))` over all orders that
-    respect the cell sequence; code is the flattened row code, and
-    `leaf_extra` (the Hoffman fat part) breaks ties.
+    respect the cell sequence, and the automorphisms found on the way;
+    code is the flattened row code, and `leaf_extra` (the Hoffman fat
+    part) breaks ties.
 
     Children are tried in increasing row order, and the first whose row
     takes the code past the best code's prefix ends the node.  A leaf of
@@ -111,7 +116,8 @@ def _min_order_code(sym_code, cells, leaf_extra=None):
     vertex maps from an earlier child is skipped, since it carries that
     child's searched subtree onto this one leaf by leaf with equal values,
     so the minimum stays exact.  The new automorphism is such a map at the
-    first level where the two orders part, so the search returns there."""
+    first level where the two orders part, so the search returns there.
+    Each automorphism is a tuple g with g[v] the image of v."""
     best: list = [None, None]
     autos: list = []
 
@@ -126,7 +132,7 @@ def _min_order_code(sym_code, cells, leaf_extra=None):
                 g = list(range(len(sym_code)))
                 for a, b in zip(best[1], placed):
                     g[a] = b
-                autos.append(g)
+                autos.append(tuple(g))
                 return next(i for i, (a, b) in enumerate(zip(best[1], placed)) if a != b)
             return depth
         cell = cells_left[0]
@@ -148,18 +154,18 @@ def _min_order_code(sym_code, cells, leaf_extra=None):
         return depth
 
     rec(list(cells), [], ())
-    return best[0]
+    return best[0], tuple(autos)
 
 
-def _key_signed(s: EdgeSignedGraph) -> CanonicalKey:
+def _key_signed(s: EdgeSignedGraph) -> tuple:
     n = s.vertex_count
     sym = _signed_sym(s)
     cells = _cells(_refine(n, sym, [0] * n))
-    code, _ = _min_order_code(sym, cells)
-    return CanonicalKey(b"s" + n.to_bytes(2, "big") + bytes(code))
+    (code, _), autos = _min_order_code(sym, cells)
+    return CanonicalKey(b"s" + n.to_bytes(2, "big") + bytes(code)), autos
 
 
-def _key_hoffman(g: HoffmanGraph) -> CanonicalKey:
+def _key_hoffman(g: HoffmanGraph) -> tuple:
     ns, nf = g.slim_count, g.fat_count
     fat_masks = [frozenset(v for v in g.slim_vertices() if g.has_edge(v, f))
                  for f in g.fat_vertices()]
@@ -175,18 +181,28 @@ def _key_hoffman(g: HoffmanGraph) -> CanonicalKey:
         pos = {v: i for i, v in enumerate(order)}
         return tuple(sorted(tuple(sorted(pos[v] for v in mask)) for mask in fat_masks))
 
-    code, masks = _min_order_code(adj, cells, leaf_extra)
-    return CanonicalKey(b"h" + ns.to_bytes(2, "big") + nf.to_bytes(2, "big") + bytes(code)
-                        + b"".join(b"\xfe" + bytes(mask) for mask in masks))
+    (code, masks), autos = _min_order_code(adj, cells, leaf_extra)
+    return (CanonicalKey(b"h" + ns.to_bytes(2, "big") + nf.to_bytes(2, "big") + bytes(code)
+                         + b"".join(b"\xfe" + bytes(mask) for mask in masks)), autos)
 
 
-def canonical_key(x: GraphLike) -> CanonicalKey:
-    """Isomorphism-invariant total key; equal keys certify isomorphism."""
+def canonical_key_and_automorphisms(x: GraphLike) -> tuple:
+    """`(canonical_key(x), generators)`: the key and the automorphisms its
+    search found, each a tuple g with g[v] the image of vertex v; for a
+    Hoffman graph they permute the slim vertices, and the fat ones follow
+    their slim neighbourhoods.  Every generator keeps every pair symbol,
+    so the group they generate lies in Aut(x); an empty tuple means none
+    was found, as for any graph whose refinement is discrete."""
     if isinstance(x, EdgeSignedGraph):
         return _key_signed(x)
     if isinstance(x, HoffmanGraph):
         return _key_hoffman(x)
     raise TypeError(f"not a graph: {x!r}")
+
+
+def canonical_key(x: GraphLike) -> CanonicalKey:
+    """Isomorphism-invariant total key; equal keys certify isomorphism."""
+    return canonical_key_and_automorphisms(x)[0]
 
 
 def is_isomorphic(x: GraphLike, y: GraphLike) -> bool:

@@ -10,13 +10,23 @@ from golden_spectra import (
     maximal_members,
     signed,
 )
-from golden_spectra.algebra import NEG_TAU
+from golden_spectra.algebra import NEG_TAU, parse_threshold
 from golden_spectra.enumeration import fat_classes
 
 
 @pytest.fixture(scope="session")
 def census7():
     return enumerate_signed(7, NEG_TAU, (catalog("T1"),), connected=True)
+
+
+@pytest.fixture(scope="session")
+def census6_unforbidden():
+    return enumerate_signed(6, NEG_TAU)
+
+
+@pytest.fixture(scope="session")
+def census_wide():
+    return enumerate_signed(5, parse_threshold("-2"))
 
 
 @pytest.fixture(scope="session")

@@ -29,8 +29,21 @@ from golden_spectra.enumeration import (
     verify_extension_step,
     verify_three_vertex_diagonal_lemma,
 )
-from golden_spectra.iso import canonical_key, contains_induced, is_isomorphic
-from golden_spectra.model import catalog, hoffman, is_connected_signed, make_q, signed, to_text
+from golden_spectra.iso import (
+    canonical_key,
+    canonical_key_and_automorphisms,
+    contains_induced,
+    is_isomorphic,
+)
+from golden_spectra.model import (
+    catalog,
+    from_text,
+    hoffman,
+    is_connected_signed,
+    make_q,
+    signed,
+    to_text,
+)
 from golden_spectra.spectral import b_matrix, signed_adjacency, special_graph
 
 from conftest import random_signed
@@ -132,12 +145,15 @@ class TestEnumerateSigned:
 
     def test_level_one_grows_from_the_empty_graph(self):
         from golden_spectra.enumeration import _children
-        assert _children(signed(0), NEG_TAU, (), True) == [signed(1)]
+        assert _children(signed(0), NEG_TAU, (), True, ()) == [signed(1)]
 
     def test_each_child_keyed_once(self, monkeypatch):
+        # one child per Aut(parent) orbit of new rows, each keyed once:
+        # 840 keys for 279 classes at -2 (1,345 children unpruned), 103
+        # for 55 at -tau with T1 (183 unpruned)
         from golden_spectra import enumeration
-        children = keys = 0
-        real_children, real_key = enumeration._children, enumeration.canonical_key
+        real_children = enumeration._children
+        real_key = enumeration.canonical_key_and_automorphisms
 
         def counted_children(*args):
             nonlocal children
@@ -151,9 +167,35 @@ class TestEnumerateSigned:
             return real_key(g)
 
         monkeypatch.setattr(enumeration, "_children", counted_children)
-        monkeypatch.setattr(enumeration, "canonical_key", counted_key)
-        census = enumeration.enumerate_signed(6, NEG_TAU, (T1,))
-        assert keys == children > sum(len(v) for v in census.by_n.values())
+        monkeypatch.setattr(enumeration, "canonical_key_and_automorphisms", counted_key)
+        for args, expected in (((5, parse_threshold("-2")), 840), ((7, NEG_TAU, (T1,)), 103)):
+            children = keys = 0
+            census = enumeration.enumerate_signed(*args)
+            assert keys == children == expected > sum(len(v) for v in census.by_n.values())
+
+    @pytest.mark.parametrize("census", ["census7", "census6_unforbidden", "census_wide"])
+    def test_orbit_pruning_keeps_every_class_and_representative(self, census, request):
+        # per parent, the children pruned by the parent's automorphisms
+        # against every child: the same keys, and the same first child of
+        # each key, so the census and its files cannot change
+        from golden_spectra.enumeration import _children, _pattern_cuts
+        census = request.getfixturevalue(census)
+        threshold = parse_threshold(census.threshold_name)
+        cuts = _pattern_cuts(tuple(from_text(p) for p in census.forbidden))
+        pruned = 0
+        for n in range(1, census.max_n + 1):
+            parents = [m.graph for m in census.members(n - 1)] if n > 1 else [signed(0)]
+            for parent in parents:
+                _, automorphisms = canonical_key_and_automorphisms(parent)
+                firsts = []
+                for gens in (automorphisms, ()):
+                    first: dict = {}
+                    for child in _children(parent, threshold, cuts, True, gens):
+                        first.setdefault(canonical_key(child), to_text(child))
+                    firsts.append(first)
+                assert firsts[0] == firsts[1]
+                pruned += bool(automorphisms)
+        assert pruned > 10
 
     def test_disconnected_mode(self):
         census = enumerate_signed(4, NEG_TAU, (T1,), connected=False)
@@ -185,7 +227,7 @@ class TestScreen:
 
         def check(parent, threshold, forbidden):
             connected = is_connected_signed(parent)
-            got = _children(parent, threshold, _pattern_cuts(forbidden), connected)
+            got = _children(parent, threshold, _pattern_cuts(forbidden), connected, ())
             assert got == reference(parent, threshold, forbidden, connected)
             if not lambda_min_at_least(signed_adjacency(parent).entries, threshold):
                 assert got == []
@@ -214,7 +256,7 @@ class TestScreen:
         # the empty parent at a positive cutoff: no entry is reduced, so
         # only the leaf's pending diagonal rejects the one-vertex child
         half = parse_threshold("1/2")
-        assert _children(signed(0), half, (), False) == []
+        assert _children(signed(0), half, (), False, ()) == []
         assert reference(signed(0), half, (), False) == []
         # the pattern-row prune against the whole-graph search, on parents
         # free of every pattern with two or more vertices; a pattern with at
@@ -354,19 +396,27 @@ class TestExtensionStep:
         # is the key of a bumped Q graph
         from golden_spectra.enumeration import _children, _pattern_cuts
         cuts = _pattern_cuts((T1,))
-        children = 0
+        children = representatives = 0
         for total in (7, 8):
             for r in range((total + 1) // 2, total + 1):
                 for p in range(total - r + 1):
                     q = total - r - p
                     bumped = {(p + 1, q, r), (p, q + 1, r), (p, q, r + 1)}
                     keys = {canonical_key(make_q(*b)) for b in bumped if b[0] + b[1] <= b[2]}
-                    for child in _children(make_q(p, q, r), NEG_TAU, cuts, True):
-                        children += 1
+                    base = make_q(p, q, r)
+                    unpruned = _children(base, NEG_TAU, cuts, True, ())
+                    for child in unpruned:
                         assert contains_induced(child, T1) is None
                         assert (is_q_graph(child) in bumped) == (canonical_key(child) in keys)
+                    # one child per orbit under the base's automorphisms
+                    gens = canonical_key_and_automorphisms(base)[1]
+                    pruned = _children(base, NEG_TAU, cuts, True, gens)
+                    assert {canonical_key(c) for c in pruned} \
+                        == {canonical_key(c) for c in unpruned}
+                    children += len(unpruned)
+                    representatives += len(pruned)
                     assert verify_extension_step(p, q, r)
-        assert children == 165
+        assert (children, representatives) == (165, 65)
 
     def test_eleven_vertex_base(self):
         assert verify_extension_step(3, 2, 6)
@@ -621,6 +671,22 @@ class TestClassification:
                 continue
             assert any(contains_induced(mm.graph, m.graph) is not None
                        for mm in maximal.members)
+
+
+class TestDescriptorMemo:
+    def test_memo_matches_an_uncached_computation(self, census_wide, classification):
+        # the descriptor is a function of the characteristic polynomial
+        # alone: the memoized one equals a fresh computation for every
+        # wide member and every irreducible member
+        from golden_spectra.enumeration import _polynomial_descriptor, lambda_descriptor
+        members = [(m.lam, signed_adjacency(m.graph).entries)
+                   for ms in census_wide.by_n.values() for m in ms]
+        members += [(m.lam, b_matrix(m.graph).entries)
+                    for m in classification.irreducible.members]
+        assert len(members) == 279 + 39
+        for lam, matrix in members:
+            fresh = _polynomial_descriptor.__wrapped__(char_poly(matrix))
+            assert lam == lambda_descriptor(matrix) == fresh
 
 
 def test_three_vertex_diagonal_sweep():

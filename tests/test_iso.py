@@ -11,6 +11,7 @@ from golden_spectra.iso import (
     CanonicalKey,
     _classed,
     canonical_key,
+    canonical_key_and_automorphisms,
     contains_induced,
     induced_embeddings,
     is_induced_embedding,
@@ -133,7 +134,9 @@ class TestKeyOracle:
     def same_keys(graphs, monkeypatch):
         keys = [canonical_key(g) for g in graphs]
         with monkeypatch.context() as m:
-            m.setattr(iso, "_min_order_code", min_order_code_oracle)
+            # the oracle finds no automorphisms, so it returns none
+            m.setattr(iso, "_min_order_code",
+                      lambda *args: (min_order_code_oracle(*args), ()))
             assert [canonical_key(g) for g in graphs] == keys
 
     def test_census_members(self, census7, classification, monkeypatch):
@@ -184,6 +187,74 @@ class TestKeyOracle:
         graphs = [hoffman(n, len(edges), [(v, n + k) for k, e in enumerate(edges) for v in e])
                   for n, edges in self.cycle_unions(rng, choices, 40)]
         self.same_keys(graphs, monkeypatch)
+
+
+def automorphism_count(g) -> int:
+    """|Aut(g)| of an edge-signed graph by backtracking over every
+    permutation that keeps the pair symbols to the vertices mapped so far."""
+    n = g.vertex_count
+
+    def rec(images: list) -> int:
+        i = len(images)
+        if i == n:
+            return 1
+        return sum(rec(images + [v]) for v in range(n) if v not in images
+                   and all(g.sign(i, j) == g.sign(v, w) for j, w in enumerate(images)))
+
+    return rec([])
+
+
+def group_order(n: int, generators) -> int:
+    """The order of the permutation group the generators span, by closure."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        h = todo.pop()
+        for g in generators:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return len(group)
+
+
+class TestAutomorphisms:
+    def test_generators_span_the_automorphism_group(
+            self, census7, census6_unforbidden, census_wide):
+        # every generator keeps every pair symbol, and on every member of
+        # the three censuses they span the whole group; a smaller span
+        # would only lose orbit pruning, never a class
+        graphs = [m.graph for c in (census7, census6_unforbidden, census_wide)
+                  for ms in c.by_n.values() for m in ms]
+        assert len(graphs) == 488
+        nontrivial = 0
+        for g in graphs:
+            key, generators = canonical_key_and_automorphisms(g)
+            assert key == canonical_key(g)
+            n = g.vertex_count
+            for gen in generators:
+                assert sorted(gen) == list(range(n))
+                assert all(g.sign(gen[a], gen[b]) == g.sign(a, b)
+                           for a in range(n) for b in range(a + 1, n))
+            assert group_order(n, generators) == automorphism_count(g)
+            nontrivial += bool(generators)
+        assert nontrivial > 100
+
+    def test_hoffman_generators_keep_the_graph(self, classification):
+        # slim permutations that keep slim adjacency and, with the fat
+        # vertices following their slim neighbourhoods, every fat one
+        found = 0
+        for m in classification.irreducible.members:
+            g = m.graph
+            ns = g.slim_count
+            _, generators = canonical_key_and_automorphisms(g)
+            fats = sorted(tuple(v for v in range(ns) if g.has_edge(v, f))
+                          for f in g.fat_vertices())
+            for gen in generators:
+                assert all(g.has_edge(gen[a], gen[b]) == g.has_edge(a, b)
+                           for a in range(ns) for b in range(a + 1, ns))
+                assert sorted(tuple(sorted(gen[v] for v in mask)) for mask in fats) == fats
+            found += len(generators)
+        assert found > 10
 
 
 class TestIsIsomorphic:
