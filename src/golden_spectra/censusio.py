@@ -23,7 +23,7 @@ from .enumeration import (
     lambda_descriptor,
 )
 from .iso import CanonicalKey, canonical_key
-from .model import HoffmanGraph, ParseError, from_text, to_text
+from .model import MAX_MATRIX_ORDER, HoffmanGraph, ParseError, from_text, to_text
 from .spectral import b_matrix, signed_adjacency
 
 TOOL_NAME = "golden-spectra"
@@ -77,7 +77,8 @@ def read_text(path) -> str:
 
 
 def read_hoffman_census(path) -> HoffmanCensus:
-    """Reparse a census file; every graph must be a Hoffman graph and is
+    """Reparse a census file; every graph must be a Hoffman graph with 1 to
+    MAX_MATRIX_ORDER slim vertices (the order of its B matrix) and is
     revalidated, and its canonical key and eigenvalue descriptor are
     recomputed and checked against the stored columns.  No member may
     repeat."""
@@ -93,6 +94,9 @@ def read_hoffman_census(path) -> HoffmanCensus:
         graph = from_text(text)
         if not isinstance(graph, HoffmanGraph):
             raise ParseError(f"census line {lineno}: expected a Hoffman graph")
+        if not 1 <= graph.slim_count <= MAX_MATRIX_ORDER:
+            raise ParseError(f"census line {lineno}: a member needs 1 to "
+                             f"{MAX_MATRIX_ORDER} slim vertices, got {graph.slim_count}")
         key = canonical_key(graph)
         if key.hex() != key_hex:
             raise ParseError(

@@ -26,10 +26,12 @@ the pattern prune against a whole-graph pattern search.  On top of
 them sit the one-vertex extension verifier for the Q family, the
 fat-class generator and its two-slim slice, realization of Hoffman graphs
 from their special graphs, the irreducible census and its maximal
-members, and the three-vertex diagonal sweep.  Characteristic polynomials
-and Sturm chains appear only where an eigenvalue is described
-(`lambda_descriptor`, computed once per polynomial); the eigenvalue class
-of an exceptional graph is read off its descriptor.
+members, and the three-vertex diagonal sweep.  The source's classification
+is one table, `SOURCE_CLASSIFICATION`, the one source of every expected
+count.  Characteristic polynomials and Sturm chains appear only where an
+eigenvalue is described (`lambda_descriptor`, computed once per
+polynomial); the eigenvalue class of an exceptional graph is read off its
+descriptor.
 
 Everything is deterministic: children are generated in lexicographic
 sign-vector order and all outputs are sorted by canonical key.
@@ -37,11 +39,12 @@ sign-vector order and all outputs are sorted by canonical key.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import (
     NEG_ONE_MINUS_TAU,
@@ -55,7 +58,7 @@ from .algebra import (
     lambda_min_at_least,
     squarefree_decomposition,
 )
-from .decomp import partitions_joining
+from .decomp import find_reducibility_witness, partitions_joining
 from .iso import (
     CanonicalKey,
     canonical_key,
@@ -461,6 +464,35 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
 # fat classes, realizations, census, maximal members
 
 
+class SourceClassification(NamedTuple):
+    """The classification of the source paper (arXiv 1111.7284)."""
+
+    two_slim: tuple      # (catalog name, printed special name or None if reducible)
+    realizations: tuple  # (n, ((eigenvalue class, realization count), ...))
+
+
+# The one place the source's counts are written down: every expected count
+# is read from it, and a mismatch is recorded as a discrepancy on the
+# result, never silently dropped.  First the fat two-slim classes in census
+# order; then, per vertex count, one row per realizable exceptional signed
+# graph.  The derivation here finds two more non-Q census members (a
+# three-minus 4-cycle and a four-minus balanced 5-cycle, both without any
+# fat realization) and two more realizations of one six-vertex graph (the
+# one whose non-edge graph contains a triangle and a perfect matching), so
+# the derived totals run ahead of the source: 17/15 exceptional, 39/37
+# irreducible, 20/18 maximal.
+SOURCE_CLASSIFICATION = SourceClassification(
+    two_slim=(("H_I", "Q(0,0,1)"), ("H_II", "Q(0,0,1)"), ("H_III", "Q(0,1,1)"),
+              ("H_IV", None), ("H_XVI", "Q(1,0,1)"), ("H_XVII", "Q(0,1,1)")),
+    realizations=(
+        (3, (("sqrt2", 1),)),
+        (4, (("sqrt17", 2), ("sqrt2", 1), ("tau", 1), ("tau", 1), ("tau", 2))),
+        (5, (("sqrt17", 1), ("sqrt17", 3), ("tau", 1), ("tau", 1), ("tau", 3), ("tau", 4))),
+        (6, (("cubic", 3), ("tau", 3), ("tau", 5))),
+    ),
+)
+
+
 def _fat_children(parent: HoffmanGraph) -> Iterator[HoffmanGraph]:
     """Every fat Hoffman graph made by adding one slim vertex to parent:
     joined to any subset of the earlier slim vertices and to one or two
@@ -507,13 +539,15 @@ def fat_classes(max_slim: int) -> dict:
 def derive_two_slim() -> tuple:
     """The fat indecomposable Hoffman graphs with at most two slim vertices
     at or above -1-tau, sorted by key: the slice of `fat_classes(2)` with a
-    connected special graph.  Exactly six graphs must come out."""
+    connected special graph.  As many graphs as `SOURCE_CLASSIFICATION`
+    has two-slim classes must come out."""
     found = {k: g for level in fat_classes(2).values() for k, g in level.items()
              if is_connected_signed(special_graph(g))}
     out = tuple(found[k] for k in sorted(found))
-    if len(out) != 6:
+    expected = len(SOURCE_CLASSIFICATION.two_slim)
+    if len(out) != expected:
         raise ClassificationError(
-            f"two-slim derivation produced {len(out)} graphs instead of 6")
+            f"two-slim derivation produced {len(out)} graphs instead of {expected}")
     return out
 
 
@@ -558,30 +592,6 @@ class HoffmanCensusMember:
 class HoffmanCensus:
     members: tuple
 
-    def keys(self) -> set:
-        return {m.key for m in self.members}
-
-
-# Source counts for the classification, used as cross-checks: mismatches
-# are recorded as discrepancies on the result, never silently dropped.
-# The derivation here finds two more non-Q census members (a three-minus
-# 4-cycle and a four-minus balanced 5-cycle, both without any fat
-# realization) and two more realizations of one six-vertex graph (the one
-# whose non-edge graph contains a triangle and a perfect matching), so the
-# derived totals run ahead of the source: 17/15 exceptional, 39/37
-# irreducible, 20/18 maximal.
-EXPECTED_REALIZABLE_PER_N = {3: 1, 4: 5, 5: 6, 6: 3, 7: 0}
-
-# per vertex count: multiset of (eigenvalue class, realization count)
-EXPECTED_REALIZATION_PROFILE = {
-    3: (("sqrt2", 1),),
-    4: (("sqrt17", 2), ("sqrt2", 1), ("tau", 1), ("tau", 1), ("tau", 2)),
-    5: (("sqrt17", 1), ("sqrt17", 3), ("tau", 1), ("tau", 1), ("tau", 3), ("tau", 4)),
-    6: (("cubic", 3), ("tau", 3), ("tau", 5)),
-}
-
-EXPECTED_IRREDUCIBLE_TOTAL = 37
-
 
 def exceptional_members(census: SignedCensus) -> dict:
     """Census members that are not Q graphs, keyed by vertex count."""
@@ -592,18 +602,15 @@ def exceptional_members(census: SignedCensus) -> dict:
 
 
 def lambda_min_table_check(members: Sequence) -> dict:
-    """Verify the eigenvalue grouping of the 15 realizable exceptional
-    census members, each class read off the member's descriptor; returns
-    the counts per class."""
-    if len(members) != 15:
-        raise ClassificationError(f"expected 15 exceptional graphs, got {len(members)}")
-    counts = {name: 0 for name in ("tau", "sqrt2", "sqrt17", "cubic")}
-    for m in members:
-        if m.lam.known not in counts:
-            raise ClassificationError(
-                f"exceptional graph {to_text(m.graph)} matches no eigenvalue class")
-        counts[m.lam.known] += 1
-    expected = {"sqrt2": 2, "sqrt17": 3, "cubic": 1, "tau": 9}
+    """Verify the eigenvalue grouping of the realizable exceptional census
+    members against the class counts of `SOURCE_CLASSIFICATION`, each
+    class read off the member's descriptor; returns the counts per class."""
+    expected = dict(Counter(c for _, row in SOURCE_CLASSIFICATION.realizations
+                            for c, _ in row))
+    if len(members) != sum(expected.values()):
+        raise ClassificationError(
+            f"expected {sum(expected.values())} exceptional graphs, got {len(members)}")
+    counts = dict(Counter(m.lam.known for m in members))
     if counts != expected:
         raise ClassificationError(f"eigenvalue class counts {counts} != {expected}")
     return counts
@@ -629,26 +636,36 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
     """The full census of fat irreducible Hoffman graphs at -1-tau.
 
     Union of the irreducible two-slim graphs and the irreducible
-    realizations of the exceptional signed graphs; irreducibility is
-    decided by the complete reducibility-witness search.  Exceptional
-    members without any realization and witnessed-reducible realizations
-    are carried on the result, and any deviation from the expected source
-    counts is recorded as a discrepancy; internal contradictions raise."""
-    from .decomp import find_reducibility_witness
+    realizations of the exceptional signed graphs, each derived and then
+    filtered by the complete reducibility-witness search.  The two-slim
+    classes and their verdicts must be those of `SOURCE_CLASSIFICATION`,
+    the one source of expected counts, and the census holds the table's
+    catalog graphs in the table's order.  Exceptional members without any
+    realization and witnessed-reducible realizations are carried on the
+    result, and any deviation from the table's counts is recorded as a
+    discrepancy; internal contradictions raise."""
     if census is None:
         census = enumerate_signed(7, NEG_TAU, (catalog("T1"),), connected=True)
     if census.max_n < 7 or census.threshold_name != NEG_TAU.name or not census.connected:
         raise ValueError("census must cover n <= 7 at -tau, connected")
-    exc = exceptional_members(census)
-    discrepancies: list = []
+    source = SOURCE_CLASSIFICATION
+    rows = dict(source.realizations)
+    derived = {canonical_key(g): find_reducibility_witness(g) is None
+               for g in derive_two_slim()}
+    if derived != {canonical_key(catalog(name)): special is not None
+                   for name, special in source.two_slim}:
+        raise ClassificationError(
+            "two-slim derivation or its irreducibility filter does not match the source")
+    members = [(name, catalog(name), special)
+               for name, special in source.two_slim if special is not None]
 
     named: list = []
     unrealizable: list = []
     reducible: list = []
-    realization_rows: list = []
-    for n in sorted(k for k in exc if exc[k]):
-        realizable = []
-        for m in exc[n]:
+    discrepancies: list = []
+    for n, exceptional in exceptional_members(census).items():
+        profile = []
+        for m in exceptional:
             reals = []
             for g in realize_hoffman(m.graph):
                 witness = find_reducibility_witness(g)
@@ -656,63 +673,36 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
                     reals.append(g)
                 else:
                     reducible.append((g, witness[0], witness[1]))
-            if reals:
-                realizable.append((m, tuple(reals)))
-            else:
+            if not reals:
                 unrealizable.append(m)
-        if len(realizable) != EXPECTED_REALIZABLE_PER_N.get(n, 0):
-            discrepancies.append(
-                f"{len(realizable)} realizable exceptional graphs at n={n}, "
-                f"expected {EXPECTED_REALIZABLE_PER_N.get(n, 0)}")
-        rows_at_n = []
-        for k_idx, (m, reals) in enumerate(realizable, start=1):
-            sname = f"S{n}.{k_idx}"
+                continue
+            profile.append((m.lam.known, len(reals)))
+            sname = f"S{n}.{len(profile)}"
             named.append((sname, m))
-            rows_at_n.append((sname, m, m.lam.known, reals))
-        profile = tuple(sorted((cls, len(reals)) for _, _, cls, reals in rows_at_n))
-        if profile != tuple(sorted(EXPECTED_REALIZATION_PROFILE.get(n, ()))):
+            members.extend((f"H{n}.{len(profile)}.{j}", g, sname)
+                           for j, g in enumerate(reals, start=1))
+        profile = tuple(sorted(profile))
+        expected = tuple(sorted(rows.get(n, ())))
+        if len(profile) != len(expected):
             discrepancies.append(
-                f"realization profile at n={n}: derived {profile}, expected "
-                f"{tuple(sorted(EXPECTED_REALIZATION_PROFILE.get(n, ())))}")
-        realization_rows.extend(rows_at_n)
+                f"{len(profile)} realizable exceptional graphs at n={n}, "
+                f"expected {len(expected)}")
+        if profile != expected:
+            discrepancies.append(
+                f"realization profile at n={n}: derived {profile}, expected {expected}")
     if unrealizable:
         discrepancies.append(
             "exceptional members without fat realization: "
             + ", ".join(to_text(m.graph) for m in unrealizable))
 
-    two_slim = derive_two_slim()
-    catalog_keys = {name: canonical_key(catalog(name))
-                    for name in ("H_I", "H_II", "H_III", "H_IV", "H_XVI", "H_XVII")}
-    derived_keys = {canonical_key(g) for g in two_slim}
-    if derived_keys != set(catalog_keys.values()):
-        raise ClassificationError(
-            "two-slim derivation does not match the catalog shapes")
-    small_irreducible = []
-    for name in ("H_I", "H_II", "H_III", "H_IV", "H_XVI", "H_XVII"):
-        g = catalog(name)
-        if find_reducibility_witness(g) is None:
-            small_irreducible.append(name)
-    if small_irreducible != ["H_I", "H_II", "H_III", "H_XVI", "H_XVII"]:
-        raise ClassificationError(
-            f"two-slim irreducibility filter derived {small_irreducible}")
-
-    small_special = {"H_I": "Q(0,0,1)", "H_II": "Q(0,0,1)", "H_III": "Q(0,1,1)",
-                     "H_XVI": "Q(1,0,1)", "H_XVII": "Q(0,1,1)"}
-    out: list = []
-    for name in small_irreducible:
-        g = catalog(name)
-        out.append(HoffmanCensusMember(
-            name, g, canonical_key(g), small_special[name],
-            lambda_descriptor(b_matrix(g).entries)))
-    for sname, m, cls, reals in realization_rows:
-        for j, g in enumerate(reals, start=1):
-            out.append(HoffmanCensusMember(
-                f"H{sname[1:]}.{j}", g, canonical_key(g), sname,
-                lambda_descriptor(b_matrix(g).entries)))
-    if len(out) != EXPECTED_IRREDUCIBLE_TOTAL:
+    out = [HoffmanCensusMember(name, g, canonical_key(g), special,
+                               lambda_descriptor(b_matrix(g).entries))
+           for name, g, special in members]
+    total = (sum(special is not None for _, special in source.two_slim)
+             + sum(count for row in rows.values() for _, count in row))
+    if len(out) != total:
         discrepancies.append(
-            f"irreducible census has {len(out)} members, expected "
-            f"{EXPECTED_IRREDUCIBLE_TOTAL}")
+            f"irreducible census has {len(out)} members, expected {total}")
     for m in out:
         if not is_fat(m.graph):
             raise ClassificationError(f"census member {m.name} is not fat")

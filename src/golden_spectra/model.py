@@ -301,9 +301,12 @@ def catalog(name: str):
         return _FIXED_CATALOG[name]()
     m = _PARAM_RE.match(name)
     if m:
+        params = m.group(2).split(",")
+        if not all(re.fullmatch(_DECIMAL, x) for x in params):
+            raise CatalogError(f"bad parameters in {name!r}: expected ASCII decimals")
         try:
-            args = [int(x) for x in m.group(2).split(",")]
-        except ValueError as exc:
+            args = [int(x) for x in params]
+        except ValueError as exc:  # more digits than int() accepts
             raise CatalogError(f"bad parameters in {name!r}") from exc
         k1t = m.group(1) == "K1T"
         if len(args) != (1 if k1t else 3):
@@ -312,9 +315,6 @@ def catalog(name: str):
             raise CatalogError(f"{name} has more than {MAX_MATRIX_ORDER} vertices")
         return make_k1t(*args) if k1t else make_q(*args)
     raise CatalogError(f"unknown catalog name {name!r}")
-
-
-CATALOG_NAMES = tuple(sorted(_FIXED_CATALOG)) + ("K1T(t)", "Q(p,q,r)")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from golden_spectra.algebra import NEG_TAU
-from golden_spectra.cli import main
+from golden_spectra.cli import MAX_MATRIX_ORDER, main
 from golden_spectra.censusio import read_hoffman_census, write_hoffman_census
 from golden_spectra.enumeration import enumerate_signed
 from golden_spectra.model import ParseError, catalog, to_text
@@ -42,7 +42,6 @@ class TestSpectrumAndCheck:
         assert abs(data["lambda_min"] + 1) < 1e-9
 
     def test_matrix_order_above_the_cap_is_exit_3(self, tmp_path, capsys):
-        from golden_spectra.cli import MAX_MATRIX_ORDER
         at_cap = write(tmp_path, "at.txt", f"sg {MAX_MATRIX_ORDER}")
         above = write(tmp_path, "above.txt", f"sg {MAX_MATRIX_ORDER + 1}")
         assert main(["check", "--threshold", "-tau", at_cap]) == 0
@@ -134,6 +133,14 @@ class TestGraphCommands:
         assert data["n"] == 3
         assert main(["catalog", "NOPE"]) == 3
         capsys.readouterr()
+
+    def test_non_decimal_catalog_parameters_are_exit_3(self, tmp_path, capsys):
+        assert main(["catalog", "Q(1,0,+1)"]) == 3
+        assert main(["enumerate", "--max-n", "3", "--forbid", "T1,Q(1_0,0,10)",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error: bad parameters") == 2 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("at_cap, above, huge", [
         ("K1T(63)", "K1T(64)", "K1T(30000000)"),
@@ -300,7 +307,7 @@ CENSUS_SHA256 = {
 
 
 class TestClassifyAndMaximal:
-    def test_full_pipeline(self, tmp_path, capsys):
+    def test_full_pipeline(self, tmp_path, capsys, classification):
         out = tmp_path / "census"
         assert main(["classify", "--out", str(out)]) == 0
         text = capsys.readouterr().out
@@ -312,6 +319,7 @@ class TestClassifyAndMaximal:
         assert len(census37.members) == 39
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["irreducible_count"] == 39
+        assert manifest["discrepancies"] == list(classification.discrepancies)
         assert len(manifest["discrepancies"]) == 3
         assert main(["maximal", "--census", str(out / "census-37.txt"),
                      "--out", str(out)]) == 0
@@ -374,6 +382,23 @@ class TestCensusIO:
                 in capsys.readouterr().err)
         assert not (out / "census-18.txt").exists()
 
+    @pytest.mark.parametrize("text", ["hg 0 0", f"hg {MAX_MATRIX_ORDER + 1} 0"])
+    def test_member_slim_count_outside_the_cap_is_exit_3(self, tmp_path, capsys,
+                                                         monkeypatch, text):
+        # no slim vertex leaves B empty, and more than MAX_MATRIX_ORDER
+        # exceeds the matrix cap of spectrum and check: both are refused
+        # before the key search and the descriptor
+        import golden_spectra.censusio as censusio
+        monkeypatch.setattr(censusio, "canonical_key",
+                            lambda g: pytest.fail("a malformed member was keyed"))
+        line = "\t".join(["00", "H_I", "Q(0,0,1)", text, "1", "0..1", "0.5", "mult=1"])
+        path = write(tmp_path, "census-37.txt", line)
+        out = tmp_path / "out"
+        assert main(["maximal", "--census", path, "--out", str(out)]) == 3
+        assert (f"census line 1: a member needs 1 to {MAX_MATRIX_ORDER} slim vertices"
+                in capsys.readouterr().err)
+        assert not (out / "census-18.txt").exists()
+
     def test_edge_signed_line_is_exit_3(self, tmp_path, capsys):
         # a census line holding an edge-signed graph, its key and eigenvalue
         # columns made to match it, is malformed input, not a crash
@@ -401,6 +426,22 @@ def test_version_matches_pyproject():
     with pyproject.open("rb") as fh:
         version = tomllib.load(fh)["project"]["version"]
     assert version == TOOL_VERSION == __version__
+
+
+def test_traced_functions_resolve():
+    # perfbench/tracer.py wraps each (module, function) of its TRACED table
+    # by name, so a deleted or renamed one fails here, not in a traced run
+    import ast
+    import importlib
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    table = next(node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    names = [ast.literal_eval(key) for key in table.keys]
+    assert len(names) >= 20
+    for module, func in names:
+        fn = getattr(importlib.import_module(f"golden_spectra.{module}"), func, None)
+        assert callable(fn), f"{module}.{func}"
 
 
 def test_import_starts_no_process_machinery():

@@ -17,6 +17,7 @@ from golden_spectra.algebra import (
 )
 from golden_spectra.decomp import set_partitions
 from golden_spectra.enumeration import (
+    SOURCE_CLASSIFICATION,
     ClassificationError,
     brute_force_signed_keys,
     derive_two_slim,
@@ -610,7 +611,37 @@ class TestClassification:
         # derived truth: two more members than the expected source count
         assert len(classification.irreducible.members) == 39
         assert len(classification.reducible) == 0
-        assert any("39" in d for d in classification.discrepancies)
+        assert classification.discrepancies == (
+            "realization profile at n=6: derived (('cubic', 3), ('tau', 3), "
+            "('tau', 7)), expected (('cubic', 3), ('tau', 3), ('tau', 5))",
+            "exceptional members without fat realization: "
+            "sg 4 +0-3 -0-1,1-2,2-3, sg 5 +0-4 -0-1,1-2,2-3,3-4",
+            "irreducible census has 39 members, expected 37",
+        )
+
+    def test_source_table_counts(self):
+        # the counts the source table implies, pinned as literals
+        rows = dict(SOURCE_CLASSIFICATION.realizations)
+        classes = Counter(c for row in rows.values() for c, _ in row)
+        assert sum(classes.values()) == 15
+        assert classes == {"sqrt2": 2, "sqrt17": 3, "cubic": 1, "tau": 9}
+        assert {n: len(row) for n, row in rows.items()} == {3: 1, 4: 5, 5: 6, 6: 3}
+        two_slim = SOURCE_CLASSIFICATION.two_slim
+        irreducible = [name for name, special in two_slim if special is not None]
+        assert len(two_slim) == 6
+        assert irreducible == ["H_I", "H_II", "H_III", "H_XVI", "H_XVII"]
+        realizations = sum(count for row in rows.values() for _, count in row)
+        assert len(irreducible) + realizations == 5 + 32 == 37
+
+    def test_two_slim_verdicts_must_match_the_table(self, census7, monkeypatch):
+        # a table that marks the reducible H_IV irreducible is refused
+        from golden_spectra import enumeration
+        two_slim = tuple((name, "Q(0,0,2)" if name == "H_IV" else special)
+                         for name, special in SOURCE_CLASSIFICATION.two_slim)
+        monkeypatch.setattr(enumeration, "SOURCE_CLASSIFICATION",
+                            SOURCE_CLASSIFICATION._replace(two_slim=two_slim))
+        with pytest.raises(ClassificationError, match="two-slim"):
+            enumeration.classify_irreducible(census7)
 
     def test_members_sane(self, classification):
         from golden_spectra.model import is_fat
@@ -652,8 +683,12 @@ class TestClassification:
             assert all(image(g, perm) != target for perm in permutations(range(6)))
 
     def test_small_members_named(self, classification):
-        names = [m.name for m in classification.irreducible.members[:5]]
-        assert names == ["H_I", "H_II", "H_III", "H_XVI", "H_XVII"]
+        # the catalog graphs, with the special-graph names the census prints
+        members = classification.irreducible.members[:5]
+        assert [(m.name, m.special_name) for m in members] == [
+            ("H_I", "Q(0,0,1)"), ("H_II", "Q(0,0,1)"), ("H_III", "Q(0,1,1)"),
+            ("H_XVI", "Q(1,0,1)"), ("H_XVII", "Q(0,1,1)")]
+        assert all(m.graph == catalog(m.name) for m in members)
 
     def test_maximal_members(self, classification, maximal):
         keys = {m.key for m in maximal.members}

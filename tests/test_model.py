@@ -75,6 +75,14 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog("K1T(-1)")
 
+    @pytest.mark.parametrize("name", [
+        "Q(\u0661,0,1)", "Q(1_0,0,10)", "Q(1,0,+1)", "Q(1, 0,1)", "K1T(\uff12)",
+        "K1T(2 )", "K1T()", "Q(1,,1)"])
+    def test_parameters_are_ascii_decimals(self, name):
+        # int() would also take other digits, underscores, a sign and spaces
+        with pytest.raises(CatalogError, match="ASCII decimals"):
+            catalog(name)
+
 
 class TestMakeQ:
     def test_small(self):
