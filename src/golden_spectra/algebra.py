@@ -7,7 +7,12 @@ is one fraction-free (Bareiss) semidefinite elimination of A - t*I over
 Z[sqrt5]; no characteristic polynomial is formed.  The elimination
 (`Elimination`) is a fold of one bordered step that adds a row in O(n^2)
 work, entry by entry, so a search that grows a matrix one row or one entry
-at a time decides each prefix without redoing the block before it.  It is
+at a time decides each prefix without redoing the block before it.  Each
+reduced entry of a new row is a minor of the bordered matrix, linear in
+the row, so a search over many rows of one block reads it off a table of
+coefficients built once per block and decides each entry by one sum and
+one exact pending-diagonal step; the table's coefficients are minors
+themselves, so no division is lost.  It is
 the only route to such a decision; every cutoff lies in Q(sqrt5).  Sturm
 chains remain for eigenvalue descriptors (an isolating interval for the
 smallest root) and root comparison.  One bisection serves both: its
@@ -695,6 +700,21 @@ class Elimination:
     is skipped, keeps the previous divisor, and counts one dimension of the
     kernel of A - t*I.
 
+    Entry j of a new row r, reduced by the pivots before it, is the minor
+    of the block's matrix bordered by the row e*r on the rows P_j + {new}
+    and the columns P_j + {j}, P_j the positive pivots before j; a skipped
+    pivot drops out, its row of the Schur complement being zero.  A minor
+    is linear in its last row, so the reduced entry is sum_i r_i*K[j][i],
+    where K[j][i] is the same minor for the unit row e_i: an element of
+    Z[sqrt5], zero for i > j and for a skipped i, and K[j][j] is e times
+    the divisor of step j.  A search over many rows of one block builds K
+    once (`linear_table`, by the reduction loop `extend` runs) and decides
+    each entry by one sum and one pending-diagonal step (`branches`).  No
+    division is lost: the table's entries and the sums are the exact
+    minors that `extend` divides its way to, every division in building
+    the table is checked as in `extend`, and so is the pending-diagonal
+    step.
+
     State: `columns[k]`, the entries (i, k), i < k, each as it stood at
     step i (by symmetry, pivot row i at its own step); `steps[k]`, pivot k
     and the divisor of its step, or None if skipped; `divisor`, that of
@@ -723,6 +743,26 @@ class Elimination:
         c, d, e = self.scaled
         return (), (), e * diagonal - c, -d
 
+    def _reduced(self, a: int, xs: tuple, ys: tuple) -> tuple:
+        """Entry len(xs) of a new row, of value a, reduced by the pivots
+        before it, given the row's earlier entries xs, ys as they stood at
+        their own steps: the one reduction loop of the module."""
+        x, y = self.scaled[2] * a, 0
+        cx, cy = self.columns[len(xs)]
+        for step, ia, ib, ja, jb in zip(self.steps, cx, cy, xs, ys):
+            if step is None:
+                continue
+            ka, kb, pa, pb, norm = step
+            u = ka * x + 5 * kb * y - ia * ja - 5 * ib * jb
+            v = ka * y + kb * x - ia * jb - ib * ja
+            if pb:  # divide by pa + pb*sqrt5: times its conjugate, over its norm
+                u, v = u * pa - 5 * v * pb, v * pa - u * pb
+            x, ru = divmod(u, norm)
+            y, rv = divmod(v, norm)
+            if ru or rv:
+                raise AlgebraError("inexact Bareiss division over Z[sqrt5]")
+        return x, y
+
     def extend(self, border: tuple, entries: Iterable[int]) -> Optional[tuple]:
         """The border with the next entries of the new row appended one at
         a time, or None once the principal submatrix on {0..j, new} lies
@@ -732,45 +772,73 @@ class Elimination:
         pivot j; the prefix is decided by the sign of the pending diagonal
         and by the zero-pivot rule."""
         xs, ys, px, py = border
-        e = self.scaled[2]
-        steps, columns = self.steps, self.columns
+        steps = self.steps
         for a in entries:
-            j = len(xs)
-            x, y = e * a, 0
-            cx, cy = columns[j]
-            for step, ia, ib, ja, jb in zip(steps, cx, cy, xs, ys):
-                if step is None:
-                    continue
-                ka, kb, pa, pb, norm = step
-                u = ka * x + 5 * kb * y - ia * ja - 5 * ib * jb
-                v = ka * y + kb * x - ia * jb - ib * ja
-                if pb:  # divide by pa + pb*sqrt5: times its conjugate, over its norm
-                    u, v = u * pa - 5 * v * pb, v * pa - u * pb
-                x, ru = divmod(u, norm)
-                y, rv = divmod(v, norm)
-                if ru or rv:
-                    raise AlgebraError("inexact Bareiss division over Z[sqrt5]")
+            x, y = self._reduced(a, xs, ys)
+            step = steps[len(xs)]
             xs += (x,)
             ys += (y,)
-            step = steps[j]
             if step is None:
                 if x or y:
                     return None
                 continue
-            # the same update, inlined on this hot path, for the pending
-            # diagonal, whose entry in pivot row j is x
-            ka, kb, pa, pb, norm = step
-            u = ka * px + 5 * kb * py - x * x - 5 * y * y
-            v = ka * py + kb * px - 2 * x * y
-            if pb:
-                u, v = u * pa - 5 * v * pb, v * pa - u * pb
-            px, ru = divmod(u, norm)
-            py, rv = divmod(v, norm)
-            if ru or rv:
-                raise AlgebraError("inexact Bareiss division over Z[sqrt5]")
-            if (px < 0 or py < 0) and _sign_root5(px, py) < 0:
+            pending = _diagonal_step(step, px, py, x, y)
+            if pending is None:
                 return None
+            px, py = pending
         return xs, ys, px, py
+
+    def linear_table(self) -> tuple:
+        """K of the class docstring: row j is the pair (xs, ys) of the
+        K[j][i], i <= j, so that entry j of a new row r, reduced, is
+        sum_i r_i*K[j][i].  Column i is the unit row e_i reduced entry by
+        entry, by the loop `extend` runs; built once per block."""
+        n = len(self.steps)
+        units = []
+        for i in range(n):
+            xs = ys = (0,) * i
+            for j in range(i, n):
+                x, y = self._reduced(int(i == j), xs, ys)
+                xs += (x,)
+                ys += (y,)
+            units.append((xs, ys))
+        return tuple((tuple(units[i][0][j] for i in range(j + 1)),
+                      tuple(units[i][1][j] for i in range(j + 1))) for j in range(n))
+
+    def branches(self, table: tuple, border: tuple, row: Sequence[int],
+                 values: Iterable[int]) -> list:
+        """The pairs (a, border with the entry a appended), in the order of
+        `values`, for the values a that `extend(border, (a,))` keeps, each
+        border equal to the one it returns; `row` is the prefix `border`
+        holds and `table` this block's `linear_table`.
+
+        The prefix's share of the reduced entry is summed once over its
+        nonzero entries; each value adds a*K[j][j] and takes one
+        pending-diagonal step.  At a skipped pivot any nonzero entry
+        rejects, as in `extend`."""
+        xs, ys, px, py = border
+        j = len(xs)
+        kx, ky = table[j]
+        sx = sy = 0
+        for r, ax, ay in zip(row, kx, ky):
+            if r:
+                sx += r * ax
+                sy += r * ay
+        dx, dy = kx[j], ky[j]
+        step = self.steps[j]
+        out = []
+        for a in values:
+            x, y = sx + a * dx, sy + a * dy
+            if step is None:
+                if x or y:
+                    continue
+                pending = px, py
+            else:
+                pending = _diagonal_step(step, px, py, x, y)
+                if pending is None:
+                    continue
+            out.append((a, (xs + (x,), ys + (y,)) + pending))
+        return out
 
     def close(self, border: tuple) -> bool:
         """Grow the block by a complete border, whose pending diagonal is
@@ -788,6 +856,24 @@ class Elimination:
             self.steps.append((px, py) + self.divisor)
             self.divisor = (px, py, px * px - 5 * py * py if py else px)
         return True
+
+
+def _diagonal_step(step: tuple, px: int, py: int, x: int, y: int) -> Optional[tuple]:
+    """The pending diagonal px + py*sqrt5 of a new row reduced by the pivot
+    of `step`, in whose row the new row's entry is x + y*sqrt5; None if it
+    is negative, since the principal submatrix then lies below the cutoff."""
+    ka, kb, pa, pb, norm = step
+    u = ka * px + 5 * kb * py - x * x - 5 * y * y
+    v = ka * py + kb * px - 2 * x * y
+    if pb:
+        u, v = u * pa - 5 * v * pb, v * pa - u * pb
+    px, ru = divmod(u, norm)
+    py, rv = divmod(v, norm)
+    if ru or rv:
+        raise AlgebraError("inexact Bareiss division over Z[sqrt5]")
+    if (px < 0 or py < 0) and _sign_root5(px, py) < 0:
+        return None
+    return px, py
 
 
 def eliminate(rows, t: Threshold) -> Optional[Elimination]:

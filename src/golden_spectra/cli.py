@@ -68,12 +68,26 @@ def _read_graph(path: str):
     return parse_graph(read_text(path))
 
 
-def _matrix_of(graph):
-    hoffman = isinstance(graph, HoffmanGraph)
-    order = graph.slim_count if hoffman else graph.vertex_count
+def _check_order(graph) -> None:
+    """Refuse a graph whose matrix (B for a Hoffman graph, with one row per
+    slim vertex) has more than MAX_MATRIX_ORDER rows, before any work that
+    grows with it."""
+    order = graph.slim_count if isinstance(graph, HoffmanGraph) else graph.vertex_count
     if order > MAX_MATRIX_ORDER:
         raise ParseError(f"matrix order {order} exceeds the limit {MAX_MATRIX_ORDER}")
-    if hoffman:
+
+
+def _read_hoffman(path: str, command: str) -> HoffmanGraph:
+    g = _read_graph(path)
+    if not isinstance(g, HoffmanGraph):
+        raise ParseError(f"{command} expects a Hoffman graph")
+    _check_order(g)
+    return g
+
+
+def _matrix_of(graph):
+    _check_order(graph)
+    if isinstance(graph, HoffmanGraph):
         return b_matrix(graph).entries, "B"
     return signed_adjacency(graph).entries, "M"
 
@@ -122,9 +136,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_special(args) -> int:
-    g = _read_graph(args.graph)
-    if not isinstance(g, HoffmanGraph):
-        raise ParseError("special expects a Hoffman graph")
+    g = _read_hoffman(args.graph, "special")
     from .spectral import special_graph
     s = special_graph(g)
     print(json.dumps(to_json_obj(s), sort_keys=True) if args.json else to_text(s))
@@ -132,9 +144,7 @@ def cmd_special(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _read_graph(args.graph)
-    if not isinstance(g, HoffmanGraph):
-        raise ParseError("decompose expects a Hoffman graph")
+    g = _read_hoffman(args.graph, "decompose")
     d = split_by_special_components(g)
     if d is None:
         print(json.dumps({"indecomposable": True}) if args.json else "indecomposable")

@@ -9,10 +9,11 @@ the parent's adjacency matrix once at the cutoff, an exact semidefinite
 elimination over Z[sqrt5], and compiles the forbidden patterns once into
 constraints on the new row: the parent is pattern-free, so a pattern in
 a child runs through the new vertex.  It grows each sign vector vertex by
-vertex by one bordered step on that elimination, and drops a prefix as
-soon as its last entry completes a pattern or the principal submatrix on
-its vertices and the new one lies below the cutoff, which is sound by
-eigenvalue interlacing; complete vectors are checked for connectivity.
+vertex, one pass per position for all three signs on that elimination's
+linear table, and drops a prefix as soon as its last entry completes a
+pattern or the principal submatrix on its vertices and the new one lies
+below the cutoff, which is sound by eigenvalue interlacing; complete
+vectors are checked for connectivity.
 It makes one child per orbit of new rows under the parent automorphisms
 that the parent's key search found: every filter is invariant under
 isomorphism, so the rows of one orbit give isomorphic children, and the
@@ -20,7 +21,7 @@ first child of each class is never a skipped one.
 A second route checks the census for n <= 7: a depth-first search over
 labelled graphs that adds each vertex one pair symbol at a time and
 decides every prefix by the same two prunes.  It shares them, the
-bordered exact step and the pattern-row prune, with the generator, but
+bordered exact pass and the pattern-row prune, with the generator, but
 not the orbit pruning: it keys every labelled survivor.  Tier-1 checks
 the pattern prune against a whole-graph pattern search.  On top of
 them sit the one-vertex extension verifier for the Q family, the
@@ -56,6 +57,7 @@ from .algebra import (
     eliminate,
     isolate_smallest_root,
     lambda_min_at_least,
+    lambda_min_equals,
     squarefree_decomposition,
 )
 from .decomp import find_reducibility_witness, partitions_joining
@@ -233,10 +235,14 @@ def _forbidden_rows(parent: EdgeSignedGraph, cuts: Optional[tuple]) -> Optional[
     return rows
 
 
-def _blocked(rows: dict, row: tuple) -> set:
-    """The entries that complete a forbidden pattern when appended to row."""
-    return {a for a, earlier in rows.get(len(row), ())
-            if all(row[p] == v for p, v in earlier)}
+def _allowed(rows: Optional[dict], row: tuple) -> tuple:
+    """The entries 0, 1, -1, in that order, less those that complete a
+    forbidden pattern when appended to row."""
+    constraints = rows.get(len(row)) if rows else None
+    if not constraints:
+        return (0, 1, -1)
+    blocked = {a for a, earlier in constraints if all(row[p] == v for p, v in earlier)}
+    return tuple(a for a in (0, 1, -1) if a not in blocked)
 
 
 def _row_orbit(row: tuple, automorphisms: tuple) -> set:
@@ -267,8 +273,11 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tupl
     which come as their `_pattern_cuts`.
 
     The parent is eliminated once at the cutoff (a parent below it has no
-    children), and the new row grows one entry at a time by a bordered
-    step on that elimination.  A prefix is dropped as soon as the subgraph
+    children) into one linear table (`Elimination.linear_table`), and the
+    new row grows one entry at a time: each position is one pass
+    (`Elimination.branches`) that sums the prefix's share of the reduced
+    entry once and decides the allowed signs together, one exact
+    pending-diagonal step each.  A prefix is dropped as soon as the subgraph
     on its vertices and the new one lies below the cutoff, which is sound
     by eigenvalue interlacing, or as soon as its last entry completes a
     forbidden pattern through the new vertex (`_forbidden_rows`), the only
@@ -288,6 +297,7 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tupl
     rows = _forbidden_rows(parent, cuts)
     if block is None or rows is None:
         return []
+    table = block.linear_table()
     out = []
     taken: set = set()  # rows in the orbit of an accepted row
 
@@ -299,13 +309,8 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tupl
                 out.append(_extend(parent, row))
                 taken.update(_row_orbit(row, automorphisms))
             return
-        blocked = _blocked(rows, row) if rows else ()
-        for a in (0, 1, -1):
-            if a in blocked:
-                continue
-            grown = block.extend(border, (a,))
-            if grown is not None:
-                grow(row + (a,), grown)
+        for a, grown in block.branches(table, border, row, _allowed(rows, row)):
+            grow(row + (a,), grown)
 
     grow((), block.open(0))
     return out
@@ -362,30 +367,27 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
 
     A depth-first search over labelled graphs: vertex m is added to its
     parent, the graph on 0..m-1, entry by entry, its pair symbols to
-    vertices 0..m-1 in order.  After each entry j the induced subgraph on
-    {0..j, m} is decided by one bordered elimination step, zero entries
-    included, and the entry is dropped first if it completes a forbidden
-    pattern through vertex m; every parent is a yielded graph, so it is
-    free of the patterns (`_forbidden_rows`).  Both prunes are sound
-    because each filter is hereditary on induced subgraphs."""
+    vertices 0..m-1 in order.  At each position j the induced subgraphs on
+    {0..j, m} are decided by one pass over the parent's linear table for
+    all allowed symbols, zero entries included, as in `_children`; the
+    table is built once per parent.  An entry is dropped first if it
+    completes a forbidden pattern through vertex m; every parent is a
+    yielded graph, so it is free of the patterns (`_forbidden_rows`).
+    Both prunes are sound because each filter is hereditary on induced
+    subgraphs."""
     cuts = _pattern_cuts(_signed_patterns(forbidden))
     empty = signed(0)
     rows = _forbidden_rows(empty, cuts)
     if max_n < 1 or rows is None:
         return
     start = Elimination.start(threshold)
-    stack = [(start, start.open(0), empty, rows, ())]
+    stack = [(start, start.linear_table(), start.open(0), empty, rows, ())]
     while stack:
-        block, border, parent, rows, row = stack.pop()
+        block, table, border, parent, rows, row = stack.pop()
         m = parent.vertex_count
         if len(row) < m:
-            blocked = _blocked(rows, row) if rows else ()
-            for a in (0, 1, -1):
-                if a in blocked:
-                    continue
-                grown = block.extend(border, (a,))
-                if grown is not None:
-                    stack.append((block, grown, parent, rows, row + (a,)))
+            for a, grown in block.branches(table, border, row, _allowed(rows, row)):
+                stack.append((block, table, grown, parent, rows, row + (a,)))
             continue
         child = block.copy()
         if not child.close(border):
@@ -393,7 +395,8 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
         g = _extend(parent, row)
         yield g
         if m + 1 < max_n:
-            stack.append((child, child.open(0), g, _forbidden_rows(g, cuts), ()))
+            stack.append((child, child.linear_table(), child.open(0), g,
+                          _forbidden_rows(g, cuts), ()))
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -402,7 +405,7 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
     """Independent oracle for the census: the canonical keys, per vertex
     count, of every labelled graph from `labelled_signed_graphs` (connected
     ones only, if asked).  It shares two things with the census generator,
-    the bordered step of `Elimination` and the pattern-row prune of
+    the bordered pass of `Elimination` and the pattern-row prune of
     `_forbidden_rows`; it grows labelled graphs, not orbit
     representatives, and takes a canonical key of every connected
     survivor.  Practical for n <= 7."""
@@ -718,16 +721,27 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
                                 tuple(discrepancies))
 
 
+def _forced_maximal(census: HoffmanCensus) -> tuple:
+    """The members that must come out maximal: the two-slim members whose
+    B has smallest eigenvalue exactly -1-tau (H_XVI and H_XVII), and the
+    members with the census's largest slim count (an embedding between
+    realizations would force the fat classes to match exactly)."""
+    top = max((m.graph.slim_count for m in census.members), default=0)
+    return tuple(m for m in census.members
+                 if m.graph.slim_count == top
+                 or (m.graph.slim_count == 2
+                     and lambda_min_equals(b_matrix(m.graph).entries, NEG_ONE_MINUS_TAU)))
+
+
 def maximal_members(census: HoffmanCensus) -> HoffmanCensus:
     """Members not properly induced in any other member.
 
-    The two-slim members at the threshold and every six-slim member must
-    come out maximal (an embedding between realizations would force the
-    fat classes to match exactly); violations raise.  A member can only
-    embed in one with at least as many slim and as many fat vertices and
-    more vertices in all: an embedding onto every vertex would be an
-    isomorphism, and the keys are distinct.  Each member is prepared once
-    as a host and once as a pattern of the induced-subgraph search."""
+    Every member of `_forced_maximal` must come out maximal; a violation
+    raises.  A member can only embed in one with at least as many slim
+    and as many fat vertices and more vertices in all: an embedding onto
+    every vertex would be an isomorphism, and the keys are distinct.  Each
+    member is prepared once as a host and once as a pattern of the
+    induced-subgraph search."""
     graphs = [m.graph for m in census.members]
     hosts = [prepare_host(h) for h in graphs]
     out = []
@@ -741,12 +755,9 @@ def maximal_members(census: HoffmanCensus) -> HoffmanCensus:
         if not embedded:
             out.append(m)
     keys = {m.key for m in out}
-    for forced in ("H_XVI", "H_XVII"):
-        if canonical_key(catalog(forced)) not in keys:
-            raise ClassificationError(f"{forced} missing from the maximal members")
-    six_slim = {m.key for m in census.members if m.graph.slim_count == 6}
-    if not six_slim <= keys:
-        raise ClassificationError("a six-slim member failed to come out maximal")
+    for m in _forced_maximal(census):
+        if m.key not in keys:
+            raise ClassificationError(f"{m.name} failed to come out maximal")
     return HoffmanCensus(tuple(sorted(out, key=lambda m: m.key)))
 
 

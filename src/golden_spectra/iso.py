@@ -4,7 +4,8 @@ Canonical keys are total byte encodings invariant under isomorphism:
 sign-preserving bijections for edge-signed graphs, label-preserving
 bijections (slim to slim, fat to fat) for Hoffman graphs.  Keys are found
 by color refinement followed by one backtracking minimum-code search inside
-the refinement cells, for both kinds; automorphisms read off leaves of
+the refinement cells, for both kinds (none when the refinement is
+discrete, which fixes the order); automorphisms read off leaves of
 equal value prune it, as in nauty and Traces (McKay & Piperno 2014), so
 all-(+) cliques and Q graphs take a handful of leaves.  The search returns
 those automorphisms with the key (`canonical_key_and_automorphisms`), and
@@ -68,20 +69,24 @@ def _hoffman_sym(g: HoffmanGraph) -> list:
 
 def _refine(n: int, sym, colors: list) -> list:
     """1-dimensional color refinement; cell order is derived from sorted
-    signatures and is therefore isomorphism-invariant.  Colors that are
-    already the ranks 0..n-1 are returned at once: one more round would
-    give them back unchanged."""
-    links = [[(x, u) for u, x in enumerate(row) if x] for row in sym]
-    ranks = list(range(n))
-    while sorted(colors) != ranks:
-        sigs = [(colors[v], tuple(sorted((x, colors[u]) for x, u in links[v])))
+    signatures and is therefore isomorphism-invariant.  A signature is a
+    flat int tuple: the vertex's colour, then the sorted codes
+    x << shift | colour(u) of its links, which order the pairs
+    (x, colour(u)) as tuples would, since every colour stays below
+    2**shift.  Refinement stops once the colours are discrete or stable;
+    colours that are already the ranks 0..n-1 are returned at once."""
+    if sorted(colors) == list(range(n)):
+        return colors
+    shift = max([n, *colors]).bit_length()
+    links = [[(x << shift, u) for u, x in enumerate(row) if x] for row in sym]
+    while True:
+        sigs = [(colors[v], *sorted([x | colors[u] for x, u in links[v]]))
                 for v in range(n)]
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [palette[sig] for sig in sigs]
-        if new == colors:
-            break
+        if len(palette) == n or new == colors:
+            return new
         colors = new
-    return colors
 
 
 def _cells(colors: list) -> list:
@@ -117,7 +122,14 @@ def _min_order_code(sym_code, cells, leaf_extra=None) -> tuple:
     child's searched subtree onto this one leaf by leaf with equal values,
     so the minimum stays exact.  The new automorphism is such a map at the
     first level where the two orders part, so the search returns there.
+    The stabiliser generators of a node are taken once, and again only
+    after a child found a new automorphism.  Cells that are all singletons
+    allow one order, returned without a search and with no automorphism.
     Each automorphism is a tuple g with g[v] the image of v."""
+    if all(len(cell) == 1 for cell in cells):  # discrete: one order, no search
+        order = [cell[0] for cell in cells]
+        code = tuple(sym_code[u][v] for i, v in enumerate(order) for u in order[:i])
+        return (code, leaf_extra(order) if leaf_extra else ()), ()
     best: list = [None, None]
     autos: list = []
 
@@ -137,12 +149,15 @@ def _min_order_code(sym_code, cells, leaf_extra=None) -> tuple:
             return depth
         cell = cells_left[0]
         tried: list = []
+        known = -1  # len(autos) when gens was last taken
         for row, v in sorted([(tuple([sym_code[u][v] for u in placed]), v) for v in cell]):
             new_code = code + row
             b = best[0]
             if b is not None and new_code > b[0][: len(new_code)]:
                 break
-            gens = [g for g in autos if all(g[u] == u for u in placed)]
+            if known != len(autos):
+                known = len(autos)
+                gens = [g for g in autos if all(g[u] == u for u in placed)]
             if gens and not _orbit(v, gens).isdisjoint(tried):
                 continue
             tried.append(v)

@@ -335,24 +335,41 @@ class QShape:
 
 
 def _maximal_plus_cliques(s: EdgeSignedGraph) -> list:
+    """The maximal all-(+) cliques of s, largest first, then in increasing
+    order of the sorted clique; `[()]` for the empty graph.
+
+    Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka & Takahashi 2006):
+    a clique grows from the candidates P, X holds the vertices already
+    branched on, and only the vertices of P outside N(u) are branched on,
+    for the pivot u in P + X with the most neighbours in P: every maximal
+    clique holds u or a vertex outside N(u).  Each maximal clique is
+    reported once, when P and X are both empty.  Vertex sets are bit
+    masks."""
     n = s.vertex_count
-    nbr = [set() for _ in range(n)]
+    nbr = [0] * n
     for a, b in s.plus_edges:
-        nbr[a].add(b)
-        nbr[b].add(a)
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
     out = []
 
-    def grow(clique: set, candidates: set):
-        if not candidates:
-            if all(not clique <= nbr[v] for v in range(n) if v not in clique):
+    def expand(clique: tuple, p: int, x: int) -> None:
+        if not p:
+            if not x:
                 out.append(tuple(sorted(clique)))
             return
-        v = min(candidates)
-        grow(clique | {v}, candidates & nbr[v])
-        grow(clique, candidates - {v})
+        pivot = max((u for u in range(n) if (p | x) >> u & 1),
+                    key=lambda u: (p & nbr[u]).bit_count())
+        todo = p & ~nbr[pivot]
+        while todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            expand(clique + (v,), p & nbr[v], x & nbr[v])
+            p ^= low
+            x |= low
+            todo ^= low
 
-    grow(set(), set(range(n)))
-    return sorted(set(out), key=lambda c: (-len(c), c))
+    expand((), (1 << n) - 1, 0)
+    return sorted(out, key=lambda c: (-len(c), c))
 
 
 def recognize_q(s: EdgeSignedGraph) -> Union[QShape, None]:

@@ -655,3 +655,38 @@ class TestSemidefiniteKernel:
                 else:
                     assert block.steps.count(None) == row_nullity(m, t)
         assert below > 100
+
+    def test_every_branch_matches_the_per_entry_step(self):
+        # one pass per position on the block's linear table keeps exactly
+        # the values, and builds exactly the borders, that one bordered
+        # step per value does, also after skipped zero pivots
+        rng = random.Random(18)
+        cutoffs = (NEG_TAU, NEG_ONE_MINUS_TAU, parse_threshold("-1"),
+                   parse_threshold("-2"), parse_threshold("0"))
+        positions = skipped = rejected = 0
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            m = rand_symmetric(rng, n)
+            for i in range(n):
+                m[i][i] = rng.choice((0, 0, -1, 1))
+            for t in cutoffs:
+                block = Elimination.start(t)
+                for k in range(n):
+                    table = block.linear_table()
+                    assert len(table) == k
+                    border = block.open(m[k][k])
+                    for j in range(k):
+                        want = [(a, grown) for a in (0, 1, -1)
+                                if (grown := block.extend(border, (a,))) is not None]
+                        assert block.branches(table, border, m[k][:j], (0, 1, -1)) == want
+                        assert block.branches(table, border, m[k][:j], (-1, 0)) == [
+                            (a, grown) for a, grown in want if a != 1][::-1]
+                        positions += 1
+                        skipped += block.steps[j] is None
+                        rejected += 3 - len(want)
+                        border = block.extend(border, (m[k][j],))
+                        if border is None:
+                            break
+                    if border is None or not block.close(border):
+                        break
+        assert positions > 2000 and skipped > 100 and rejected > 1000

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,27 @@ class TestGraphCommands:
         two = write(tmp_path, "g.txt", "hg 2 2 0-1,0-2,0-3,1-2,1-3")
         assert main(["decompose", two]) == 0
         assert capsys.readouterr().out.strip() == "indecomposable"
+
+    @pytest.mark.parametrize("command", ["special", "decompose"])
+    def test_slim_count_above_the_cap_is_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        # a 13-byte file with a million slim vertices is refused before
+        # the special graph, which is quadratic in the slim count
+        import golden_spectra.cli as cli
+        import golden_spectra.spectral as spectral
+        at_cap = write(tmp_path, "at.txt", f"hg {MAX_MATRIX_ORDER} 0")
+        huge = write(tmp_path, "huge.txt", "hg 1000000 0")
+        assert main([command, at_cap]) == 0
+        capsys.readouterr()
+        for module, name in ((spectral, "special_graph"),
+                             (cli, "split_by_special_components")):
+            monkeypatch.setattr(module, name,
+                                lambda g: pytest.fail("an oversized graph was split"))
+        started = time.monotonic()
+        assert main([command, huge]) == 3
+        assert time.monotonic() - started < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix order 1000000") and "Traceback" not in err
 
     def test_realize(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "sg 3 -0-1,1-2")

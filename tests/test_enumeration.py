@@ -320,6 +320,36 @@ class TestScreen:
         assert calls == {"prepare_pattern": 3, "prepare_host": 1,
                          "prepared_embeddings": 3}
 
+    def test_linear_table_built_once_per_parent(self, monkeypatch):
+        # each parent is eliminated once, row by row, and gives one linear
+        # table that every node of its new-row search reads; no node takes
+        # the per-entry bordered step
+        from golden_spectra.algebra import Elimination
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(Elimination, name)
+
+            def call(block, *args):
+                calls[name, len(block.steps)] += 1
+                return real(block, *args)
+            monkeypatch.setattr(Elimination, name, call)
+
+        for name in ("linear_table", "extend"):
+            counted(name)
+        census = enumerate_signed(6, NEG_TAU, (T1,))
+        parents = {0: 1, **{n: len(census.members(n)) for n in range(1, 6)}}
+        # eliminating a parent on k vertices extends blocks of 0..k-1 rows
+        assert calls == Counter(
+            {**{("linear_table", k): count for k, count in parents.items()},
+             **{("extend", j): sum(c for k, c in parents.items() if k > j)
+                for j in range(5)}})
+        calls.clear()
+        labelled = Counter(g.vertex_count
+                           for g in labelled_signed_graphs(4, NEG_TAU, (T1,)))
+        assert calls == {("linear_table", 0): 1, ("linear_table", 1): labelled[1],
+                         ("linear_table", 2): labelled[2], ("linear_table", 3): labelled[3]}
+
 
 class TestBruteForce:
     def test_matches_enumeration_n6(self):
@@ -706,6 +736,18 @@ class TestClassification:
                 continue
             assert any(contains_induced(mm.graph, m.graph) is not None
                        for mm in maximal.members)
+
+    def test_forced_maximal_members_are_derived(self, classification):
+        # the two-slim members whose B has smallest eigenvalue exactly
+        # -1-tau, and the members with the largest slim count: 2 + 13
+        from golden_spectra.enumeration import _forced_maximal
+        members = classification.irreducible.members
+        forced = [m.key for m in _forced_maximal(classification.irreducible)]
+        six = {m.key for m in members if m.graph.slim_count == 6}
+        assert max(m.graph.slim_count for m in members) == 6 and len(six) == 13
+        assert len(forced) == 15
+        assert set(forced) == six | {canonical_key(catalog("H_XVI")),
+                                     canonical_key(catalog("H_XVII"))}
 
 
 class TestDescriptorMemo:

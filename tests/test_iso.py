@@ -126,6 +126,24 @@ def min_order_code_oracle(sym_code, cells, leaf_extra=None):
     return best[0]
 
 
+def refine_oracle(n, sym, colors):
+    """The colour refinement on tuple signatures, kept as the oracle of
+    the flat int codes: a vertex's colour, then its sorted (symbol, colour)
+    pairs, one round after another until the colours are the ranks
+    0..n-1 or stop changing."""
+    links = [[(x, u) for u, x in enumerate(row) if x] for row in sym]
+    ranks = list(range(n))
+    while sorted(colors) != ranks:
+        sigs = [(colors[v], tuple(sorted((x, colors[u]) for x, u in links[v])))
+                for v in range(n)]
+        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [palette[sig] for sig in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
 class TestKeyOracle:
     """The pruned search finds the oracle's minimum, so every key byte is
     the same."""
@@ -137,6 +155,7 @@ class TestKeyOracle:
             # the oracle finds no automorphisms, so it returns none
             m.setattr(iso, "_min_order_code",
                       lambda *args: (min_order_code_oracle(*args), ()))
+            m.setattr(iso, "_refine", refine_oracle)
             assert [canonical_key(g) for g in graphs] == keys
 
     def test_census_members(self, census7, classification, monkeypatch):
@@ -178,6 +197,34 @@ class TestKeyOracle:
         choices = [(3, 6), (4, 5), (3, 7), (4, 6), (5, 5), (3, 3, 4), (9,), (10,), (3, 3, 3)]
         graphs = [signed(n, edges) for n, edges in self.cycle_unions(rng, choices, 30)]
         self.same_keys(graphs, monkeypatch)
+
+    def test_graphs_above_sixty_four_vertices(self, monkeypatch):
+        # refinement colours of 64 and more still order like the pairs
+        # they code: a randomly signed and labelled tree on 70 vertices
+        # whose refinement is discrete, and a Hoffman graph on 67 slim
+        # vertices with one fat vertex of degree 66
+        rng = random.Random(64)
+        n = 70
+        edges = [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in edges]
+        tree = signed(n, [tuple(sorted((perm[a], perm[b])))
+                          for (a, b), x in zip(edges, signs) if x > 0],
+                      [tuple(sorted((perm[a], perm[b])))
+                       for (a, b), x in zip(edges, signs) if x < 0])
+        ns = 67
+        fat = hoffman(ns, 1, [(i, i + 1) for i in range(ns - 1)]
+                      + [(v, ns) for v in range(1, ns)])
+        graphs = [tree, fat]
+        for g in graphs:
+            sym = _classed(g)[0]
+            colors = iso._refine(len(sym), sym, [0] * len(sym))
+            assert colors == refine_oracle(len(sym), sym, [0] * len(sym))
+            assert sorted(colors) == list(range(len(sym)))  # discrete
+        self.same_keys(graphs, monkeypatch)
+        for g in graphs:
+            assert canonical_key_and_automorphisms(g)[1] == ()
 
     def test_fat_cycle_unions(self, monkeypatch):
         # no slim edges and one fat vertex on each cycle edge: every order

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden_spectra.model import (
+    _maximal_plus_cliques,
     CatalogError,
     EdgeSignedGraph,
     HoffmanGraph,
@@ -126,6 +127,52 @@ class TestRecognizeQ:
         # unbalanced four-cycle is not in the Q family
         c4 = signed(4, [(0, 3)], [(0, 1), (1, 2), (2, 3)])
         assert recognize_q(c4) is None
+
+
+def subset_plus_cliques(s):
+    """The maximal all-(+) cliques by the include/exclude recursion over
+    every subset that is a clique, kept as the oracle of the pivoted
+    search: largest first, then by the sorted clique."""
+    n = s.vertex_count
+    nbr = [set() for _ in range(n)]
+    for a, b in s.plus_edges:
+        nbr[a].add(b)
+        nbr[b].add(a)
+    out = []
+
+    def grow(clique: set, candidates: set):
+        if not candidates:
+            if all(not clique <= nbr[v] for v in range(n) if v not in clique):
+                out.append(tuple(sorted(clique)))
+            return
+        v = min(candidates)
+        grow(clique | {v}, candidates & nbr[v])
+        grow(clique, candidates - {v})
+
+    grow(set(), set(range(n)))
+    return sorted(set(out), key=lambda c: (-len(c), c))
+
+
+class TestMaximalPlusCliques:
+    def test_matches_the_subset_oracle(self):
+        # random signed graphs of every density up to ten vertices, and
+        # every Q graph up to eleven, in the same order
+        rng = random.Random(18)
+        graphs = [signed(0)]
+        for _ in range(1500):
+            n = rng.randint(1, 10)
+            density = rng.random()
+            plus = [(a, b) for a in range(n) for b in range(a + 1, n)
+                    if rng.random() < density]
+            minus = [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if (a, b) not in plus and rng.random() < 0.3]
+            graphs.append(signed(n, plus, minus))
+        graphs += [make_q(p, q, r) for r in range(12) for p in range(r + 1)
+                   for q in range(r - p + 1) if p + q + r <= 11]
+        for g in graphs:
+            assert _maximal_plus_cliques(g) == subset_plus_cliques(g)
+        assert _maximal_plus_cliques(signed(0)) == [()]
+        assert _maximal_plus_cliques(make_q(0, 0, 11)) == [tuple(range(11))]
 
 
 class TestInduced:
