@@ -316,7 +316,11 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
     plus an exact biclique cover of the crossing adjacent pairs lacking a
     common fat (each new fat vertex covers one biclique of them; covering
     a pair twice would break the cross-part rule).  Each part is decided
-    on its principal submatrix of the container's B.  The search is
+    on its principal submatrix of the container's B.  The cover gives each
+    slim vertex at most two fat neighbours in all: a part keeps every fat
+    neighbour of its slim vertices, so a slim vertex with three of them
+    gives its part's B the 1x1 principal submatrix -3 < -1-tau, and by
+    interlacing that part lies below the bound.  The search is
     complete over such containers; added slim vertices are never used by
     the constructions this certifies.  Returns (container, decomposition)
     or None."""

@@ -22,7 +22,10 @@ A second route checks the census for n <= 7: a depth-first search over
 labelled graphs that adds each vertex one pair symbol at a time and
 decides every prefix by the same two prunes.  It shares them, the
 bordered exact pass and the pattern-row prune, with the generator, but
-not the orbit pruning: it keys every labelled survivor.  Tier-1 checks
+not the orbit pruning: it keys every labelled survivor.  For a connected
+census it grows connected vertex orderings only, each vertex after the
+first joined to an earlier one, which every connected graph has in
+breadth-first order, so it keys no disconnected graph.  Tier-1 checks
 the pattern prune against a whole-graph pattern search.  On top of
 them sit the one-vertex extension verifier for the Q family, the
 fat-class generator and its two-slim slice, realization of Hoffman graphs
@@ -361,9 +364,11 @@ MAX_ORACLE_N = 7
 
 
 def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
-                           forbidden: Sequence = ()) -> Iterator[EdgeSignedGraph]:
-    """Every labelled edge-signed graph on 1..max_n vertices, connected or
-    not, that is at or above the cutoff and free of the forbidden patterns.
+                           forbidden: Sequence = (),
+                           connected: bool = False) -> Iterator[EdgeSignedGraph]:
+    """Every labelled edge-signed graph on 1..max_n vertices that is at or
+    above the cutoff and free of the forbidden patterns; with `connected`,
+    only those in which every vertex m >= 1 has a neighbour among 0..m-1.
 
     A depth-first search over labelled graphs: vertex m is added to its
     parent, the graph on 0..m-1, entry by entry, its pair symbols to
@@ -374,7 +379,16 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     completes a forbidden pattern through vertex m; every parent is a
     yielded graph, so it is free of the patterns (`_forbidden_rows`).
     Both prunes are sound because each filter is hereditary on induced
-    subgraphs."""
+    subgraphs.
+
+    With `connected`, the all-zero new row of every vertex m >= 1 is
+    dropped, the rule `_children` uses, so every yielded graph is
+    connected: its parent is, and vertex m has a neighbour in it.  Every
+    connected class still has a yielded member: relabelled in breadth-first
+    order, a connected graph gives each vertex after the first an earlier
+    neighbour, so each prefix 0..m-1 induces a connected graph that obeys
+    the rule too and, the filters being hereditary, passes them; the search
+    reaches the whole graph through its prefixes."""
     cuts = _pattern_cuts(_signed_patterns(forbidden))
     empty = signed(0)
     rows = _forbidden_rows(empty, cuts)
@@ -388,6 +402,8 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
         if len(row) < m:
             for a, grown in block.branches(table, border, row, _allowed(rows, row)):
                 stack.append((block, table, grown, parent, rows, row + (a,)))
+            continue
+        if connected and m and not any(row):
             continue
         child = block.copy()
         if not child.close(border):
@@ -403,18 +419,18 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
                             forbidden: Sequence = (),
                             connected: bool = True) -> dict:
     """Independent oracle for the census: the canonical keys, per vertex
-    count, of every labelled graph from `labelled_signed_graphs` (connected
-    ones only, if asked).  It shares two things with the census generator,
-    the bordered pass of `Elimination` and the pattern-row prune of
-    `_forbidden_rows`; it grows labelled graphs, not orbit
-    representatives, and takes a canonical key of every connected
+    count, of every labelled graph from `labelled_signed_graphs`, which
+    grows connected vertex orderings only if asked, so it yields a member
+    of every connected class and no disconnected graph.  It shares two
+    things with the census generator, the bordered pass of `Elimination`
+    and the pattern-row prune of `_forbidden_rows`; it grows labelled
+    graphs, not orbit representatives, and takes a canonical key of every
     survivor.  Practical for n <= 7."""
     if max_n > MAX_ORACLE_N:
         raise ValueError(f"the brute-force oracle is limited to n <= {MAX_ORACLE_N}")
     keys: dict = {n: set() for n in range(1, max_n + 1)}
-    for g in labelled_signed_graphs(max_n, threshold, forbidden):
-        if not connected or is_connected_signed(g):
-            keys[g.vertex_count].add(canonical_key(g))
+    for g in labelled_signed_graphs(max_n, threshold, forbidden, connected):
+        keys[g.vertex_count].add(canonical_key(g))
     return {n: tuple(sorted(found)) for n, found in keys.items()}
 
 
@@ -558,10 +574,20 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
     """All Hoffman graphs with one fat vertex per class of a partition of
     V(s), slim adjacency forced by the signs, special graph equal to s,
     and smallest eigenvalue at or above -1-tau; deduplicated.  The classes
-    hold the (-)-edges (`partitions_joining`) and no (+)-edge."""
+    hold the (-)-edges (`partitions_joining`) and no (+)-edge.
+
+    Every such graph has B = M(s) - I: each slim vertex has one fat
+    neighbour, a pair in one class shares it and is adjacent iff it is no
+    (-)-edge, and a pair across classes shares none and is adjacent iff it
+    is a (+)-edge.  So the bound is decided once, on M(s) - I, and an s
+    that fails it has no realization."""
     if s.vertex_count < 3 or not is_connected_signed(s):
         raise ValueError("realization requires a connected graph on >= 3 vertices")
     n = s.vertex_count
+    shifted = [[a - (i == j) for j, a in enumerate(row)]
+               for i, row in enumerate(signed_adjacency(s).entries)]
+    if not lambda_min_at_least(shifted, NEG_ONE_MINUS_TAU):
+        return ()
     found: dict = {}
     for blocks in partitions_joining(n, s.minus_edges):
         cls = {v: bi for bi, block in enumerate(blocks) for v in block}
@@ -576,8 +602,6 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
         g = hoffman(n, len(blocks), edges)
         if special_graph(g) != s:
             raise ClassificationError("realization round trip failed")
-        if not lambda_min_at_least(b_matrix(g).entries, NEG_ONE_MINUS_TAU):
-            continue
         found.setdefault(canonical_key(g), g)
     return tuple(found[k] for k in sorted(found))
 

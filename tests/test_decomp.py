@@ -254,6 +254,32 @@ class TestReducibilityWitness:
         for name in ("H_I", "H_II", "H_III", "H_XVI", "H_XVII"):
             assert find_reducibility_witness(catalog(name)) is None
 
+    def test_fat_degree_capacity_drops_no_witness(self, census7, fat_classes4,
+                                                  monkeypatch):
+        # the search with the fat-degree cap lifted gives the same verdicts
+        # on the classification's inputs up to five slim vertices and on
+        # the fat classes up to four slim with a connected special graph
+        from golden_spectra import decomp
+        from golden_spectra.enumeration import (derive_two_slim, exceptional_members,
+                                                realize_hoffman)
+        from golden_spectra.model import is_connected_signed
+        inputs = list(derive_two_slim()) + [
+            g for members in exceptional_members(census7).values()
+            for m in members for g in realize_hoffman(m.graph)]
+        graphs = [g for g in inputs if g.slim_count <= 5]
+        fat = [g for level in fat_classes4.values() for g in level.values()
+               if is_connected_signed(special_graph(g))]
+        assert (len(inputs), len(graphs), len(fat)) == (40, 27, 29)
+        graphs += fat
+        capped = [find_reducibility_witness(g) is not None for g in graphs]
+        real = decomp._biclique_partitions
+
+        def uncapped(edges, left, right, capacity):
+            return real(edges, left, right, {v: 99 for v in capacity})
+        monkeypatch.setattr(decomp, "_biclique_partitions", uncapped)
+        assert [find_reducibility_witness(g) is not None for g in graphs] == capped
+        assert 0 < sum(capped) < len(graphs)
+
     def test_q_shape_realization_reducible(self):
         g = hoffman(3, 3, [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5)])
         assert find_reducibility_witness(g) is not None

@@ -351,12 +351,49 @@ class TestScreen:
                          ("linear_table", 2): labelled[2], ("linear_table", 3): labelled[3]}
 
 
+def connected_labelled_keys(max_n, threshold, forbidden=()):
+    """Oracle for the connected oracle: the whole labelled search,
+    disconnected survivors included, filtered by `is_connected_signed`."""
+    keys = {n: set() for n in range(1, max_n + 1)}
+    for g in labelled_signed_graphs(max_n, threshold, forbidden):
+        if is_connected_signed(g):
+            keys[g.vertex_count].add(canonical_key(g))
+    return {n: tuple(sorted(found)) for n, found in keys.items()}
+
+
 class TestBruteForce:
     def test_matches_enumeration_n6(self):
         oracle = brute_force_signed_keys(6, NEG_TAU, (T1,))
         census = enumerate_signed(6, NEG_TAU, (T1,))
         for n in range(1, 7):
             assert tuple(m.key for m in census.members(n)) == oracle[n]
+
+    def test_matches_census7(self, census7):
+        # the n = 7 level that `classify_irreducible` reads, by a second route
+        oracle = brute_force_signed_keys(7, NEG_TAU, (T1,))
+        assert oracle.keys() == census7.by_n.keys()
+        for n in range(1, 8):
+            assert tuple(m.key for m in census7.members(n)) == oracle[n]
+        assert len(oracle[7]) == 10
+
+    @pytest.mark.parametrize("max_n, threshold, names", [
+        (5, "-tau", ("T1",)), (5, "-1", ()), (4, "-2", ()), (4, "-1-tau", ())])
+    def test_connected_orderings_match_the_whole_search(self, max_n, threshold, names):
+        forbidden = tuple(catalog(name) for name in names)
+        t = parse_threshold(threshold)
+        assert (brute_force_signed_keys(max_n, t, forbidden)
+                == connected_labelled_keys(max_n, t, forbidden))
+
+    def test_connected_orderings(self):
+        # each vertex after the first joins an earlier one, so every yield
+        # is connected; far fewer than the 1/3/20/228/1834 of the whole search
+        found = Counter()
+        for g in labelled_signed_graphs(5, NEG_TAU, (T1,), connected=True):
+            assert all(any(g.sign(i, m) for i in range(m))
+                       for m in range(1, g.vertex_count))
+            assert is_connected_signed(g)
+            found[g.vertex_count] += 1
+        assert found == {1: 1, 2: 2, 3: 9, 4: 68, 5: 244}
 
     def test_matches_enumeration_other_cutoffs(self):
         # cutoffs other than -tau, with no pattern to prune by; -1-tau and
@@ -567,6 +604,34 @@ class TestRealize:
             assert reals == realize_by_signs(s), to_text(s)
             realized += bool(reals)
         assert realized > 20
+
+    def test_bound_decided_once_on_m_minus_i(self, census7, monkeypatch):
+        # every graph built from a partition has B = M(s) - I, so one
+        # decision on M(s) - I stands for all of them
+        from golden_spectra import enumeration
+        built = []
+        real = enumeration.hoffman
+
+        def recorded(*args):
+            built.append(real(*args))
+            return built[-1]
+        monkeypatch.setattr(enumeration, "hoffman", recorded)
+        members = [m.graph for ms in exceptional_members(census7).values() for m in ms]
+        realized = partitions = 0
+        for s in members:
+            built.clear()
+            realized += len(realize_hoffman(s))
+            m = signed_adjacency(s).entries
+            shifted = tuple(tuple(a - (i == j) for j, a in enumerate(row))
+                            for i, row in enumerate(m))
+            assert all(b_matrix(g).entries == shifted for g in built)
+            partitions += len(built)
+        assert (len(members), partitions, realized) == (17, 73, 34)
+        # a connected graph below -tau: M - I lies below -1-tau, so no
+        # partition is built
+        built.clear()
+        assert realize_hoffman(signed(3, [], [(0, 1), (0, 2), (1, 2)])) == ()
+        assert built == []
 
     def test_all_minus_path(self):
         reals = realize_hoffman(signed(3, [], [(0, 1), (1, 2)]))
