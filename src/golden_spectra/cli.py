@@ -194,6 +194,7 @@ def cmd_realize(args) -> int:
     g = _read_graph(args.graph)
     if not isinstance(g, EdgeSignedGraph):
         raise ParseError("realize expects an edge-signed graph")
+    _check_order(g)
     reals = realize_hoffman(g)
     if args.json:
         print(json.dumps([to_json_obj(r) for r in reals], sort_keys=True))

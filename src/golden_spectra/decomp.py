@@ -537,30 +537,47 @@ def _containers(g: HoffmanGraph, fat_budget: int):
 
 def set_partitions(n: int):
     """All set partitions of range(n) in a deterministic order."""
-    if n == 0:
-        yield []
-        return
+    return _partitions_apart(n, [frozenset()] * n)
 
-    def rec(v, blocks):
+
+def _partitions_apart(n: int, clash: Sequence):
+    """The set partitions of range(n) in which no element v shares a block
+    with an element of clash[v] below it: v joins each earlier block in
+    turn, then a new one, so they come in `set_partitions` order."""
+    blocks: list = []
+
+    def rec(v):
         if v == n:
             yield [list(b) for b in blocks]
             return
-        for i in range(len(blocks)):
-            blocks[i].append(v)
-            yield from rec(v + 1, blocks)
-            blocks[i].pop()
+        for block in blocks:
+            if clash[v].isdisjoint(block):
+                block.append(v)
+                yield from rec(v + 1)
+                block.pop()
         blocks.append([v])
-        yield from rec(v + 1, blocks)
+        yield from rec(v + 1)
         blocks.pop()
 
-    yield from rec(0, [])
+    return rec(0)
 
 
-def partitions_joining(n: int, pairs: Iterable):
-    """The set partitions of range(n) that keep each pair inside one block,
-    in `set_partitions` order: the set partitions of the pairs'
-    components.  Two such partitions first differ at the least vertex of
-    a component, so the order on components is the order on vertices."""
-    comp = components(n, pairs)
-    for blocks in set_partitions(len(comp)):
+def partitions_joining(n: int, together: Iterable, apart: Iterable = ()):
+    """The set partitions of range(n) that keep each `together` pair inside
+    one block and each `apart` pair in two, in `set_partitions` order: the
+    set partitions of the together pairs' components in which no two
+    components joined by an apart pair share a block, none if an apart
+    pair lies in one component.  The search never puts such components
+    together, so it lists no partition that breaks the rule.  Two such
+    partitions first differ at the least vertex of a component, so the
+    order on components is the order on vertices."""
+    comp = components(n, together)
+    where = {v: c for c, block in enumerate(comp) for v in block}
+    clash = [set() for _ in comp]
+    for a, b in apart:
+        lo, hi = sorted((where[a], where[b]))
+        clash[hi].add(lo)
+    if any(c in earlier for c, earlier in enumerate(clash)):
+        return
+    for blocks in _partitions_apart(len(comp), clash):
         yield [sorted(v for c in block for v in comp[c]) for block in blocks]

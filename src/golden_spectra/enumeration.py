@@ -2,33 +2,34 @@
 
 Level-wise augmentation enumerates connected edge-signed graphs up to
 isomorphism under three hereditary filters: an exact smallest-eigenvalue
-bound, forbidden induced patterns, and connectivity.  One generator makes
-every one-vertex extension, for each level of the census (the first grown
-from the empty graph) and for the Q extension verifier.  It eliminates
-the parent's adjacency matrix once at the cutoff, an exact semidefinite
-elimination over Z[sqrt5], and compiles the forbidden patterns once into
-constraints on the new row: the parent is pattern-free, so a pattern in
-a child runs through the new vertex.  It grows each sign vector vertex by
-vertex, one pass per position for all three signs on that elimination's
-linear table, and drops a prefix as soon as its last entry completes a
-pattern or the principal submatrix on its vertices and the new one lies
-below the cutoff, which is sound by eigenvalue interlacing; complete
-vectors are checked for connectivity.
-It makes one child per orbit of new rows under the parent automorphisms
-that the parent's key search found: every filter is invariant under
-isomorphism, so the rows of one orbit give isomorphic children, and the
-first child of each class is never a skipped one.
-A second route checks the census for n <= 7: a depth-first search over
-labelled graphs that adds each vertex one pair symbol at a time and
-decides every prefix by the same two prunes.  It shares them, the
-bordered exact pass and the pattern-row prune, with the generator, but
-not the orbit pruning: it keys every labelled survivor.  For a connected
-census it grows connected vertex orderings only, each vertex after the
-first joined to an earlier one, which every connected graph has in
-breadth-first order, so it keys no disconnected graph.  Tier-1 checks
-the pattern prune against a whole-graph pattern search.  On top of
-them sit the one-vertex extension verifier for the Q family, the
-fat-class generator and its two-slim slice, realization of Hoffman graphs
+bound, forbidden induced patterns, and connectivity.  One row search
+(`_grow`) makes every one-vertex extension, of signed and of fat Hoffman
+graphs alike: it grows the new row of the matrix, entry by entry, on the
+parent's exact semidefinite elimination at the cutoff (over Z[sqrt5]),
+one pass per position for all allowed entries on that elimination's
+linear table, and drops a prefix as soon as the principal submatrix on
+its vertices and the new one lies below the cutoff, which is sound by
+eigenvalue interlacing.  The callers give only the opening diagonal and
+the entries allowed at each position.
+The signed generator (`_children`), for each level of the census (the
+first grown from the empty graph) and for the Q extension verifier,
+compiles the forbidden patterns once into constraints on the new row:
+the parent is pattern-free, so a pattern in a child runs through the new
+vertex, and an entry that completes one is not allowed.  Complete rows
+are checked for connectivity.  It makes one child per orbit of new rows
+under the parent automorphisms that the parent's key search found: every
+filter is invariant under isomorphism, so the rows of one orbit give
+isomorphic children, and the first child of each class is never a
+skipped one.
+A second route checks the census for n <= 7: the same generator with no
+automorphisms, run from every labelled survivor, which keys every
+labelled survivor and prunes no orbit.  For a connected census it grows
+connected vertex orderings only, each vertex after the first joined to
+an earlier one, which every connected graph has in breadth-first order,
+so it keys no disconnected graph.  Tier-1 checks the unpruned generator
+against a loop over every new row with a whole-graph pattern search.
+On top of them sit the one-vertex extension verifier for the Q family,
+the fat-class generator and its two-slim slice, realization of Hoffman graphs
 from their special graphs, the irreducible census and its maximal
 members, and the three-vertex diagonal sweep.  The source's classification
 is one table, `SOURCE_CLASSIFICATION`, the one source of every expected
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import (
     NEG_ONE_MINUS_TAU,
@@ -179,14 +180,9 @@ class SignedCensus:
 
 def _extend(parent: EdgeSignedGraph, row: tuple) -> EdgeSignedGraph:
     n = parent.vertex_count
-    plus = set(parent.plus_edges)
-    minus = set(parent.minus_edges)
-    for i, a in enumerate(row):
-        if a == 1:
-            plus.add((i, n))
-        elif a == -1:
-            minus.add((i, n))
-    return EdgeSignedGraph(n + 1, frozenset(plus), frozenset(minus))
+    plus = {(i, n) for i, a in enumerate(row) if a == 1}
+    minus = {(i, n) for i, a in enumerate(row) if a == -1}
+    return EdgeSignedGraph(n + 1, parent.plus_edges | plus, parent.minus_edges | minus)
 
 
 def _signed_patterns(forbidden: Sequence) -> tuple:
@@ -265,28 +261,46 @@ def _row_orbit(row: tuple, automorphisms: tuple) -> set:
     return orbit
 
 
+def _grow(block: Elimination, table: tuple, border: tuple, n: int,
+          values: Callable[[tuple], tuple]) -> Iterator[tuple]:
+    """Every complete new row of n entries, with its border, grown on the
+    block from the opened `border`: the one row search of the module, for
+    the signed census and the fat classes alike.  `values(prefix)` gives
+    the entries allowed at the next position, in order, and the rows come
+    in lexicographic order of them.  Each position is one pass
+    (`Elimination.branches`) on the block's `linear_table`, which keeps a
+    prefix only while the principal submatrix on its vertices and the new
+    one stays at or above the cutoff."""
+    stack = [((), border)]
+    while stack:
+        row, border = stack.pop()
+        if len(row) == n:
+            yield row, border
+            continue
+        stack.extend((row + (a,), grown) for a, grown in
+                     reversed(block.branches(table, border, row, values(row))))
+
+
 def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tuple],
               connected: bool, automorphisms: tuple) -> list:
     """One one-vertex extension of parent per orbit of passing new rows
     under the group that `automorphisms` (of the parent) generate, each
     the first of its orbit in lexicographic order of the new row over the
     entries 0, 1, -1; with no automorphisms, every passing extension.  The
-    only generator of one-vertex extensions, for the census and for the Q
-    extension step.  The parent must be free of the forbidden patterns,
-    which come as their `_pattern_cuts`.
+    only generator of signed one-vertex extensions, for the census, the
+    brute-force oracle and the Q extension step.  The parent must be free
+    of the forbidden patterns, which come as their `_pattern_cuts`.
 
     The parent is eliminated once at the cutoff (a parent below it has no
-    children) into one linear table (`Elimination.linear_table`), and the
-    new row grows one entry at a time: each position is one pass
-    (`Elimination.branches`) that sums the prefix's share of the reduced
-    entry once and decides the allowed signs together, one exact
-    pending-diagonal step each.  A prefix is dropped as soon as the subgraph
-    on its vertices and the new one lies below the cutoff, which is sound
-    by eigenvalue interlacing, or as soon as its last entry completes a
-    forbidden pattern through the new vertex (`_forbidden_rows`), the only
-    place a pattern can appear in a child of a pattern-free parent.  A
-    complete row must give a connected child (when asked) and a pending
-    diagonal that is not negative.
+    children), and `_grow` grows the new row on that elimination one entry
+    at a time, deciding the allowed signs of each position together.  A
+    prefix is dropped as soon as the subgraph on its vertices and the new
+    one lies below the cutoff, which is sound by eigenvalue interlacing,
+    or as soon as its last entry completes a forbidden pattern through the
+    new vertex (`_forbidden_rows`), the only place a pattern can appear in
+    a child of a pattern-free parent.  A complete row must give a
+    connected child (when asked) and a pending diagonal that is not
+    negative.
 
     A parent automorphism g extended by the new vertex is an isomorphism
     from the child of row r onto the child of its image, and every filter
@@ -300,22 +314,15 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tupl
     rows = _forbidden_rows(parent, cuts)
     if block is None or rows is None:
         return []
-    table = block.linear_table()
     out = []
     taken: set = set()  # rows in the orbit of an accepted row
-
-    def grow(row: tuple, border: tuple) -> None:
-        if len(row) == n:
-            if (connected and n and not any(row)) or row in taken:
-                return
-            if block.copy().close(border):
-                out.append(_extend(parent, row))
-                taken.update(_row_orbit(row, automorphisms))
-            return
-        for a, grown in block.branches(table, border, row, _allowed(rows, row)):
-            grow(row + (a,), grown)
-
-    grow((), block.open(0))
+    for row, border in _grow(block, block.linear_table(), block.open(0), n,
+                             lambda row: _allowed(rows, row)):
+        if (connected and n and not any(row)) or row in taken:
+            continue
+        if block.copy().close(border):
+            out.append(_extend(parent, row))
+            taken.update(_row_orbit(row, automorphisms))
     return out
 
 
@@ -370,16 +377,13 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     above the cutoff and free of the forbidden patterns; with `connected`,
     only those in which every vertex m >= 1 has a neighbour among 0..m-1.
 
-    A depth-first search over labelled graphs: vertex m is added to its
-    parent, the graph on 0..m-1, entry by entry, its pair symbols to
-    vertices 0..m-1 in order.  At each position j the induced subgraphs on
-    {0..j, m} are decided by one pass over the parent's linear table for
-    all allowed symbols, zero entries included, as in `_children`; the
-    table is built once per parent.  An entry is dropped first if it
-    completes a forbidden pattern through vertex m; every parent is a
-    yielded graph, so it is free of the patterns (`_forbidden_rows`).
-    Both prunes are sound because each filter is hereditary on induced
-    subgraphs.
+    Each yielded graph on fewer than max_n vertices, the empty graph
+    first, is a parent, and its children are every passing one-vertex
+    extension: `_children` with no automorphisms, the census generator
+    without its orbit skip (Tier-1 checks it against a loop over every
+    new row).  Vertex m joins the graph on 0..m-1, so every labelled
+    graph that passes is reached through its prefixes, the filters being
+    hereditary on induced subgraphs.
 
     With `connected`, the all-zero new row of every vertex m >= 1 is
     dropped, the rule `_children` uses, so every yielded graph is
@@ -390,29 +394,12 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     the rule too and, the filters being hereditary, passes them; the search
     reaches the whole graph through its prefixes."""
     cuts = _pattern_cuts(_signed_patterns(forbidden))
-    empty = signed(0)
-    rows = _forbidden_rows(empty, cuts)
-    if max_n < 1 or rows is None:
-        return
-    start = Elimination.start(threshold)
-    stack = [(start, start.linear_table(), start.open(0), empty, rows, ())]
+    stack = [signed(0)] if max_n >= 1 else []
     while stack:
-        block, table, border, parent, rows, row = stack.pop()
-        m = parent.vertex_count
-        if len(row) < m:
-            for a, grown in block.branches(table, border, row, _allowed(rows, row)):
-                stack.append((block, table, grown, parent, rows, row + (a,)))
-            continue
-        if connected and m and not any(row):
-            continue
-        child = block.copy()
-        if not child.close(border):
-            continue
-        g = _extend(parent, row)
-        yield g
-        if m + 1 < max_n:
-            stack.append((child, child.linear_table(), child.open(0), g,
-                          _forbidden_rows(g, cuts), ()))
+        for g in _children(stack.pop(), threshold, cuts, connected, ()):
+            yield g
+            if g.vertex_count < max_n:
+                stack.append(g)
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -421,11 +408,11 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
     """Independent oracle for the census: the canonical keys, per vertex
     count, of every labelled graph from `labelled_signed_graphs`, which
     grows connected vertex orderings only if asked, so it yields a member
-    of every connected class and no disconnected graph.  It shares two
-    things with the census generator, the bordered pass of `Elimination`
-    and the pattern-row prune of `_forbidden_rows`; it grows labelled
-    graphs, not orbit representatives, and takes a canonical key of every
-    survivor.  Practical for n <= 7."""
+    of every connected class and no disconnected graph.  It shares the
+    unpruned generator, `_children` with no automorphisms, with the
+    census; it skips no orbit, does not deduplicate level by level, and
+    takes a canonical key of every labelled survivor.  Practical for
+    n <= 7."""
     if max_n > MAX_ORACLE_N:
         raise ValueError(f"the brute-force oracle is limited to n <= {MAX_ORACLE_N}")
     keys: dict = {n: set() for n in range(1, max_n + 1)}
@@ -512,46 +499,59 @@ SOURCE_CLASSIFICATION = SourceClassification(
 )
 
 
-def _fat_children(parent: HoffmanGraph) -> Iterator[HoffmanGraph]:
-    """Every fat Hoffman graph made by adding one slim vertex to parent:
-    joined to any subset of the earlier slim vertices and to one or two
-    fat vertices, each an old one or a new one."""
-    s, f = parent.slim_count, parent.fat_count
-    # the new slim vertex takes id s, so the old fat ids move up by one
-    edges = [(a, b + 1) if b >= s else (a, b) for a, b in parent.edges]
-    old = tuple(range(s + 1, s + 1 + f))
-    new = (s + 1 + f, s + 2 + f)
-    fat_choices = ([(a,) for a in old] + list(combinations(old, 2))
-                   + [(a, new[0]) for a in old] + [new[:1], new])
-    for size in range(s + 1):
-        for slims in combinations(range(s), size):
-            for fats in fat_choices:
-                added = sum(1 for x in fats if x >= new[0])
-                yield hoffman(s + 1, f + added,
-                              edges + [(v, s) for v in slims] + [(s, x) for x in fats])
-
-
 def fat_classes(max_slim: int) -> dict:
     """The fat Hoffman graphs with 1..max_slim slim vertices at or above
     -1-tau up to isomorphism: slim count -> {key: graph}, sorted by key.
 
-    Level s grows from level s-1 by `_fat_children`, which is complete
-    because the filter is hereditary: without one slim vertex and its
-    private fat vertices, B is a principal submatrix.  Three fat neighbors
-    induce the one-slim triple star, certified below -1-tau here."""
+    Level s grows from level s-1 by adding one slim vertex, joined to any
+    subset of the earlier slim vertices and to one or two fat vertices,
+    each an old one or a new one.  That is complete because the filter is
+    hereditary: without one slim vertex and its private fat vertices, B is
+    a principal submatrix.  Three fat neighbors induce the one-slim triple
+    star, certified below -1-tau here.
+
+    Each parent's B is eliminated once at -1-tau, and every fat choice
+    opens a border with diagonal -|fats| and grows the new row of B on it
+    by `_grow`: the entry for an earlier slim vertex v is a - c_v, a in
+    {0, 1} its adjacency and c_v the number of fats that v meets.  Only a
+    row that `close` accepts becomes a graph; the accepted children are
+    keyed in the order (subset size, subset, fat choice), so the first
+    child of each class is the one a from-scratch loop over the subsets
+    keeps."""
     star3 = b_matrix(catalog("K1T(3)")).entries
     if lambda_min_at_least(star3, NEG_ONE_MINUS_TAU):
         raise ClassificationError("fat-degree cap certificate failed")
     levels: dict = {}
     level = [hoffman(0, 0)]
-    for s in range(1, max_slim + 1):
+    for s in range(max_slim):
         found: dict = {}
         for parent in level:
-            for child in _fat_children(parent):
-                if lambda_min_at_least(b_matrix(child).entries, NEG_ONE_MINUS_TAU):
-                    found.setdefault(canonical_key(child), child)
-        levels[s] = {k: found[k] for k in sorted(found)}
-        level = list(levels[s].values())
+            f = parent.fat_count
+            block = eliminate(b_matrix(parent).entries, NEG_ONE_MINUS_TAU)
+            table = block.linear_table()
+            # the new slim vertex takes id s, so the old fat ids move up by one
+            edges = [(a, b + 1) if b >= s else (a, b) for a, b in parent.edges]
+            fat_of = [{b for a, b in edges if a == v and b > s} for v in range(s)]
+            old = tuple(range(s + 1, s + 1 + f))
+            new = (s + 1 + f, s + 2 + f)
+            fat_choices = ([(a,) for a in old] + list(combinations(old, 2))
+                           + [(a, new[0]) for a in old] + [new[:1], new])
+            accepted = []
+            for i, fats in enumerate(fat_choices):
+                shared = [len(fat_of[v].intersection(fats)) for v in range(s)]
+                for row, border in _grow(block, table, block.open(-len(fats)), s,
+                                         lambda row: (-shared[len(row)],
+                                                      1 - shared[len(row)])):
+                    if block.copy().close(border):
+                        slims = tuple(v for v in range(s) if row[v] + shared[v])
+                        accepted.append((len(slims), slims, i))
+            for _, slims, i in sorted(accepted):
+                fats = fat_choices[i]
+                child = hoffman(s + 1, f + sum(1 for x in fats if x >= new[0]),
+                                edges + [(v, s) for v in slims] + [(s, x) for x in fats])
+                found.setdefault(canonical_key(child), child)
+        levels[s + 1] = {k: found[k] for k in sorted(found)}
+        level = list(levels[s + 1].values())
     return levels
 
 
@@ -574,7 +574,8 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
     """All Hoffman graphs with one fat vertex per class of a partition of
     V(s), slim adjacency forced by the signs, special graph equal to s,
     and smallest eigenvalue at or above -1-tau; deduplicated.  The classes
-    hold the (-)-edges (`partitions_joining`) and no (+)-edge.
+    hold the (-)-edges and split the (+)-edges (`partitions_joining`), so
+    no partition with a (+)-edge inside a class is listed.
 
     Every such graph has B = M(s) - I: each slim vertex has one fat
     neighbour, a pair in one class shares it and is adjacent iff it is no
@@ -589,10 +590,8 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
     if not lambda_min_at_least(shifted, NEG_ONE_MINUS_TAU):
         return ()
     found: dict = {}
-    for blocks in partitions_joining(n, s.minus_edges):
+    for blocks in partitions_joining(n, s.minus_edges, s.plus_edges):
         cls = {v: bi for bi, block in enumerate(blocks) for v in block}
-        if any(cls[a] == cls[b] for a, b in s.plus_edges):
-            continue
         # a pair in one class shares its fat vertex, so it is adjacent iff
         # it is no (-)-edge; a pair across classes iff it is a (+)-edge
         edges = [(i, j) for i, j in combinations(range(n), 2)

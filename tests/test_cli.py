@@ -10,7 +10,7 @@ from golden_spectra.algebra import NEG_TAU
 from golden_spectra.cli import MAX_MATRIX_ORDER, main
 from golden_spectra.censusio import read_hoffman_census, write_hoffman_census
 from golden_spectra.enumeration import enumerate_signed
-from golden_spectra.model import ParseError, catalog, to_text
+from golden_spectra.model import ParseError, catalog, signed, to_text
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -47,6 +47,15 @@ class TestSpectrumAndCheck:
         above = write(tmp_path, "above.txt", f"sg {MAX_MATRIX_ORDER + 1}")
         assert main(["check", "--threshold", "-tau", at_cap]) == 0
         assert main(["check", "--threshold", "-tau", above]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix order") and "Traceback" not in err
+
+    def test_realize_above_the_cap_is_exit_3(self, tmp_path, capsys):
+        # refused before any matrix of that order is built
+        n = MAX_MATRIX_ORDER + 1
+        above = write(tmp_path, "above.txt", to_text(
+            signed(n, [(i, i + 1) for i in range(n - 1)])))
+        assert main(["realize", above]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: matrix order") and "Traceback" not in err
 

@@ -466,3 +466,25 @@ def test_partitions_joining_filters_set_partitions_in_order():
         expected = [blocks for blocks in set_partitions(n)
                     if all(any(a in b and c in b for b in blocks) for a, c in pairs)]
         assert list(partitions_joining(n, pairs)) == expected
+
+
+def test_partitions_joining_splits_apart_pairs_in_order():
+    # the pruned search yields the partitions that pass both rules, in
+    # `set_partitions` order, and nothing when an apart pair is forced
+    # into one block
+    import random
+    rng = random.Random(20)
+    empty = 0
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        pairs = list(combinations(range(n), 2))
+        together = [p for p in pairs if rng.random() < 0.15]
+        apart = [p for p in pairs if p not in together and rng.random() < 0.2]
+        if together and rng.random() < 0.1:
+            apart.append(rng.choice(together))
+        expected = [blocks for blocks in set_partitions(n)
+                    if all(any(a in b and c in b for b in blocks) for a, c in together)
+                    and not any(a in b and c in b for b in blocks for a, c in apart)]
+        assert list(partitions_joining(n, together, apart)) == expected
+        empty += not expected
+    assert empty > 10

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -344,11 +345,16 @@ class TestScreen:
             {**{("linear_table", k): count for k, count in parents.items()},
              **{("extend", j): sum(c for k, c in parents.items() if k > j)
                 for j in range(5)}})
+        # the oracle runs the same generator on every labelled parent, the
+        # empty graph and each yielded graph on at most three vertices
         calls.clear()
         labelled = Counter(g.vertex_count
                            for g in labelled_signed_graphs(4, NEG_TAU, (T1,)))
-        assert calls == {("linear_table", 0): 1, ("linear_table", 1): labelled[1],
-                         ("linear_table", 2): labelled[2], ("linear_table", 3): labelled[3]}
+        parents = {0: 1, 1: labelled[1], 2: labelled[2], 3: labelled[3]}
+        assert calls == Counter(
+            {**{("linear_table", k): count for k, count in parents.items()},
+             **{("extend", j): sum(c for k, c in parents.items() if k > j)
+                for j in range(3)}})
 
 
 def connected_labelled_keys(max_n, threshold, forbidden=()):
@@ -520,7 +526,86 @@ class TestTwoSlim:
         assert (at_minus_one, at_minus_two, at_threshold) == (1, 3, 2)
 
 
+def fat_children_from_scratch(parent):
+    """Every fat Hoffman graph made by adding one slim vertex to parent:
+    joined to any subset of the earlier slim vertices and to one or two
+    fat vertices, each an old one or a new one."""
+    s, f = parent.slim_count, parent.fat_count
+    # the new slim vertex takes id s, so the old fat ids move up by one
+    edges = [(a, b + 1) if b >= s else (a, b) for a, b in parent.edges]
+    old = tuple(range(s + 1, s + 1 + f))
+    new = (s + 1 + f, s + 2 + f)
+    fat_choices = ([(a,) for a in old] + list(combinations(old, 2))
+                   + [(a, new[0]) for a in old] + [new[:1], new])
+    for size in range(s + 1):
+        for slims in combinations(range(s), size):
+            for fats in fat_choices:
+                added = sum(1 for x in fats if x >= new[0])
+                yield hoffman(s + 1, f + added,
+                              edges + [(v, s) for v in slims] + [(s, x) for x in fats])
+
+
+def fat_classes_from_scratch(max_slim):
+    """Oracle for `fat_classes`: every child built whole, its B computed
+    and decided whole, the first child of each key kept.  Returns the
+    levels and the number of children at or above -1-tau."""
+    levels, level, passing = {}, [hoffman(0, 0)], 0
+    for s in range(1, max_slim + 1):
+        found = {}
+        for parent in level:
+            for child in fat_children_from_scratch(parent):
+                if lambda_min_at_least(b_matrix(child).entries, NEG_ONE_MINUS_TAU):
+                    passing += 1
+                    found.setdefault(canonical_key(child), child)
+        levels[s] = {k: found[k] for k in sorted(found)}
+        level = list(levels[s].values())
+    return levels, passing
+
+
+@pytest.fixture(scope="module")
+def from_scratch4():
+    return fat_classes_from_scratch(4)
+
+
 class TestFatClasses:
+    def test_matches_the_from_scratch_loop(self, fat_classes4, from_scratch4):
+        # the same keys in the same order, and the same representative
+        levels, _ = from_scratch4
+        assert list(fat_classes4) == list(levels) == [1, 2, 3, 4]
+        for s, level in levels.items():
+            assert list(fat_classes4[s]) == list(level)
+            assert ([to_text(g) for g in fat_classes4[s].values()]
+                    == [to_text(g) for g in level.values()])
+
+    def test_level_sizes_to_five_slim(self):
+        from golden_spectra.enumeration import fat_classes
+        assert [len(level) for level in fat_classes(5).values()] == [2, 10, 45, 252, 1465]
+
+    def test_each_parent_eliminated_once_and_only_accepted_rows_built(
+            self, monkeypatch, from_scratch4):
+        # B once per parent plus the K1T(3) certificate, no whole-matrix
+        # decision but that certificate, and a graph built and keyed only
+        # for a row the parent's elimination accepts (plus the empty start)
+        from golden_spectra import enumeration
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(enumeration, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(enumeration, name, call)
+
+        for name in ("b_matrix", "lambda_min_at_least", "canonical_key", "hoffman"):
+            counted(name)
+        levels = enumeration.fat_classes(4)
+        parents = 1 + sum(len(levels[s]) for s in (1, 2, 3))
+        _, passing = from_scratch4
+        assert parents == 58
+        assert calls == {"b_matrix": parents + 1, "lambda_min_at_least": 1,
+                         "canonical_key": passing, "hoffman": passing + 1}
+
     def test_levels_sorted_by_key_and_at_the_bound(self, fat_classes4):
         for s, level in fat_classes4.items():
             assert list(level) == sorted(level)
@@ -632,6 +717,32 @@ class TestRealize:
         built.clear()
         assert realize_hoffman(signed(3, [], [(0, 1), (0, 2), (1, 2)])) == ()
         assert built == []
+
+    def test_q_family_matches_sign_by_sign_oracle(self):
+        # the partition search splits the (+)-edges instead of listing every
+        # partition and dropping those with a (+)-edge inside a class
+        graphs = [make_q(p, q, r) for r in range(1, 8) for p in range(r + 1)
+                  for q in range(r + 1 - p) if 3 <= p + q + r <= 7]
+        assert len(graphs) > 20
+        for s in graphs:
+            assert realize_hoffman(s) == realize_by_signs(s), to_text(s)
+
+    def test_plus_clique_builds_one_partition(self, monkeypatch):
+        # the all-(+) 12-clique has one realization and one partition to
+        # build, not Bell(12) = 4,213,597 to list
+        from golden_spectra import enumeration
+        built = Counter()
+        real = enumeration.hoffman
+
+        def counted(*args):
+            built["hoffman"] += 1
+            return real(*args)
+        monkeypatch.setattr(enumeration, "hoffman", counted)
+        start = time.perf_counter()
+        reals = realize_hoffman(make_q(0, 0, 12))
+        elapsed = time.perf_counter() - start
+        assert len(reals) == 1 and built == {"hoffman": 1}
+        assert elapsed < 0.1
 
     def test_all_minus_path(self):
         reals = realize_hoffman(signed(3, [], [(0, 1), (1, 2)]))
