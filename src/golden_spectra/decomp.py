@@ -271,36 +271,50 @@ def _biclique_partitions(edges: list, left: frozenset, right: frozenset,
     covered by exactly one biclique (slim pairs across parts may share at
     most one fat vertex).  `capacity` bounds how many bicliques may touch
     each vertex: a slim vertex whose part fat-degree exceeds two drags the
-    part below the -1-tau bound, so covers violating it cannot witness."""
-    edge_set = set(edges)
+    part below the -1-tau bound, so covers violating it cannot witness.
+
+    Each node covers the least uncovered pair (x, y) and lists only the
+    bicliques that fit: A holds x and other uncovered partners of y, B
+    holds y and other uncovered common partners of A.  A branch ends when
+    an uncovered pair touches a vertex of capacity 0, and a vertex of
+    capacity 1 puts all its uncovered pairs into the biclique (if cap[y]
+    is 1, A is every uncovered partner of y; if cap[x] is 1, B is every
+    uncovered partner of x).  Each rule drops only branches with no
+    cover, and the sets come in order of size, then lexicographically, so
+    the covers come in the order of listing every A and B."""
 
     def rec(uncovered: frozenset, cap: dict):
         if not uncovered:
             yield []
             return
-        x, y = min(uncovered)
-        if cap[x] < 1 or cap[y] < 1:
+        if any(cap[u] < 1 or cap[v] < 1 for u, v in uncovered):
             return
-        lcands = sorted(u for u in left if cap[u] >= 1 and (u, y) in edge_set)
-        rcands = sorted(v for v in right if cap[v] >= 1 and (x, v) in edge_set)
-        for la in range(len(lcands)):
-            for aset in combinations(lcands, la + 1):
-                if x not in aset:
-                    continue
-                for lb in range(len(rcands)):
-                    for bset in combinations(rcands, lb + 1):
-                        if y not in bset:
-                            continue
-                        pairs = {(u, v) for u in aset for v in bset}
-                        if not pairs <= uncovered:
-                            continue
-                        ncap = dict(cap)
-                        for v in aset + bset:
-                            ncap[v] -= 1
-                        for rest in rec(uncovered - frozenset(pairs), ncap):
-                            yield [(aset, bset)] + rest
+        x, y = min(uncovered)
+        # x leads the partners of y and y those of x
+        xs = sorted(u for u, v in uncovered if v == y)
+        ys = sorted(v for u, v in uncovered if u == x)
+        for aset in _with_first(xs, cap[y] == 1):
+            common = [v for v in ys if all((u, v) in uncovered for u in aset)]
+            if cap[x] == 1 and len(common) < len(ys):
+                continue
+            for bset in _with_first(common, cap[x] == 1):
+                ncap = dict(cap)
+                for v in aset + bset:
+                    ncap[v] -= 1
+                pairs = frozenset((u, v) for u in aset for v in bset)
+                for rest in rec(uncovered - pairs, ncap):
+                    yield [(aset, bset)] + rest
 
     yield from rec(frozenset(edges), dict(capacity))
+
+
+def _with_first(cands: list, whole: bool):
+    """The subsets of cands that hold cands[0], in order of size and then
+    lexicographically; only cands itself when `whole`."""
+    if whole:
+        return (tuple(cands),)
+    return ((cands[0],) + rest for size in range(len(cands))
+            for rest in combinations(cands[1:], size))
 
 
 def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
@@ -316,7 +330,12 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
     plus an exact biclique cover of the crossing adjacent pairs lacking a
     common fat (each new fat vertex covers one biclique of them; covering
     a pair twice would break the cross-part rule).  Each part is decided
-    on its principal submatrix of the container's B.  The cover gives each
+    on its principal submatrix of the container's B, read off B(g),
+    computed once: a fat vertex added on A x B subtracts 1 1^T on A u B,
+    so the container's block on the left is B(g)[left] minus 1_A 1_A^T
+    for each biclique, diagonal included, and on the right B(g)[right]
+    minus 1_B 1_B^T.  Only the first cover whose two blocks pass (left
+    decided first) becomes a container.  The cover gives each
     slim vertex at most two fat neighbours in all: a part keeps every fat
     neighbour of its slim vertices, so a slim vertex with three of them
     gives its part's B the 1x1 principal submatrix -3 < -1-tau, and by
@@ -337,19 +356,22 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
                     for chosen in combinations(comp[1:], size)),
                    key=lambda left: (len(left), left))
     capacity = {v: 2 - len(fats[v]) for v in range(ns)}
+    b = b_matrix(g).entries
     for left in lefts:
         right = sorted(frozenset(range(ns)).difference(left))
         need = [(x, y) for x in left for y in right
                 if g.has_edge(x, y) and not fats[x] & fats[y]]
         for cover in _biclique_partitions(need, frozenset(left), frozenset(right),
                                           capacity):
-            edges = list(g.edges)
-            for i, (aset, bset) in enumerate(cover):
-                edges += [(v, g.vertex_count + i) for v in aset + bset]
-            container = hoffman(ns, g.fat_count + len(cover), edges)
-            rows = b_matrix(container).entries
-            if all(lambda_min_at_least([[rows[x][y] for y in block] for x in block],
-                                       NEG_ONE_MINUS_TAU) for block in (left, right)):
+            if all(lambda_min_at_least(
+                    [[b[x][y] - sum(x in c and y in c for c in cliques) for y in block]
+                     for x in block], NEG_ONE_MINUS_TAU)
+                   for block, cliques in ((left, [a for a, _ in cover]),
+                                          (right, [c for _, c in cover]))):
+                edges = list(g.edges)
+                for i, (aset, bset) in enumerate(cover):
+                    edges += [(v, g.vertex_count + i) for v in aset + bset]
+                container = hoffman(ns, g.fat_count + len(cover), edges)
                 cfat = [fat_neighbors(container, v) for v in range(ns)]
                 d = Decomposition(container, tuple(_parts((left, right), cfat)))
                 msg = validate_decomposition(d)

@@ -77,7 +77,9 @@ from .iso import (
 from .model import (
     EdgeSignedGraph,
     HoffmanGraph,
+    adjacency,
     catalog,
+    fat_neighbors,
     hoffman,
     induced_signed_subgraph,
     is_connected_signed,
@@ -570,6 +572,21 @@ def derive_two_slim() -> tuple:
     return out
 
 
+def _partition_orbit(classes: frozenset, automorphisms: tuple) -> set:
+    """The orbit of a partition, a frozenset of frozenset classes, under
+    the group the automorphisms generate; g moves each class onto its
+    image."""
+    orbit, todo = {classes}, [classes]
+    while todo:
+        p = todo.pop()
+        for g in automorphisms:
+            image = frozenset(frozenset(g[v] for v in block) for block in p)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
 def realize_hoffman(s: EdgeSignedGraph) -> tuple:
     """All Hoffman graphs with one fat vertex per class of a partition of
     V(s), slim adjacency forced by the signs, special graph equal to s,
@@ -581,7 +598,13 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
     neighbour, a pair in one class shares it and is adjacent iff it is no
     (-)-edge, and a pair across classes shares none and is adjacent iff it
     is a (+)-edge.  So the bound is decided once, on M(s) - I, and an s
-    that fails it has no realization."""
+    that fails it has no realization.
+
+    One graph is built per orbit of partitions under the automorphisms
+    the key search of s finds: an automorphism of s maps a valid
+    partition to a valid one and the graph of one onto the graph of the
+    other.  A partition in the orbit of a built one comes after it and is
+    skipped, so the first partition of every class is still built."""
     if s.vertex_count < 3 or not is_connected_signed(s):
         raise ValueError("realization requires a connected graph on >= 3 vertices")
     n = s.vertex_count
@@ -589,8 +612,14 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
                for i, row in enumerate(signed_adjacency(s).entries)]
     if not lambda_min_at_least(shifted, NEG_ONE_MINUS_TAU):
         return ()
+    _, automorphisms = canonical_key_and_automorphisms(s)
     found: dict = {}
+    taken: set = set()  # partitions in the orbit of a built one
     for blocks in partitions_joining(n, s.minus_edges, s.plus_edges):
+        classes = frozenset(map(frozenset, blocks))
+        if classes in taken:
+            continue
+        taken.update(_partition_orbit(classes, automorphisms))
         cls = {v: bi for bi, block in enumerate(blocks) for v in block}
         # a pair in one class shares its fat vertex, so it is adjacent iff
         # it is no (-)-edge; a pair across classes iff it is a (+)-edge
@@ -747,34 +776,58 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
 def _forced_maximal(census: HoffmanCensus) -> tuple:
     """The members that must come out maximal: the two-slim members whose
     B has smallest eigenvalue exactly -1-tau (H_XVI and H_XVII), and the
-    members with the census's largest slim count (an embedding between
-    realizations would force the fat classes to match exactly)."""
+    members with the census's largest slim count when each of them has
+    exactly one fat neighbour per slim vertex.  An embedding of one such
+    member into another is onto the slim vertices, so it maps the one fat
+    neighbour of each slim vertex onto the one of its image and reaches
+    every fat vertex: it would be an isomorphism."""
     top = max((m.graph.slim_count for m in census.members), default=0)
+    tops = [m for m in census.members if m.graph.slim_count == top]
+    one_fat = all(len(fat_neighbors(m.graph, v)) == 1
+                  for m in tops for v in m.graph.slim_vertices())
     return tuple(m for m in census.members
-                 if m.graph.slim_count == top
+                 if (one_fat and m.graph.slim_count == top)
                  or (m.graph.slim_count == 2
                      and lambda_min_equals(b_matrix(m.graph).entries, NEG_ONE_MINUS_TAU)))
+
+
+def _degree_profile(g: HoffmanGraph) -> tuple:
+    """The degrees of g's slim vertices and of its fat vertices, each
+    sorted in decreasing order."""
+    degrees = [len(nbrs) for nbrs in adjacency(g)]
+    return (sorted(degrees[:g.slim_count], reverse=True),
+            sorted(degrees[g.slim_count:], reverse=True))
+
+
+def _degrees_admit(host: tuple, pattern: tuple) -> bool:
+    """Whether degree profiles admit an induced embedding of the pattern
+    in the host: an embedding maps each vertex to one of its own class
+    with at least as many neighbours, so each of the pattern's sequences
+    must be dominated entry by entry by the host's."""
+    return all(len(p) <= len(h) and all(a <= b for a, b in zip(p, h))
+               for p, h in zip(pattern, host))
 
 
 def maximal_members(census: HoffmanCensus) -> HoffmanCensus:
     """Members not properly induced in any other member.
 
     Every member of `_forced_maximal` must come out maximal; a violation
-    raises.  A member can only embed in one with at least as many slim
-    and as many fat vertices and more vertices in all: an embedding onto
-    every vertex would be an isomorphism, and the keys are distinct.  Each
-    member is prepared once as a host and once as a pattern of the
-    induced-subgraph search."""
+    raises.  A member can only embed in one with more vertices in all (an
+    embedding onto every vertex would be an isomorphism, and the keys are
+    distinct) whose degree profile admits it (`_degrees_admit`, which
+    also needs as many slim and as many fat vertices); other hosts are
+    skipped before any search.  Each member is prepared once as a host and
+    once as a pattern of the induced-subgraph search."""
     graphs = [m.graph for m in census.members]
     hosts = [prepare_host(h) for h in graphs]
+    profiles = [_degree_profile(h) for h in graphs]
     out = []
-    for m in census.members:
+    for m, profile in zip(census.members, profiles):
         g, pattern = m.graph, prepare_pattern(m.graph)
         embedded = any(
             next(prepared_embeddings(host, pattern), None) is not None
-            for h, host in zip(graphs, hosts)
-            if g.slim_count <= h.slim_count and g.fat_count <= h.fat_count
-            and g.vertex_count < h.vertex_count)
+            for h, host, hp in zip(graphs, hosts, profiles)
+            if g.vertex_count < h.vertex_count and _degrees_admit(hp, profile))
         if not embedded:
             out.append(m)
     keys = {m.key for m in out}

@@ -367,6 +367,23 @@ class TestClassifyAndMaximal:
         for name in ("census-15.txt", "census-37.txt", "manifest.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_maximal_of_the_first_two_members(self, tmp_path, capsys, classification):
+        # H_I is H_II induced on its slim vertex and one fat neighbour, so
+        # the one maximal member is H_II; the largest slim count forces no
+        # member here, since H_II's slim vertex has two fat neighbours
+        path = tmp_path / "census-37.txt"
+        write_hoffman_census(classification.irreducible, path)
+        lines = path.read_text().splitlines()
+        assert [line.split("\t")[1] for line in lines[:2]] == ["H_I", "H_II"]
+        path.write_text("\n".join(lines[:2]) + "\n")
+        out = tmp_path / "out"
+        assert main(["maximal", "--census", str(path), "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[:2] == [
+            "maximal members: 1", f"  H_II: {to_text(catalog('H_II'))}"]
+        assert [m.name for m in read_hoffman_census(out / "census-18.txt").members] \
+            == ["H_II"]
+
 
 class TestCensusIO:
     def test_round_trip_and_integrity(self, tmp_path, classification):

@@ -22,6 +22,7 @@ from golden_spectra.decomp import (
 from golden_spectra.iso import canonical_key, is_isomorphic
 from golden_spectra.model import (
     catalog,
+    components,
     fat_neighbors,
     from_text,
     hoffman,
@@ -65,6 +66,85 @@ def brute_reducible(g, max_added=2):
                            for pg in d.part_graphs()):
                         return True
     return False
+
+
+def biclique_partitions_by_listing(edges, left, right, capacity):
+    """Oracle for `_biclique_partitions`: at each node every subset A of
+    the left vertices joined to y and every subset B of the right
+    vertices joined to x, by crossing pairs covered or not, in order of
+    size and then lexicographically, kept when A x B is still uncovered."""
+    edge_set = set(edges)
+
+    def rec(uncovered, cap):
+        if not uncovered:
+            yield []
+            return
+        x, y = min(uncovered)
+        if cap[x] < 1 or cap[y] < 1:
+            return
+        lcands = sorted(u for u in left if cap[u] >= 1 and (u, y) in edge_set)
+        rcands = sorted(v for v in right if cap[v] >= 1 and (x, v) in edge_set)
+        for la in range(len(lcands)):
+            for aset in combinations(lcands, la + 1):
+                if x not in aset:
+                    continue
+                for lb in range(len(rcands)):
+                    for bset in combinations(rcands, lb + 1):
+                        if y not in bset:
+                            continue
+                        pairs = {(u, v) for u in aset for v in bset}
+                        if not pairs <= uncovered:
+                            continue
+                        ncap = dict(cap)
+                        for v in aset + bset:
+                            ncap[v] -= 1
+                        for rest in rec(uncovered - frozenset(pairs), ncap):
+                            yield [(aset, bset)] + rest
+
+    yield from rec(frozenset(edges), dict(capacity))
+
+
+def witness_by_containers(g):
+    """Oracle for `find_reducibility_witness`: the same bipartitions in the
+    same order, the container of every cover built, and each part decided
+    on its principal submatrix of the container's B."""
+    ns = g.slim_count
+    if ns < 2:
+        return None
+    fats = [fat_neighbors(g, v) for v in range(ns)]
+    comp = components(ns, [(x, y) for x, y in combinations(range(ns), 2)
+                           if len(fats[x] & fats[y]) > g.has_edge(x, y)])
+    lefts = sorted((sorted(comp[0] + [v for block in chosen for v in block])
+                    for size in range(len(comp) - 1)
+                    for chosen in combinations(comp[1:], size)),
+                   key=lambda left: (len(left), left))
+    capacity = {v: 2 - len(fats[v]) for v in range(ns)}
+    for left in lefts:
+        right = sorted(frozenset(range(ns)).difference(left))
+        need = [(x, y) for x in left for y in right
+                if g.has_edge(x, y) and not fats[x] & fats[y]]
+        for cover in biclique_partitions_by_listing(need, frozenset(left),
+                                                    frozenset(right), capacity):
+            edges = list(g.edges)
+            for i, (aset, bset) in enumerate(cover):
+                edges += [(v, g.vertex_count + i) for v in aset + bset]
+            container = hoffman(ns, g.fat_count + len(cover), edges)
+            rows = b_matrix(container).entries
+            if all(lambda_min_at_least([[rows[x][y] for y in block] for x in block],
+                                       NEG_ONE_MINUS_TAU) for block in (left, right)):
+                cfat = [fat_neighbors(container, v) for v in range(ns)]
+                return container, tuple(frozenset(block).union(*(cfat[v] for v in block))
+                                        for block in (left, right))
+    return None
+
+
+def classify_inputs(census7):
+    """The 40 graphs the classification runs the witness search on."""
+    from golden_spectra.enumeration import (derive_two_slim, exceptional_members,
+                                            realize_hoffman)
+    return list(derive_two_slim()) + [
+        g for members in exceptional_members(census7).values()
+        for m in members for g in realize_hoffman(m.graph)]
 
 
 K3_SHARED = hoffman(3, 1, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
@@ -279,6 +359,48 @@ class TestReducibilityWitness:
         monkeypatch.setattr(decomp, "_biclique_partitions", uncapped)
         assert [find_reducibility_witness(g) is not None for g in graphs] == capped
         assert 0 < sum(capped) < len(graphs)
+
+    def test_covers_come_in_the_order_of_listing_every_biclique(self, census7,
+                                                               monkeypatch):
+        # every (left, need) pair the classification's searches reach gives
+        # the covers of the listing oracle, in its order, with its capacity,
+        # with the capacity lifted, and with one side at capacity 1 and the
+        # other at 2
+        from golden_spectra import decomp
+        reached = []
+        real = decomp._biclique_partitions
+
+        def recorded(edges, left, right, capacity):
+            reached.append((edges, left, right, capacity))
+            return real(edges, left, right, capacity)
+        monkeypatch.setattr(decomp, "_biclique_partitions", recorded)
+        for g in classify_inputs(census7):
+            find_reducibility_witness(g)
+        monkeypatch.undo()
+        assert len(reached) > 100
+        covers = Counter()
+        for edges, left, right, capacity in reached:
+            for cap in (capacity, {v: 99 for v in capacity},
+                        {v: 1 + (v in right) for v in capacity},
+                        {v: 1 + (v in left) for v in capacity}):
+                expected = list(biclique_partitions_by_listing(edges, left, right, cap))
+                assert list(real(edges, left, right, cap)) == expected
+                covers[cap is capacity, min(len(expected), 2)] += 1
+        assert covers[True, 1] > 100 and covers[False, 2] > 500
+
+    def test_same_witness_as_building_every_container(self, census7, fat_classes4):
+        # deciding each cover on B(g) minus its cliques, and building only
+        # the passing container, returns the oracle's container and parts
+        graphs = classify_inputs(census7)
+        assert len(graphs) == 40
+        graphs += [g for level in fat_classes4.values() for g in level.values()]
+        found = 0
+        for g in graphs:
+            w = find_reducibility_witness(g)
+            expected = witness_by_containers(g)
+            assert (w and (w[0], w[1].parts)) == expected, to_text(g)
+            found += w is not None
+        assert 0 < found < len(graphs)
 
     def test_q_shape_realization_reducible(self):
         g = hoffman(3, 3, [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5)])

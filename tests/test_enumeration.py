@@ -16,7 +16,7 @@ from golden_spectra.algebra import (
     lambda_min_equals,
     parse_threshold,
 )
-from golden_spectra.decomp import set_partitions
+from golden_spectra.decomp import partitions_joining, set_partitions
 from golden_spectra.enumeration import (
     SOURCE_CLASSIFICATION,
     ClassificationError,
@@ -674,7 +674,35 @@ def realize_by_signs(s):
     return tuple(found[k] for k in sorted(found))
 
 
+def realize_every_partition(s):
+    """Oracle for `realize_hoffman`: one graph built from every partition
+    `partitions_joining` lists, none skipped by an automorphism."""
+    n = s.vertex_count
+    shifted = [[a - (i == j) for j, a in enumerate(row)]
+               for i, row in enumerate(signed_adjacency(s).entries)]
+    if not lambda_min_at_least(shifted, NEG_ONE_MINUS_TAU):
+        return ()
+    found = {}
+    for blocks in partitions_joining(n, s.minus_edges, s.plus_edges):
+        cls = {v: bi for bi, block in enumerate(blocks) for v in block}
+        edges = [(i, j) for i, j in combinations(range(n), 2)
+                 if (cls[i] == cls[j]) == (s.sign(i, j) == 0)]
+        for bi, block in enumerate(blocks):
+            edges.extend((v, n + bi) for v in block)
+        g = hoffman(n, len(blocks), edges)
+        found.setdefault(canonical_key(g), g)
+    return tuple(found[k] for k in sorted(found))
+
+
 class TestRealize:
+    def test_matches_every_partition_oracle(self, census7):
+        # one graph per orbit of partitions gives the same ordered tuple,
+        # representatives included, on the 17 exceptional members
+        members = [m.graph for ms in exceptional_members(census7).values() for m in ms]
+        assert len(members) == 17
+        for s in members:
+            assert realize_hoffman(s) == realize_every_partition(s), to_text(s)
+
     def test_matches_sign_by_sign_oracle(self, census7):
         # the same ordered tuple, representatives included, on the census
         # at the rational cutoff -2 and on the 17 exceptional members
@@ -711,7 +739,9 @@ class TestRealize:
                             for i, row in enumerate(m))
             assert all(b_matrix(g).entries == shifted for g in built)
             partitions += len(built)
-        assert (len(members), partitions, realized) == (17, 73, 34)
+        # one partition per orbit under the automorphisms of s: one per
+        # realization
+        assert (len(members), partitions, realized) == (17, 34, 34)
         # a connected graph below -tau: M - I lies below -1-tau, so no
         # partition is built
         built.clear()
@@ -924,6 +954,17 @@ class TestClassification:
         assert len(forced) == 15
         assert set(forced) == six | {canonical_key(catalog("H_XVI")),
                                      canonical_key(catalog("H_XVII"))}
+
+    def test_degree_profiles(self):
+        # H_I embeds in H_II; H_III's fat vertex has two slim neighbours and
+        # H_IV's fat vertices one each, so H_III cannot embed in H_IV
+        from golden_spectra.enumeration import _degree_profile, _degrees_admit
+        profile = {name: _degree_profile(catalog(name))
+                   for name in ("H_I", "H_II", "H_III", "H_IV")}
+        assert profile["H_III"] == ([1, 1], [2]) and profile["H_IV"] == ([2, 2], [1, 1])
+        assert _degrees_admit(profile["H_II"], profile["H_I"])
+        assert not _degrees_admit(profile["H_IV"], profile["H_III"])
+        assert not _degrees_admit(profile["H_I"], profile["H_II"])
 
 
 class TestDescriptorMemo:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -25,6 +26,7 @@ from golden_spectra.model import (
     induced_signed_subgraph,
     make_q,
     signed,
+    to_text,
 )
 
 from conftest import random_hoffman, random_signed
@@ -583,3 +585,19 @@ class TestBitsetKernel:
         assert len(members) == 39
         by_oracle = enumeration.maximal_members(classification.irreducible)
         assert by_oracle.members == maximal.members
+
+    def test_degree_profiles_admit_every_embedding(self, classification):
+        # the degree prefilter of maximal_members refutes no pair that the
+        # list oracle embeds, and it refutes some that it does not
+        from golden_spectra.enumeration import _degree_profile, _degrees_admit
+        graphs = [m.graph for m in classification.irreducible.members]
+        verdicts = Counter()
+        for g in graphs:
+            for h in graphs:
+                if g is h:
+                    continue
+                embeds = next(list_embeddings(h, g), None) is not None
+                admitted = _degrees_admit(_degree_profile(h), _degree_profile(g))
+                assert admitted or not embeds, (to_text(g), to_text(h))
+                verdicts[embeds, admitted] += 1
+        assert verdicts[True, True] == 103 and verdicts[False, False] > 300
