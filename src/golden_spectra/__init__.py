@@ -4,7 +4,6 @@ at the golden-ratio eigenvalue thresholds."""
 from .algebra import (
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
-    GoldenNumber,
     IntPolynomial,
     Threshold,
     char_poly,

@@ -1,6 +1,6 @@
-"""Exact algebra kernel: integer polynomials, numbers a + b*sqrt(5), Sturm
-root counting, and smallest-eigenvalue decisions for integer symmetric
-matrices.
+"""Exact algebra kernel: integer polynomials, cutoffs in Q(sqrt5) held as
+scaled integers, Sturm root counting, and smallest-eigenvalue decisions
+for integer symmetric matrices.
 
 A decision `lambda_min >= t` or `lambda_min == t` for a cutoff t in Q(sqrt5)
 is one fraction-free (Bareiss) semidefinite elimination of A - t*I over
@@ -22,16 +22,15 @@ interval, and from then on one sign of the squarefree part does.
 Polynomial division is long division in integers.
 
 Every decision procedure in this module is exact over the integers and
-rationals.  Floating point appears only in reporting helpers
-(`lambda_min_approx`, `GoldenNumber.to_float`) and never feeds a verdict.
+rationals.  Floating point appears only in the reporting helper
+`lambda_min_approx` and never feeds a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -99,9 +98,6 @@ class IntPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
-
-    def __reduce__(self):
-        return (IntPolynomial, (self.coeffs,))
 
     # constructors
 
@@ -232,12 +228,6 @@ class IntPolynomial:
     def sign_at(self, x) -> int:
         """Sign of the value at an int or Fraction x, in integers."""
         return _sign_at(self.coeffs, x.numerator, x.denominator)
-
-    def eval_golden(self, g: "GoldenNumber") -> "GoldenNumber":
-        acc = GoldenNumber.of(0)
-        for c in reversed(self.coeffs):
-            acc = acc * g + GoldenNumber.of(c)
-        return acc
 
     def shifted(self, c: int) -> "IntPolynomial":
         """The polynomial p(x + c)."""
@@ -422,67 +412,7 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
 
 
 # ---------------------------------------------------------------------------
-# numbers in Q(sqrt5)
-
-
-@dataclass(frozen=True)
-class GoldenNumber:
-    """Exact element a + b*sqrt(5) of the real quadratic field Q(sqrt5)."""
-
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(a, b=0) -> "GoldenNumber":
-        return GoldenNumber(Fraction(a), Fraction(b))
-
-    @staticmethod
-    def tau() -> "GoldenNumber":
-        """The golden ratio (1 + sqrt5)/2."""
-        return GoldenNumber(Fraction(1, 2), Fraction(1, 2))
-
-    def __add__(self, other) -> "GoldenNumber":
-        other = _coerce_golden(other)
-        return GoldenNumber(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GoldenNumber":
-        return GoldenNumber(-self.a, -self.b)
-
-    def __sub__(self, other) -> "GoldenNumber":
-        return self + (-_coerce_golden(other))
-
-    def __rsub__(self, other) -> "GoldenNumber":
-        return (-self) + _coerce_golden(other)
-
-    def __mul__(self, other) -> "GoldenNumber":
-        other = _coerce_golden(other)
-        return GoldenNumber(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt5 by rational case analysis."""
-        return _sign_root5(self.a, self.b)
-
-    def to_float(self) -> float:
-        return float(self.a) + float(self.b) * 5 ** 0.5
-
-    def __lt__(self, other) -> bool:
-        return (self - _coerce_golden(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - _coerce_golden(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - _coerce_golden(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - _coerce_golden(other)).sign() >= 0
+# cutoffs in Q(sqrt5): signs and thresholds
 
 
 def _sign_root5(a, b) -> int:
@@ -498,64 +428,31 @@ def _sign_root5(a, b) -> int:
     return -1 if a * a > 5 * b * b else 1
 
 
-def _coerce_golden(x) -> GoldenNumber:
-    if isinstance(x, GoldenNumber):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GoldenNumber(Fraction(x), Fraction(0))
-    raise AlgebraError(f"cannot coerce {x!r} into Q(sqrt5)")
-
-
-# ---------------------------------------------------------------------------
-# thresholds: cutoffs in Q(sqrt5)
-
-
 @dataclass(frozen=True)
 class Threshold:
-    """A cutoff in Q(sqrt5), always the smallest real root of min_poly.
+    """A cutoff in Q(sqrt5), always the smallest real root of min_poly,
+    held as the integers `scaled` = (c, d, e), e > 0, with value
+    (c + d*sqrt5)/e.
 
-    The exact value feeds the semidefinite elimination, and Sturm signs at
-    the cutoff are evaluated directly in the field.
+    The scaled integers feed the semidefinite elimination, and Sturm signs
+    at the cutoff are evaluated from them directly in the field.
     """
 
     name: str
     min_poly: IntPolynomial
-    value: GoldenNumber
-
-    @staticmethod
-    def neg_tau() -> "Threshold":
-        # -(1+sqrt5)/2, the smaller root of x^2 + x - 1
-        return Threshold(
-            "-tau",
-            IntPolynomial((-1, 1, 1)),
-            GoldenNumber(Fraction(-1, 2), Fraction(-1, 2)),
-        )
-
-    @staticmethod
-    def neg_one_minus_tau() -> "Threshold":
-        # -(3+sqrt5)/2, the smaller root of x^2 + 3x + 1
-        return Threshold(
-            "-1-tau",
-            IntPolynomial((1, 3, 1)),
-            GoldenNumber(Fraction(-3, 2), Fraction(-1, 2)),
-        )
+    scaled: tuple[int, int, int]
 
     @staticmethod
     def from_rational(r) -> "Threshold":
         r = Fraction(r)
         poly = IntPolynomial((-r.numerator, r.denominator))
-        return Threshold(str(r), poly, GoldenNumber(r, Fraction(0)))
-
-    @cached_property
-    def scaled(self) -> tuple[int, int, int]:
-        """Integers (c, d, e), e > 0, with value = (c + d*sqrt5)/e."""
-        a, b = self.value.a, self.value.b
-        e = lcm(a.denominator, b.denominator)
-        return int(a * e), int(b * e), e
+        return Threshold(str(r), poly, (r.numerator, 0, r.denominator))
 
 
-NEG_TAU = Threshold.neg_tau()
-NEG_ONE_MINUS_TAU = Threshold.neg_one_minus_tau()
+# -(1+sqrt5)/2, the smaller root of x^2 + x - 1
+NEG_TAU = Threshold("-tau", IntPolynomial((-1, 1, 1)), (-1, -1, 2))
+# -(3+sqrt5)/2, the smaller root of x^2 + 3x + 1
+NEG_ONE_MINUS_TAU = Threshold("-1-tau", IntPolynomial((1, 3, 1)), (-3, -1, 2))
 
 
 def parse_threshold(text: str) -> Threshold:

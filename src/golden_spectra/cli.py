@@ -53,6 +53,7 @@ from .model import (
     HoffmanGraph,
     ParseError,
     catalog,
+    is_connected_signed,
     parse_graph,
     to_json_obj,
     to_text,
@@ -195,6 +196,8 @@ def cmd_realize(args) -> int:
     if not isinstance(g, EdgeSignedGraph):
         raise ParseError("realize expects an edge-signed graph")
     _check_order(g)
+    if g.vertex_count < 3 or not is_connected_signed(g):
+        raise ParseError("realization requires a connected graph on >= 3 vertices")
     reals = realize_hoffman(g)
     if args.json:
         print(json.dumps([to_json_obj(r) for r in reals], sort_keys=True))

@@ -438,6 +438,7 @@ def verify_hline_witness(w: HLineWitness, family: Iterable) -> bool:
 
 
 MAX_WITNESS_SLIM = 8
+WITNESS_FAT_BUDGET = 3
 
 
 @lru_cache(maxsize=16)
@@ -498,15 +499,14 @@ def _lift(g: HoffmanGraph, d: Decomposition, cuts: list) -> HLineWitness:
                         tuple(canonical_key(pg).hex() for pg in split.part_graphs()))
 
 
-def find_hline_witness(g: HoffmanGraph, family: Sequence,
-                       fat_budget: int = 3) -> Optional[HLineWitness]:
+def find_hline_witness(g: HoffmanGraph, family: Sequence) -> Optional[HLineWitness]:
     """A witness that g is induced in a container decomposing into whole
-    family members, or None within the fat budget.
+    family members, or None within WITNESS_FAT_BUDGET added fat vertices.
 
     One search over the family closed under induced Hoffman subgraphs:
-    k = 0..`fat_budget` added fat vertices, each on a nonempty slim subset,
-    then every decomposition of the container, in lexicographic order of
-    its slim set partition: the partitions that keep each of the
+    k = 0..WITNESS_FAT_BUDGET added fat vertices, each on a nonempty slim
+    subset, then every decomposition of the container, in lexicographic
+    order of its slim set partition: the partitions that keep each of the
     container's forced pairs in one block (`partitions_joining`).  Parts
     are keyed one by one up to the first outside the closure, none when a
     block outgrows every member.  The first decomposition with every part
@@ -525,7 +525,7 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
             f"witness search is limited to {MAX_WITNESS_SLIM} slim vertices")
     family_keys, closure = _closure(frozenset(family))
     largest = max((F.slim_count for F in family), default=0)
-    for container, cfat in _containers(g, fat_budget):
+    for container, cfat in _containers(g, WITNESS_FAT_BUDGET):
         for blocks in partitions_joining(ns, _forced_pairs(container, cfat)):
             if max(map(len, blocks)) > largest:
                 continue
@@ -541,13 +541,13 @@ def find_hline_witness(g: HoffmanGraph, family: Sequence,
     return None
 
 
-def _containers(g: HoffmanGraph, fat_budget: int):
+def _containers(g: HoffmanGraph, budget: int):
     """The containers of the witness search in order, each validated once:
-    g with k = 0..fat_budget added fat vertices, each on a nonempty slim
+    g with k = 0..budget added fat vertices, each on a nonempty slim
     subset, and the fat neighbor set of each slim vertex."""
     ns = g.slim_count
     subsets = [c for size in range(1, ns + 1) for c in combinations(range(ns), size)]
-    for k in range(fat_budget + 1):
+    for k in range(budget + 1):
         for chosen in combinations_with_replacement(subsets, k):
             edges = list(g.edges)
             for i, sub in enumerate(chosen):

@@ -70,6 +70,7 @@ from .iso import (
     canonical_key,
     canonical_key_and_automorphisms,
     contains_induced,
+    orbit,
     prepare_host,
     prepare_pattern,
     prepared_embeddings,
@@ -246,21 +247,13 @@ def _allowed(rows: Optional[dict], row: tuple) -> tuple:
     return tuple(a for a in (0, 1, -1) if a not in blocked)
 
 
-def _row_orbit(row: tuple, automorphisms: tuple) -> set:
-    """The orbit of a new row under the group the parent automorphisms
-    generate; g sends row r to r' with r'[g[i]] = r[i]."""
-    orbit, todo = {row}, [row]
-    while todo:
-        r = todo.pop()
-        for g in automorphisms:
-            image = [0] * len(r)
-            for i, a in enumerate(r):
-                image[g[i]] = a
-            image = tuple(image)
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
+def _moved_row(g: tuple, row: tuple) -> tuple:
+    """The image r' of a new row r under the parent automorphism g:
+    r'[g[i]] = r[i]."""
+    image = [0] * len(row)
+    for i, a in enumerate(row):
+        image[g[i]] = a
+    return tuple(image)
 
 
 def _grow(block: Elimination, table: tuple, border: tuple, n: int,
@@ -324,7 +317,7 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tupl
             continue
         if block.copy().close(border):
             out.append(_extend(parent, row))
-            taken.update(_row_orbit(row, automorphisms))
+            taken.update(orbit(row, automorphisms, _moved_row))
     return out
 
 
@@ -572,19 +565,10 @@ def derive_two_slim() -> tuple:
     return out
 
 
-def _partition_orbit(classes: frozenset, automorphisms: tuple) -> set:
-    """The orbit of a partition, a frozenset of frozenset classes, under
-    the group the automorphisms generate; g moves each class onto its
-    image."""
-    orbit, todo = {classes}, [classes]
-    while todo:
-        p = todo.pop()
-        for g in automorphisms:
-            image = frozenset(frozenset(g[v] for v in block) for block in p)
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
+def _moved_partition(g: tuple, classes: frozenset) -> frozenset:
+    """The image of a partition, a frozenset of frozenset classes, under
+    the automorphism g: each class moves onto its image."""
+    return frozenset(frozenset(g[v] for v in block) for block in classes)
 
 
 def realize_hoffman(s: EdgeSignedGraph) -> tuple:
@@ -619,7 +603,7 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
         classes = frozenset(map(frozenset, blocks))
         if classes in taken:
             continue
-        taken.update(_partition_orbit(classes, automorphisms))
+        taken.update(orbit(classes, automorphisms, _moved_partition))
         cls = {v: bi for bi, block in enumerate(blocks) for v in block}
         # a pair in one class shares its fat vertex, so it is adjacent iff
         # it is no (-)-edge; a pair across classes iff it is a (+)-edge

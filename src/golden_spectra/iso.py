@@ -9,7 +9,8 @@ discrete, which fixes the order); automorphisms read off leaves of
 equal value prune it, as in nauty and Traces (McKay & Piperno 2014), so
 all-(+) cliques and Q graphs take a handful of leaves.  The search returns
 those automorphisms with the key (`canonical_key_and_automorphisms`), and
-the census generator prunes its children by them.
+the census generator prunes its children by them.  One closure, `orbit`,
+gives the orbit of a vertex, a new row or a partition under them.
 
 Fat vertices never mix with slim ones; once a slim ordering is fixed the
 fat side is canonicalized by sorting fat neighborhoods, which is complete
@@ -29,7 +30,8 @@ many times prepare it once and call `prepared_embeddings`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from operator import getitem
+from typing import Callable, Iterator, Optional, Union
 
 from .model import EdgeSignedGraph, HoffmanGraph
 
@@ -96,15 +98,18 @@ def _cells(colors: list) -> list:
     return [out[c] for c in sorted(out)]
 
 
-def _orbit(v: int, gens: list) -> set:
-    """The orbit of v under the group generated by `gens`."""
-    orbit, todo = {v}, [v]
-    while todo:
-        x = todo.pop()
-        new = {g[x] for g in gens} - orbit
-        orbit |= new
-        todo += new
-    return orbit
+def orbit(x, generators, image: Callable) -> set:
+    """The orbit of x under the group the generators generate, each
+    generator g acting by `image(g, x)`: a vertex (`operator.getitem`), a
+    new row or a partition of the vertices."""
+    out, todo = {x}, [x]
+    for y in todo:  # todo grows while it is walked
+        for g in generators:
+            z = image(g, y)
+            if z not in out:
+                out.add(z)
+                todo.append(z)
+    return out
 
 
 def _min_order_code(sym_code, cells, leaf_extra=None) -> tuple:
@@ -158,7 +163,7 @@ def _min_order_code(sym_code, cells, leaf_extra=None) -> tuple:
             if known != len(autos):
                 known = len(autos)
                 gens = [g for g in autos if all(g[u] == u for u in placed)]
-            if gens and not _orbit(v, gens).isdisjoint(tried):
+            if gens and not orbit(v, gens, getitem).isdisjoint(tried):
                 continue
             tried.append(v)
             rest_cell = [u for u in cell if u != v]

@@ -38,9 +38,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-Edge = "tuple[int, int]"
-
-
 def _norm_edges(edges: Iterable) -> frozenset:
     out = set()
     for e in edges:

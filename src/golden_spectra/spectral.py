@@ -9,7 +9,7 @@ and C the slim-fat incidence block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     EdgeSignedGraph,
@@ -26,24 +26,17 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class BMatrix:
-    """Reduced matrix on slim vertices; origin kept for diagnostics only."""
+    """Reduced matrix on slim vertices, compared and hashed by its entries."""
 
     entries: tuple
-    origin: HoffmanGraph = field(compare=False)
-
-    def __hash__(self):
-        return hash(self.entries)
 
 
 @dataclass(frozen=True)
 class SignedAdjacency:
-    """{-1,0,1} adjacency of an edge-signed graph; origin for diagnostics."""
+    """{-1,0,1} adjacency of an edge-signed graph, compared and hashed by
+    its entries."""
 
     entries: tuple
-    origin: EdgeSignedGraph = field(compare=False)
-
-    def __hash__(self):
-        return hash(self.entries)
 
 
 def b_matrix(g: HoffmanGraph) -> BMatrix:
@@ -62,7 +55,7 @@ def b_matrix(g: HoffmanGraph) -> BMatrix:
             else:
                 row.append(int(g.has_edge(i, j)) - len(fats[i] & fats[j]))
         rows.append(tuple(row))
-    return BMatrix(tuple(rows), g)
+    return BMatrix(tuple(rows))
 
 
 def b_matrix_by_product(g: HoffmanGraph) -> tuple:
@@ -85,7 +78,7 @@ def signed_adjacency(s: EdgeSignedGraph) -> SignedAdjacency:
     rows = tuple(
         tuple(s.sign(i, j) if i != j else 0 for j in range(n)) for i in range(n)
     )
-    return SignedAdjacency(rows, s)
+    return SignedAdjacency(rows)
 
 
 def d_matrix(g: HoffmanGraph) -> tuple:

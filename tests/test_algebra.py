@@ -13,10 +13,11 @@ from golden_spectra.algebra import (
     AlgebraError,
     Elimination,
     _semidefinite_nullity,
+    _sign_at_golden_scaled,
+    _sign_root5,
     _sturm_chain,
     _variations,
     as_int_rows,
-    GoldenNumber,
     IntPolynomial,
     Threshold,
     char_poly,
@@ -113,34 +114,32 @@ def poly_with_roots(roots) -> IntPolynomial:
 
 
 class TestGoldenNumber:
+    """Exact signs of numbers a + b*sqrt5 (`_sign_root5`)."""
+
     def test_sign_examples(self):
-        assert GoldenNumber.of(0, 0).sign() == 0
+        assert _sign_root5(0, 0) == 0
         # (-3 + sqrt5)/2 < 0 since 5 < 9
-        assert GoldenNumber.of(Fraction(-3, 2), Fraction(1, 2)).sign() == -1
+        assert _sign_root5(Fraction(-3, 2), Fraction(1, 2)) == -1
         # (sqrt5 - 2)/2 > 0 since 5 > 4
-        assert GoldenNumber.of(-1, Fraction(1, 2)).sign() == 1
+        assert _sign_root5(-1, Fraction(1, 2)) == 1
 
-    def test_tau_satisfies_its_polynomial(self):
-        tau = GoldenNumber.tau()
-        assert (tau * tau - tau - 1).sign() == 0
-        neg_tau = -tau
-        poly = IntPolynomial((-1, 1, 1))
-        assert poly.eval_golden(neg_tau).sign() == 0
-
-    @given(st.integers(-50, 50), st.integers(-50, 50),
-           st.integers(-50, 50), st.integers(-50, 50))
-    def test_sign_matches_float(self, a, b, c, d):
-        x = GoldenNumber.of(Fraction(a, 7), Fraction(b, 9))
-        y = GoldenNumber.of(Fraction(c, 5), Fraction(d, 11))
-        z = x * y + x - y
-        approx = z.to_float()
-        if abs(approx) > 1e-6:
-            assert z.sign() == (1 if approx > 0 else -1)
+    @given(st.integers(-50, 50), st.integers(-50, 50))
+    def test_sign_matches_float(self, a, b):
+        for x, y in ((a, b), (Fraction(a, 7), Fraction(b, 9))):
+            approx = float(x) + float(y) * 5 ** 0.5
+            if abs(approx) > 1e-6:
+                assert _sign_root5(x, y) == (1 if approx > 0 else -1)
+            else:
+                assert _sign_root5(x, y) == 0 == a == b
 
     def test_ordering(self):
-        assert GoldenNumber.tau() > 1
-        assert -GoldenNumber.tau() < Fraction(-3, 2)
-        assert NEG_ONE_MINUS_TAU.value < NEG_TAU.value
+        # tau > 1 and -tau < -3/2, as signs of the differences
+        assert _sign_root5(Fraction(-1, 2), Fraction(1, 2)) == 1
+        assert _sign_root5(1, Fraction(-1, 2)) == -1
+        # -1-tau < -tau, from their scaled integers
+        (c1, d1, e1), (c2, d2, e2) = NEG_ONE_MINUS_TAU.scaled, NEG_TAU.scaled
+        assert _sign_root5(Fraction(c1, e1) - Fraction(c2, e2),
+                           Fraction(d1, e1) - Fraction(d2, e2)) == -1
 
 
 class TestPolynomials:
@@ -270,16 +269,23 @@ class TestThresholds:
     def test_parse(self):
         assert parse_threshold("-tau") == NEG_TAU
         assert parse_threshold("-1-tau") == NEG_ONE_MINUS_TAU
-        assert parse_threshold("-3/2").value == GoldenNumber.of(Fraction(-3, 2))
+        assert parse_threshold("-3/2").scaled == (-3, 0, 2)
         with pytest.raises(AlgebraError):
             parse_threshold("-1.5")
         with pytest.raises(AlgebraError):
             parse_threshold("pi")
 
+    SCALED = {"-tau": (-1, -1, 2), "-1-tau": (-3, -1, 2), "-2": (-2, 0, 1),
+              "-5/2": (-5, 0, 2)}
+
     def test_minimal_polynomials_vanish(self):
-        assert NEG_TAU.min_poly.eval_golden(NEG_TAU.value).sign() == 0
-        assert NEG_ONE_MINUS_TAU.min_poly.eval_golden(
-            NEG_ONE_MINUS_TAU.value).sign() == 0
+        for text, scaled in self.SCALED.items():
+            t = parse_threshold(text)
+            assert t.scaled == scaled
+            assert _sign_at_golden_scaled(t.min_poly.coeffs, *t.scaled) == 0
+            c, d, e = scaled
+            root = min(r.real for r in np.roots(t.min_poly.coeffs[::-1]))
+            assert abs((c + d * 5 ** 0.5) / e - root) < 1e-12
 
 
 class TestRootCounting:
@@ -480,7 +486,7 @@ def row_nullity(rows, t):
     for k in range(n):
         xk, yk = xs[k], ys[k]
         ka, kb = xk[k], yk[k]
-        sign = GoldenNumber.of(ka, kb).sign()
+        sign = _sign_root5(ka, kb)
         if sign < 0:
             return None
         if sign == 0:
@@ -529,8 +535,9 @@ def golden_cutoff(a: Fraction, b: Fraction) -> Threshold:
     polynomial x^2 - 2a x + a^2 - 5b^2."""
     coeffs = (a * a - 5 * b * b, -2 * a, Fraction(1))
     scale = lcm(*(c.denominator for c in coeffs))
+    e = lcm(a.denominator, b.denominator)
     return Threshold("a+b*sqrt5", IntPolynomial(int(c * scale) for c in coeffs),
-                     GoldenNumber(a, b))
+                     (int(a * e), int(b * e), e))
 
 
 class TestSemidefiniteKernel:

@@ -215,6 +215,15 @@ class TestGraphCommands:
         out = capsys.readouterr().out
         assert "1 realizations" in out
 
+    def test_realize_refused_input_is_exit_3(self, tmp_path, capsys):
+        # realize runs no check, so a graph it cannot take is malformed
+        # input, not a failed check
+        for text in ("sg 2", "sg 4 +0-1,2-3"):
+            path = write(tmp_path, "s.txt", text)
+            assert main(["realize", path]) == 3
+            err = capsys.readouterr().err
+            assert err == "error: realization requires a connected graph on >= 3 vertices\n"
+
     def test_wrong_kind(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "sg 2 +0-1")
         assert main(["special", path]) == 3
@@ -490,6 +499,25 @@ def test_traced_functions_resolve():
     for module, func in names:
         fn = getattr(importlib.import_module(f"golden_spectra.{module}"), func, None)
         assert callable(fn), f"{module}.{func}"
+
+
+def test_acceptance_imports_resolve():
+    # Tier-1 runs with --continue-on-collection-errors, so a deleted name
+    # that the acceptance suite imports would turn its tests, failures
+    # included, into one collection error; it fails here instead
+    import ast
+    import importlib
+    tests = Path(__file__).resolve().parent
+    names = []
+    for name in ("test_acceptance.py", "conftest.py"):
+        tree = ast.parse((tests / name).read_text(encoding="utf-8"))
+        names += [(node.module, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "golden_spectra"
+                  for alias in node.names]
+    assert len(names) >= 40
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_import_starts_no_process_machinery():

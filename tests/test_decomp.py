@@ -508,7 +508,9 @@ class TestHLineWitness:
         assert len(w.decomposition.parts) == 3
 
     def test_not_found_is_none(self):
-        w = find_hline_witness(catalog("H_XVI"), [catalog("H_I")], fat_budget=1)
+        # a part keeps every fat neighbour of its slim vertices, so no
+        # number of added fat vertices gives H_XVI parts isomorphic to H_I
+        w = find_hline_witness(catalog("H_XVI"), [catalog("H_I")])
         assert w is None
 
     def test_precondition(self):

@@ -36,6 +36,7 @@ from golden_spectra.iso import (
     canonical_key_and_automorphisms,
     contains_induced,
     is_isomorphic,
+    orbit,
 )
 from golden_spectra.model import (
     catalog,
@@ -207,6 +208,57 @@ class TestEnumerateSigned:
         # strictly more classes than the connected census at n >= 2
         connected = enumerate_signed(4, NEG_TAU, (T1,), connected=True)
         assert len(census.members(4)) > len(connected.members(4))
+
+
+def generated_group(generators, n: int) -> set:
+    """Every permutation of range(n) in the group the generators generate,
+    closed under composition."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+class TestOrbit:
+    # `iso.orbit` against the images under every element of the group, for
+    # the generators the key search finds
+
+    def test_row_orbits(self, census7):
+        from golden_spectra.enumeration import _moved_row
+        nontrivial = 0
+        for n in range(1, 7):
+            for m in census7.members(n):
+                _, gens = canonical_key_and_automorphisms(m.graph)
+                group = generated_group(gens, n)
+                assert all(m.graph.sign(p[a], p[b]) == m.graph.sign(a, b)
+                           for p in group for a, b in combinations(range(n), 2))
+                inverses = [tuple(sorted(range(n), key=p.__getitem__)) for p in group]
+                for row in product((0, 1, -1), repeat=n):
+                    images = {tuple(row[q[j]] for j in range(n)) for q in inverses}
+                    assert orbit(row, gens, _moved_row) == images
+                nontrivial += len(group) > 1
+        assert nontrivial > 10
+
+    def test_partition_orbits(self, census7):
+        from golden_spectra.enumeration import _moved_partition
+        members = [m.graph for ms in exceptional_members(census7).values() for m in ms]
+        assert len(members) == 17
+        checked = 0
+        for s in members:
+            _, gens = canonical_key_and_automorphisms(s)
+            group = generated_group(gens, s.vertex_count)
+            for blocks in partitions_joining(s.vertex_count, s.minus_edges, s.plus_edges):
+                classes = frozenset(map(frozenset, blocks))
+                images = {frozenset(frozenset(p[v] for v in c) for c in classes)
+                          for p in group}
+                assert orbit(classes, gens, _moved_partition) == images
+                checked += 1
+        assert checked > 34
 
 
 class TestScreen:
