@@ -10,12 +10,17 @@ work, entry by entry, so a search that grows a matrix one row or one entry
 at a time decides each prefix without redoing the block before it.  Each
 reduced entry of a new row is a minor of the bordered matrix, linear in
 the row, so a search over many rows of one block reads it off a table of
-coefficients built once per block and decides each entry by one sum and
-one exact pending-diagonal step; the table's coefficients are minors
-themselves, so no division is lost.  It is
-the only route to such a decision; every cutoff lies in Q(sqrt5).  Sturm
-chains remain for eigenvalue descriptors (an isolating interval for the
-smallest root) and root comparison.  One bisection serves both: its
+coefficients and decides each entry by one sum and one exact
+pending-diagonal step; the table's coefficients are minors themselves,
+so no division is lost.  The table grows one row per row of the block,
+so a block closed from another by one row grows that block's table by
+one row.  It is the only route to such a decision; every cutoff lies in
+Q(sqrt5).  Characteristic polynomials are the division-free Berkowitz
+recursion, the fold of one border step that adds a row and column in
+O(n^3) work, so a matrix grown by one row gets its polynomial from the
+smaller one's in one step.  Sturm chains remain for eigenvalue
+descriptors (an isolating interval for the smallest root) and root
+comparison.  One bisection serves both: its
 endpoints are integer numerators over one shared denominator, a Sturm
 count decides each step until the smallest root is alone in the
 interval, and from then on one sign of the squarefree part does.
@@ -31,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -108,10 +114,6 @@ class IntPolynomial:
     @staticmethod
     def one() -> "IntPolynomial":
         return IntPolynomial((1,))
-
-    @staticmethod
-    def x() -> "IntPolynomial":
-        return IntPolynomial((0, 1))
 
     # basics
 
@@ -229,14 +231,6 @@ class IntPolynomial:
         """Sign of the value at an int or Fraction x, in integers."""
         return _sign_at(self.coeffs, x.numerator, x.denominator)
 
-    def shifted(self, c: int) -> "IntPolynomial":
-        """The polynomial p(x + c)."""
-        acc = IntPolynomial.zero()
-        xc = IntPolynomial((c, 1))
-        for coeff in reversed(self.coeffs):
-            acc = acc * xc + coeff
-        return acc
-
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
@@ -288,38 +282,35 @@ class IntPolynomial:
 def char_poly(matrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - m), exact over Z.
 
-    Division-free Berkowitz recursion; safe for arbitrary integer entries.
+    Division-free Berkowitz recursion, the fold of its one border step
+    (`berkowitz_step`) over the rows from the last: each step borders the
+    trailing block by the row and column before it.  Safe for arbitrary
+    integer entries.
     """
     rows = as_int_rows(matrix)
-    return IntPolynomial(reversed(_berkowitz(rows)))
+    p = IntPolynomial.one()
+    for k in range(len(rows) - 1, -1, -1):
+        p = berkowitz_step(p, rows[k][k], rows[k][k + 1:], [r[k] for r in rows[k + 1:]],
+                           [r[k + 1:] for r in rows[k + 1:]])
+    return p
 
 
-def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
-    # Returns coefficients of det(xI - rows), descending, leading 1.
-    n = len(rows)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return [1, -rows[0][0]]
-    a = rows[0][0]
-    top = rows[0][1:]
-    left = [r[0] for r in rows[1:]]
-    minor = [r[1:] for r in rows[1:]]
-    v = _berkowitz(minor)  # length n
-    col = [1, -a]
+def berkowitz_step(p: IntPolynomial, diagonal: int, top: Sequence[int],
+                   left: Sequence[int], minor: Sequence[Sequence[int]]) -> IntPolynomial:
+    """det(xI - A) for A = [[diagonal, top], [left, minor]], given
+    p = det(xI - minor): one division-free border step (Berkowitz 1984) in
+    O(m^3) for an m x m minor.  The coefficients of A's polynomial,
+    descending, are those of p times the lower triangular Toeplitz matrix
+    with first column 1, -diagonal, -top.left, -top.minor.left, ...,
+    -top.minor^(m-1).left."""
+    v = p.coeffs[::-1]
+    col = [1, -diagonal]
     w = list(left)
-    m = n - 1
-    for k in range(m):
+    for k in range(len(minor)):
         if k:
-            w = [sum(minor[i][j] * w[j] for j in range(m)) for i in range(m)]
-        col.append(-sum(top[j] * w[j] for j in range(m)))
-    out = []
-    for i in range(n + 1):
-        s = 0
-        for j in range(max(0, i - n), min(i, n - 1) + 1):
-            s += col[i - j] * v[j]
-        out.append(s)
-    return out
+            w = [sum(map(mul, r, w)) for r in minor]
+        col.append(-sum(map(mul, top, w)))
+    return IntPolynomial(sum(map(mul, col[i::-1], v)) for i in range(len(col) - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +595,11 @@ class Elimination:
     is linear in its last row, so the reduced entry is sum_i r_i*K[j][i],
     where K[j][i] is the same minor for the unit row e_i: an element of
     Z[sqrt5], zero for i > j and for a skipped i, and K[j][j] is e times
-    the divisor of step j.  A search over many rows of one block builds K
-    once (`linear_table`, by the reduction loop `extend` runs) and decides
-    each entry by one sum and one pending-diagonal step (`branches`).  No
+    the divisor of step j.  Row j of K depends on the block's rows 0..j
+    only, so K grows one row per closed row (`grow_table`, by the
+    reduction loop `extend` runs; `linear_table` is its fold).  A search
+    over many rows of one block reads K and decides each entry by one sum
+    and one pending-diagonal step (`branches`).  No
     division is lost: the table's entries and the sums are the exact
     minors that `extend` divides its way to, every division in building
     the table is checked as in `extend`, and so is the pending-diagonal
@@ -688,19 +681,29 @@ class Elimination:
     def linear_table(self) -> tuple:
         """K of the class docstring: row j is the pair (xs, ys) of the
         K[j][i], i <= j, so that entry j of a new row r, reduced, is
-        sum_i r_i*K[j][i].  Column i is the unit row e_i reduced entry by
-        entry, by the loop `extend` runs; built once per block."""
-        n = len(self.steps)
-        units = []
-        for i in range(n):
-            xs = ys = (0,) * i
-            for j in range(i, n):
-                x, y = self._reduced(int(i == j), xs, ys)
-                xs += (x,)
-                ys += (y,)
-            units.append((xs, ys))
-        return tuple((tuple(units[i][0][j] for i in range(j + 1)),
-                      tuple(units[i][1][j] for i in range(j + 1))) for j in range(n))
+        sum_i r_i*K[j][i].  The fold of `grow_table` over the block's rows,
+        from the empty table."""
+        table = ()
+        while len(table) < len(self.steps):
+            table = self.grow_table(table)
+        return table
+
+    def grow_table(self, table: tuple) -> tuple:
+        """The linear table of rows 0..j of this block, given `table`, that
+        of rows 0..j-1 (j = len(table)); rows 0..j-1 of K depend only on
+        the block's first j rows, so a block closed from a parent's by one
+        row grows the parent's table by one row.  K[j][i] is the unit row
+        e_i's entry j, reduced, by the loop `extend` runs; the unit row's
+        earlier entries, reduced, are K[i..j-1][i] (zero before i)."""
+        j = len(table)
+        xs, ys = [], []
+        for i in range(j + 1):
+            below = table[i:]
+            x, y = self._reduced(int(i == j), (0,) * i + tuple([row[0][i] for row in below]),
+                                 (0,) * i + tuple([row[1][i] for row in below]))
+            xs.append(x)
+            ys.append(y)
+        return table + ((tuple(xs), tuple(ys)),)
 
     def branches(self, table: tuple, border: tuple, row: Sequence[int],
                  values: Iterable[int]) -> list:

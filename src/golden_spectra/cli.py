@@ -162,6 +162,18 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _out_dir(text: str) -> Path:
+    """The `--out` directory, created before any computation; one that
+    cannot be created (say, under a regular file) is malformed input."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create output directory {text}: "
+                         f"{exc.strerror or exc}") from exc
+    return out
+
+
 def _forbidden_patterns(text: str) -> list:
     """The catalog graphs named in `--forbid`, a list split at the commas
     outside parentheses, so that `Q(p,q,r)` stays whole; each must be an
@@ -178,10 +190,9 @@ def _forbidden_patterns(text: str) -> list:
 
 def cmd_enumerate(args) -> int:
     forbidden = _forbidden_patterns(args.forbid)
+    out = _out_dir(args.out)
     census = enumerate_signed(args.max_n, args.threshold, forbidden,
                               connected=args.connected)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"census-signed-n{args.max_n}.txt"
     write_signed_census(census, path)
     write_manifest(enumeration_manifest(census), out / "manifest.json")
@@ -209,9 +220,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    out = _out_dir(args.out)
     result = classify_irreducible()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_signed_census(result.signed_census, out / "census-signed-n7.txt")
     write_named_signed(result.exceptional, out / "census-15.txt")
     write_hoffman_census(result.irreducible, out / "census-37.txt")
@@ -231,9 +241,8 @@ def cmd_classify(args) -> int:
 
 def cmd_maximal(args) -> int:
     census = read_hoffman_census(args.census)
+    out = _out_dir(args.out)
     maxi = maximal_members(census)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_hoffman_census(maxi, out / "census-18.txt")
     print(f"maximal members: {len(maxi.members)}")
     for m in maxi.members:

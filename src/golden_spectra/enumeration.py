@@ -15,12 +15,18 @@ The signed generator (`_children`), for each level of the census (the
 first grown from the empty graph) and for the Q extension verifier,
 compiles the forbidden patterns once into constraints on the new row:
 the parent is pattern-free, so a pattern in a child runs through the new
-vertex, and an entry that completes one is not allowed.  Complete rows
-are checked for connectivity.  It makes one child per orbit of new rows
-under the parent automorphisms that the parent's key search found: every
-filter is invariant under isomorphism, so the rows of one orbit give
-isomorphic children, and the first child of each class is never a
-skipped one.
+vertex, and an entry that completes one is not allowed; each constraint
+is one itemgetter compare on the prefix.  Complete rows are checked for
+connectivity.  It makes one child per orbit of new rows under the parent
+automorphisms that the parent's key search found: every filter is
+invariant under isomorphism, so the rows of one orbit give isomorphic
+children, and the first child of each class is never a skipped one.
+Every extension pays for its own row only.  The elimination that accepts
+a child's row is the child's elimination, and the child keeps it; a
+child that is searched in turn grows its parent's linear table by one
+row, and a census member's characteristic polynomial is one Berkowitz
+border step from its parent's.  Only the empty graph and a Q base are
+eliminated from scratch.
 A second route checks the census for n <= 7: the same generator with no
 automorphisms, run from every labelled survivor, which keys every
 labelled survivor and prunes no orbit.  For a connected census it grows
@@ -34,9 +40,10 @@ from their special graphs, the irreducible census and its maximal
 members, and the three-vertex diagonal sweep.  The source's classification
 is one table, `SOURCE_CLASSIFICATION`, the one source of every expected
 count.  Characteristic polynomials and Sturm chains appear only where an
-eigenvalue is described (`lambda_descriptor`, computed once per
-polynomial); the eigenvalue class of an exceptional graph is read off its
-descriptor.
+eigenvalue is described (`_polynomial_descriptor`, computed once per
+polynomial, on a census member's carried polynomial or through
+`lambda_descriptor`); the eigenvalue class of an exceptional graph is
+read off its descriptor.
 
 Everything is deterministic: children are generated in lexicographic
 sign-vector order and all outputs are sorted by canonical key.
@@ -49,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -57,6 +65,7 @@ from .algebra import (
     Elimination,
     IntPolynomial,
     Threshold,
+    berkowitz_step,
     char_poly,
     eliminate,
     isolate_smallest_root,
@@ -222,7 +231,8 @@ def _forbidden_rows(parent: EdgeSignedGraph, cuts: Optional[tuple]) -> Optional[
     copy e of P - a in the parent, so the child contains it exactly when
     row[e(u)] == P.sign(a, u) for every other pattern vertex u, zero
     included.  Each constraint is keyed by the last position it fixes and
-    holds its value there and its earlier (position, value) pairs.  A
+    holds its value there and its earlier (position, value) pairs, and the
+    constraints of one position are compiled once (`_compiled`).  A
     pattern with at most one vertex lies in every child: the empty one in
     any graph, a single vertex at the new vertex.  The parent is prepared
     once as a host for all the cuts."""
@@ -234,16 +244,34 @@ def _forbidden_rows(parent: EdgeSignedGraph, cuts: Optional[tuple]) -> Optional[
         for e in prepared_embeddings(host, pattern):
             *earlier, (j, value) = sorted(zip(e, signs))
             rows.setdefault(j, set()).add((value, tuple(earlier)))
-    return rows
+    return {j: _compiled(constraints) for j, constraints in rows.items()}
+
+
+def _compiled(constraints: set) -> tuple:
+    """The constraints of one position as (always, checks): the values a
+    constraint with no earlier position blocks on every prefix, and for
+    each other constraint on a value not in always, the value, an
+    `itemgetter` of its earlier positions and what it must read there to
+    block it (the one value of a single position, else their tuple)."""
+    always = frozenset(value for value, earlier in constraints if not earlier)
+    checks = []
+    for value, earlier in sorted(constraints):
+        if earlier and value not in always:
+            positions, wanted = zip(*earlier)
+            checks.append((value, itemgetter(*positions),
+                           wanted if len(wanted) > 1 else wanted[0]))
+    return always, tuple(checks)
 
 
 def _allowed(rows: Optional[dict], row: tuple) -> tuple:
     """The entries 0, 1, -1, in that order, less those that complete a
-    forbidden pattern when appended to row."""
-    constraints = rows.get(len(row)) if rows else None
-    if not constraints:
+    forbidden pattern when appended to row: one compare per compiled
+    constraint of the position."""
+    compiled = rows.get(len(row)) if rows else None
+    if compiled is None:
         return (0, 1, -1)
-    blocked = {a for a, earlier in constraints if all(row[p] == v for p, v in earlier)}
+    always, checks = compiled
+    blocked = always.union([a for a, read, wanted in checks if read(row) == wanted])
     return tuple(a for a in (0, 1, -1) if a not in blocked)
 
 
@@ -276,26 +304,28 @@ def _grow(block: Elimination, table: tuple, border: tuple, n: int,
                      reversed(block.branches(table, border, row, values(row))))
 
 
-def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tuple],
-              connected: bool, automorphisms: tuple) -> list:
+def _children(parent: EdgeSignedGraph, block: Elimination, table: tuple,
+              cuts: Optional[tuple], connected: bool, automorphisms: tuple) -> list:
     """One one-vertex extension of parent per orbit of passing new rows
     under the group that `automorphisms` (of the parent) generate, each
     the first of its orbit in lexicographic order of the new row over the
     entries 0, 1, -1; with no automorphisms, every passing extension.  The
     only generator of signed one-vertex extensions, for the census, the
-    brute-force oracle and the Q extension step.  The parent must be free
-    of the forbidden patterns, which come as their `_pattern_cuts`.
+    brute-force oracle and the Q extension step.  `block` is the parent's
+    elimination at the cutoff and `table` its linear table; the parent
+    must be free of the forbidden patterns, which come as their
+    `_pattern_cuts`.  Each child comes as (child, new row, its
+    elimination), the last being the parent's closed by the row, which the
+    child inherits when it is searched in turn.
 
-    The parent is eliminated once at the cutoff (a parent below it has no
-    children), and `_grow` grows the new row on that elimination one entry
-    at a time, deciding the allowed signs of each position together.  A
-    prefix is dropped as soon as the subgraph on its vertices and the new
-    one lies below the cutoff, which is sound by eigenvalue interlacing,
-    or as soon as its last entry completes a forbidden pattern through the
-    new vertex (`_forbidden_rows`), the only place a pattern can appear in
-    a child of a pattern-free parent.  A complete row must give a
-    connected child (when asked) and a pending diagonal that is not
-    negative.
+    `_grow` grows the new row on the parent's elimination one entry at a
+    time, deciding the allowed signs of each position together.  A prefix
+    is dropped as soon as the subgraph on its vertices and the new one
+    lies below the cutoff, which is sound by eigenvalue interlacing, or as
+    soon as its last entry completes a forbidden pattern through the new
+    vertex (`_forbidden_rows`), the only place a pattern can appear in a
+    child of a pattern-free parent.  A complete row must give a connected
+    child (when asked) and a pending diagonal that is not negative.
 
     A parent automorphism g extended by the new vertex is an isomorphism
     from the child of row r onto the child of its image, and every filter
@@ -305,20 +335,34 @@ def _children(parent: EdgeSignedGraph, threshold: Threshold, cuts: Optional[tupl
     before its last elimination step; it comes after that row, so the
     first child of every isomorphism class is still returned."""
     n = parent.vertex_count
-    block = eliminate(signed_adjacency(parent).entries, threshold)
     rows = _forbidden_rows(parent, cuts)
-    if block is None or rows is None:
+    if rows is None:
         return []
     out = []
     taken: set = set()  # rows in the orbit of an accepted row
-    for row, border in _grow(block, block.linear_table(), block.open(0), n,
+    for row, border in _grow(block, table, block.open(0), n,
                              lambda row: _allowed(rows, row)):
         if (connected and n and not any(row)) or row in taken:
             continue
-        if block.copy().close(border):
-            out.append(_extend(parent, row))
+        grown = block.copy()
+        if grown.close(border):
+            out.append((_extend(parent, row), row, grown))
             taken.update(orbit(row, automorphisms, _moved_row))
     return out
+
+
+class _Parent(NamedTuple):
+    """A census member whose children are searched, with all they inherit
+    from it: the automorphisms its key search found, its elimination at
+    the cutoff with that block's linear table, and its signed adjacency
+    matrix with its characteristic polynomial."""
+
+    graph: EdgeSignedGraph
+    automorphisms: tuple
+    block: Elimination
+    table: tuple
+    matrix: tuple
+    poly: IntPolynomial
 
 
 def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
@@ -336,24 +380,40 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
     max_n is listed, empty or not.  The cutoff, like every `Threshold`,
     lies in Q(sqrt5); each forbidden pattern must be an `EdgeSignedGraph`
     (TypeError otherwise).
+
+    A member pays for its own row only.  It keeps the elimination
+    `_children` closed for it; its characteristic polynomial, which its
+    eigenvalue descriptor reads, is one border step (`berkowitz_step`)
+    from its parent's, the new vertex put first with diagonal 0 and the
+    new row as its border (a relabelling keeps the polynomial).  A member
+    that is searched in turn, one below max_n, also gets its linear table
+    grown from its parent's by one row and its matrix bordered by the row.
+    Only the empty graph is eliminated from scratch.
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
     forbidden = _signed_patterns(forbidden)
     cuts = _pattern_cuts(forbidden)
     by_n: dict = {}
-    level = [(signed(0), ())]
+    root = Elimination.start(threshold)
+    level = [_Parent(signed(0), (), root, root.linear_table(), (), IntPolynomial.one())]
     for n in range(1, max_n + 1):
         found: dict = {}
-        for parent, automorphisms in level:
-            for child in _children(parent, threshold, cuts, connected, automorphisms):
-                key, child_automorphisms = canonical_key_and_automorphisms(child)
-                found.setdefault(key, (child, child_automorphisms))
-        keys = sorted(found)
-        level = [found[k] for k in keys]
-        by_n[n] = tuple(
-            SignedCensusMember(g, k, lambda_descriptor(signed_adjacency(g).entries))
-            for k, (g, _) in zip(keys, level))
+        for parent in level:
+            for child, row, block in _children(parent.graph, parent.block, parent.table,
+                                               cuts, connected, parent.automorphisms):
+                key, automorphisms = canonical_key_and_automorphisms(child)
+                found.setdefault(key, (parent, child, row, block, automorphisms))
+        members, level = [], []
+        for key in sorted(found):
+            parent, child, row, block, automorphisms = found[key]
+            poly = berkowitz_step(parent.poly, 0, row, row, parent.matrix)
+            members.append(SignedCensusMember(child, key, _polynomial_descriptor(poly)))
+            if n < max_n:
+                matrix = tuple(r + (a,) for r, a in zip(parent.matrix, row)) + (row + (0,),)
+                level.append(_Parent(child, automorphisms, block,
+                                     block.grow_table(parent.table), matrix, poly))
+        by_n[n] = tuple(members)
     return SignedCensus(max_n, threshold.name,
                         tuple(to_text(p) for p in forbidden), connected, by_n)
 
@@ -378,7 +438,10 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     without its orbit skip (Tier-1 checks it against a loop over every
     new row).  Vertex m joins the graph on 0..m-1, so every labelled
     graph that passes is reached through its prefixes, the filters being
-    hereditary on induced subgraphs.
+    hereditary on induced subgraphs.  Each stacked parent keeps the
+    elimination `_children` closed for it and its parent's linear table
+    grown by one row, so only the empty graph is eliminated from
+    scratch.
 
     With `connected`, the all-zero new row of every vertex m >= 1 is
     dropped, the rule `_children` uses, so every yielded graph is
@@ -389,12 +452,14 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     the rule too and, the filters being hereditary, passes them; the search
     reaches the whole graph through its prefixes."""
     cuts = _pattern_cuts(_signed_patterns(forbidden))
-    stack = [signed(0)] if max_n >= 1 else []
+    root = Elimination.start(threshold)
+    stack = [(signed(0), root, root.linear_table())] if max_n >= 1 else []
     while stack:
-        for g in _children(stack.pop(), threshold, cuts, connected, ()):
+        parent, block, table = stack.pop()
+        for g, _, grown in _children(parent, block, table, cuts, connected, ()):
             yield g
             if g.vertex_count < max_n:
-                stack.append(g)
+                stack.append((g, grown, grown.grow_table(table)))
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -455,10 +520,13 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
     if contains_induced(base, t1) is not None:
         raise ClassificationError("Q base unexpectedly contains the forbidden triangle")
     bumped = {(p + 1, q, r), (p, q + 1, r), (p, q, r + 1)}
+    block = eliminate(signed_adjacency(base).entries, NEG_TAU)
+    if block is None:
+        raise ClassificationError("Q base unexpectedly below -tau")
     _, automorphisms = canonical_key_and_automorphisms(base)
     return all(is_q_graph(child) in bumped
-               for child in _children(base, NEG_TAU, _pattern_cuts((t1,)), True,
-                                      automorphisms))
+               for child, _, _ in _children(base, block, block.linear_table(),
+                                            _pattern_cuts((t1,)), True, automorphisms))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ Canonical keys are total byte encodings invariant under isomorphism:
 sign-preserving bijections for edge-signed graphs, label-preserving
 bijections (slim to slim, fat to fat) for Hoffman graphs.  Keys are found
 by color refinement followed by one backtracking minimum-code search inside
-the refinement cells, for both kinds (none when the refinement is
-discrete, which fixes the order); automorphisms read off leaves of
+the refinement cells, for both kinds (a single leaf when the refinement
+is discrete, which fixes the order); automorphisms read off leaves of
 equal value prune it, as in nauty and Traces (McKay & Piperno 2014), so
-all-(+) cliques and Q graphs take a handful of leaves.  The search returns
-those automorphisms with the key (`canonical_key_and_automorphisms`), and
-the census generator prunes its children by them.  One closure, `orbit`,
+all-(+) cliques and Q graphs take a handful of leaves, and a forced
+choice (a singleton cell, the last vertex of a split cell) is never a
+branch point: it takes no frame of the search.  From uniform colours the
+refinement's first round ranks each vertex's sorted nonzero symbols.
+The search returns those automorphisms with the key
+(`canonical_key_and_automorphisms`), and the census generator prunes its
+children by them.  One closure, `orbit`,
 gives the orbit of a vertex, a new row or a partition under them.
 
 Fat vertices never mix with slim ones; once a slim ordering is fixed the
@@ -75,10 +79,19 @@ def _refine(n: int, sym, colors: list) -> list:
     flat int tuple: the vertex's colour, then the sorted codes
     x << shift | colour(u) of its links, which order the pairs
     (x, colour(u)) as tuples would, since every colour stays below
-    2**shift.  Refinement stops once the colours are discrete or stable;
-    colours that are already the ranks 0..n-1 are returned at once."""
+    2**shift.  From uniform colours the first round ranks each row's
+    sorted nonzero symbols, which order as those signatures do, and the
+    link codes are built only if a second round is needed.  Refinement
+    stops once the colours are discrete or stable; colours that are
+    already the ranks 0..n-1 are returned at once."""
     if sorted(colors) == list(range(n)):
         return colors
+    if len(set(colors)) == 1:
+        sigs = [tuple(sorted([x for x in row if x])) for row in sym]
+        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [palette[sig] for sig in sigs]
+        if len(palette) in (1, n):
+            return colors
     shift = max([n, *colors]).bit_length()
     links = [[(x << shift, u) for u, x in enumerate(row) if x] for row in sym]
     while True:
@@ -119,27 +132,36 @@ def _min_order_code(sym_code, cells, leaf_extra=None) -> tuple:
     part) breaks ties.
 
     Children are tried in increasing row order, and the first whose row
-    takes the code past the best code's prefix ends the node.  A leaf of
-    the best value gives an automorphism: the map from the best leaf's
-    order onto its own keeps every pair symbol, cell and leaf extra.  One
-    rule prunes by these: a child that an automorphism fixing every placed
-    vertex maps from an earlier child is skipped, since it carries that
-    child's searched subtree onto this one leaf by leaf with equal values,
-    so the minimum stays exact.  The new automorphism is such a map at the
-    first level where the two orders part, so the search returns there.
-    The stabiliser generators of a node are taken once, and again only
-    after a child found a new automorphism.  Cells that are all singletons
-    allow one order, returned without a search and with no automorphism.
-    Each automorphism is a tuple g with g[v] the image of v."""
-    if all(len(cell) == 1 for cell in cells):  # discrete: one order, no search
-        order = [cell[0] for cell in cells]
-        code = tuple(sym_code[u][v] for i, v in enumerate(order) for u in order[:i])
-        return (code, leaf_extra(order) if leaf_extra else ()), ()
+    takes the code past the best code's prefix ends the node.  A forced
+    choice, a singleton cell or the last vertex of a split cell, takes no
+    frame: the frame of the choice before it appends its row, and a code
+    that passes the best code's prefix there drops that choice.  A
+    leaf of the best value gives an automorphism: the map from the best
+    leaf's order onto its own keeps every pair symbol, cell and leaf
+    extra.  One rule prunes by these: a child that an automorphism fixing
+    every placed vertex maps from an earlier child is skipped, since it
+    carries that child's searched subtree onto this one leaf by leaf with
+    equal values, so the minimum stays exact.  The new automorphism is
+    such a map at the first level where the two orders part, never a
+    forced one, so the search returns there.  The stabiliser generators
+    of a node are taken once, and again only after a child found a new
+    automorphism.  Cells that are all singletons allow one order, a single
+    leaf with no automorphism.  Each automorphism is a tuple g with g[v]
+    the image of v."""
     best: list = [None, None]
     autos: list = []
 
     def rec(cells_left, placed, code) -> int:
-        """Search below `placed`; the depth at which the search goes on."""
+        """Search below `placed`, the forced choices first; the depth at
+        which the search goes on."""
+        while cells_left and len(cells_left[0]) == 1:  # a forced choice: no node
+            v = cells_left[0][0]
+            code += tuple([sym_code[u][v] for u in placed])
+            b = best[0]
+            if b is not None and code > b[0][: len(code)]:
+                return len(placed)
+            placed = placed + [v]
+            cells_left = cells_left[1:]
         depth = len(placed)
         if not cells_left:
             value = (code, leaf_extra(placed) if leaf_extra else ())
@@ -167,8 +189,8 @@ def _min_order_code(sym_code, cells, leaf_extra=None) -> tuple:
                 continue
             tried.append(v)
             rest_cell = [u for u in cell if u != v]
-            nxt = ([rest_cell] if rest_cell else []) + cells_left[1:]
-            resume = rec(nxt, placed + [v], new_code)
+            resume = rec(([rest_cell] if rest_cell else []) + cells_left[1:],
+                         placed + [v], new_code)
             if resume < depth:
                 return resume
         return depth

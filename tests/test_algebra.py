@@ -18,6 +18,7 @@ from golden_spectra.algebra import (
     _sturm_chain,
     _variations,
     as_int_rows,
+    berkowitz_step,
     IntPolynomial,
     Threshold,
     char_poly,
@@ -45,6 +46,22 @@ def rand_symmetric(rng, n, lo=-1, hi=1):
         for j in range(i, n):
             m[i][j] = m[j][i] = rng.randint(lo, hi)
     return m
+
+
+def linear_table_by_units(block):
+    """The linear table built one unit row e_i at a time, each reduced
+    entry by entry, kept as the oracle of the row-by-row fold."""
+    n = len(block.steps)
+    units = []
+    for i in range(n):
+        xs = ys = (0,) * i
+        for j in range(i, n):
+            x, y = block._reduced(int(i == j), xs, ys)
+            xs += (x,)
+            ys += (y,)
+        units.append((xs, ys))
+    return tuple((tuple(units[i][0][j] for i in range(j + 1)),
+                  tuple(units[i][1][j] for i in range(j + 1))) for j in range(n))
 
 
 def fraction_try_div(p, divisor):
@@ -148,16 +165,12 @@ class TestPolynomials:
         assert str(IntPolynomial(())) == "0"
 
     def test_arithmetic(self):
-        x = IntPolynomial.x()
+        x = IntPolynomial((0, 1))
         p = (x + 1) * (x - 1)
         assert p == IntPolynomial((-1, 0, 1))
         assert (x ** 3).degree == 3
         assert p(2) == 3
         assert p.derivative() == IntPolynomial((0, 2))
-
-    def test_shifted(self):
-        p = IntPolynomial((2, -6, 0, 1))  # x^3 - 6x + 2
-        assert p.shifted(-1) == IntPolynomial((7, -3, -3, 1))
 
     def test_divexact(self):
         p = IntPolynomial((-1, 1, 1)) * IntPolynomial((5, 7))
@@ -165,7 +178,7 @@ class TestPolynomials:
         assert p.try_div(IntPolynomial((1, 1))) is None
 
     def test_try_div_in_integers(self):
-        x = IntPolynomial.x()
+        x = IntPolynomial((0, 1))
         # exact over Q but not over Z: the quotient x/2 is not integral
         assert (2 * x * (x + 1)).try_div(4 * x + 4) is None
         assert (x * x + 1).try_div(2 * x) is None
@@ -263,6 +276,17 @@ class TestCharPoly:
             got = char_poly(m)
             want = np.poly(np.array(m, dtype=float))[::-1]  # ascending
             assert np.allclose([float(c) for c in got.coeffs], want, atol=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 7), st.integers(-3, 3), st.integers(0, 10 ** 6))
+    def test_border_step_is_the_bordered_polynomial(self, n, diagonal, seed):
+        # one border step from the minor's polynomial gives the polynomial
+        # of the whole bordered matrix, here with the new row first
+        rng = random.Random(seed)
+        m = rand_symmetric(rng, n, -3, 3)
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        bordered = [[diagonal] + row] + [[a] + r for a, r in zip(row, m)]
+        assert berkowitz_step(char_poly(m), diagonal, row, row, m) == char_poly(bordered)
 
 
 class TestThresholds:
@@ -697,3 +721,25 @@ class TestSemidefiniteKernel:
                     if border is None or not block.close(border):
                         break
         assert positions > 2000 and skipped > 100 and rejected > 1000
+
+    def test_tables_grow_one_row_at_a_time(self):
+        # a block closed by one row has its parent's table plus one row,
+        # and the fold of that growth is the table built one unit row at a
+        # time, also after skipped zero pivots
+        rng = random.Random(19)
+        cutoffs = (NEG_TAU, NEG_ONE_MINUS_TAU, parse_threshold("-1"), parse_threshold("-2"))
+        rows = skipped = 0
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            m = rand_symmetric(rng, n)
+            for t in cutoffs:
+                block, table = Elimination.start(t), ()
+                for k in range(n):
+                    border = block.extend(block.open(m[k][k]), m[k][:k])
+                    if border is None or not block.close(border):
+                        break
+                    table = block.grow_table(table)
+                    assert table == block.linear_table() == linear_table_by_units(block)
+                    rows += 1
+                    skipped += block.steps[-1] is None
+        assert rows > 1000 and skipped > 50

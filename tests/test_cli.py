@@ -117,6 +117,24 @@ class TestSpectrumAndCheck:
                      "--out", str(tmp_path / "out")]) == 3
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["enumerate", "--max-n", "5"], ["classify"], ["maximal"]])
+    def test_unusable_out_is_exit_3_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    classification, argv):
+        # an --out under a regular file is refused with one error line
+        # before the census, the classification or the maximal search runs
+        from golden_spectra import cli
+        for name in ("enumerate_signed", "classify_irreducible", "maximal_members"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("computed"))
+        census = tmp_path / "census-37.txt"
+        write_hoffman_census(classification.irreducible, census)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        extra = ["--census", str(census)] if argv == ["maximal"] else []
+        assert main(argv + extra + ["--out", str(blocker / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_usage_error_is_exit_2(self, tmp_path, capsys):
         assert main(["not-a-command"]) == 2
         assert main(["check"]) == 2

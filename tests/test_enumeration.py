@@ -11,6 +11,7 @@ from golden_spectra.algebra import (
     IntPolynomial,
     char_poly,
     compare_smallest_roots,
+    eliminate,
     lambda_min_approx,
     lambda_min_at_least,
     lambda_min_equals,
@@ -37,6 +38,8 @@ from golden_spectra.iso import (
     contains_induced,
     is_isomorphic,
     orbit,
+    prepare_host,
+    prepared_embeddings,
 )
 from golden_spectra.model import (
     catalog,
@@ -68,6 +71,42 @@ def labelled(n: int, code):
 
 def random_labelled(rng: random.Random, n: int, symbols: tuple):
     return labelled(n, [rng.choice(symbols) for _ in range(n * (n - 1) // 2)])
+
+
+def forbidden_rows_oracle(parent, cuts):
+    """The constraints of the forbidden patterns on a child's new row as
+    (value, earlier (position, value) pairs), keyed by the last position,
+    uncompiled; None if every child contains a pattern."""
+    if cuts is None:
+        return None
+    rows: dict = {}
+    host = prepare_host(parent) if cuts else None
+    for pattern, signs in cuts:
+        for e in prepared_embeddings(host, pattern):
+            *earlier, (j, value) = sorted(zip(e, signs))
+            rows.setdefault(j, set()).add((value, tuple(earlier)))
+    return rows
+
+
+def allowed_oracle(rows, row):
+    """The entries 0, 1, -1 less those that some constraint keyed at the
+    next position blocks, each tested pair by pair over the prefix."""
+    constraints = rows.get(len(row)) if rows else None
+    if not constraints:
+        return (0, 1, -1)
+    blocked = {a for a, earlier in constraints if all(row[p] == v for p, v in earlier)}
+    return tuple(a for a in (0, 1, -1) if a not in blocked)
+
+
+def children_of(parent, threshold, cuts, connected, automorphisms):
+    """The children `_children` makes of a parent eliminated from scratch
+    at the cutoff, none if the parent lies below it."""
+    from golden_spectra.enumeration import _children
+    block = eliminate(signed_adjacency(parent).entries, threshold)
+    if block is None:
+        return []
+    return [child for child, _, _ in _children(parent, block, block.linear_table(), cuts,
+                                               connected, automorphisms)]
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +186,7 @@ class TestEnumerateSigned:
         assert census.by_n == {1: (), 2: (), 3: ()}
 
     def test_level_one_grows_from_the_empty_graph(self):
-        from golden_spectra.enumeration import _children
-        assert _children(signed(0), NEG_TAU, (), True, ()) == [signed(1)]
+        assert children_of(signed(0), NEG_TAU, (), True, ()) == [signed(1)]
 
     def test_each_child_keyed_once(self, monkeypatch):
         # one child per Aut(parent) orbit of new rows, each keyed once:
@@ -181,7 +219,7 @@ class TestEnumerateSigned:
         # per parent, the children pruned by the parent's automorphisms
         # against every child: the same keys, and the same first child of
         # each key, so the census and its files cannot change
-        from golden_spectra.enumeration import _children, _pattern_cuts
+        from golden_spectra.enumeration import _pattern_cuts
         census = request.getfixturevalue(census)
         threshold = parse_threshold(census.threshold_name)
         cuts = _pattern_cuts(tuple(from_text(p) for p in census.forbidden))
@@ -193,7 +231,7 @@ class TestEnumerateSigned:
                 firsts = []
                 for gens in (automorphisms, ()):
                     first: dict = {}
-                    for child in _children(parent, threshold, cuts, True, gens):
+                    for child in children_of(parent, threshold, cuts, True, gens):
                         first.setdefault(canonical_key(child), to_text(child))
                     firsts.append(first)
                 assert firsts[0] == firsts[1]
@@ -265,7 +303,7 @@ class TestScreen:
     def test_children_match_unscreened_loop(self):
         # the pruned generator against a loop over every new row:
         # connectivity, one exact decision per child, forbidden patterns
-        from golden_spectra.enumeration import _children, _extend, _pattern_cuts
+        from golden_spectra.enumeration import _extend, _pattern_cuts
 
         def reference(parent, threshold, forbidden, connected):
             out = []
@@ -281,7 +319,7 @@ class TestScreen:
 
         def check(parent, threshold, forbidden):
             connected = is_connected_signed(parent)
-            got = _children(parent, threshold, _pattern_cuts(forbidden), connected, ())
+            got = children_of(parent, threshold, _pattern_cuts(forbidden), connected, ())
             assert got == reference(parent, threshold, forbidden, connected)
             if not lambda_min_at_least(signed_adjacency(parent).entries, threshold):
                 assert got == []
@@ -310,7 +348,7 @@ class TestScreen:
         # the empty parent at a positive cutoff: no entry is reduced, so
         # only the leaf's pending diagonal rejects the one-vertex child
         half = parse_threshold("1/2")
-        assert _children(signed(0), half, (), False, ()) == []
+        assert children_of(signed(0), half, (), False, ()) == []
         assert reference(signed(0), half, (), False) == []
         # the pattern-row prune against the whole-graph search, on parents
         # free of every pattern with two or more vertices; a pattern with at
@@ -373,10 +411,51 @@ class TestScreen:
         assert calls == {"prepare_pattern": 3, "prepare_host": 1,
                          "prepared_embeddings": 3}
 
-    def test_linear_table_built_once_per_parent(self, monkeypatch):
-        # each parent is eliminated once, row by row, and gives one linear
-        # table that every node of its new-row search reads; no node takes
-        # the per-entry bordered step
+    def test_compiled_constraints_match_the_prefix_loop(self, census7):
+        # on every prefix the row search reaches, the compiled constraints
+        # allow the entries that a loop over each constraint's (position,
+        # value) pairs allows
+        from golden_spectra.enumeration import (
+            _allowed, _forbidden_rows, _grow, _pattern_cuts)
+        parents = [(signed(0), (T1,))] + [(m.graph, (T1,)) for ms in census7.by_n.values()
+                                          for m in ms]
+        parents += [(make_q(*q), (T1,)) for q in ((0, 0, 7), (1, 1, 5), (2, 1, 4))]
+        rng = random.Random(9)
+        for names in PATTERN_SETS:
+            forbidden = tuple(catalog(name) for name in names)
+            while sum(f == forbidden for _, f in parents) < 8:
+                parent = random_labelled(rng, rng.randint(0, 6), (0, 1, -1))
+                if not any(pat.vertex_count > 1 and contains_induced(parent, pat) is not None
+                           for pat in forbidden):
+                    parents.append((parent, forbidden))
+        prefixes = blocked = 0
+        for parent, forbidden in parents:
+            cuts = _pattern_cuts(forbidden)
+            rows, oracle = _forbidden_rows(parent, cuts), forbidden_rows_oracle(parent, cuts)
+            block = eliminate(signed_adjacency(parent).entries, NEG_TAU)
+            if rows is None or block is None:
+                assert rows is oracle is None or block is None
+                continue
+
+            def values(prefix):
+                nonlocal prefixes, blocked
+                want = allowed_oracle(oracle, prefix)
+                assert _allowed(rows, prefix) == want
+                prefixes += 1
+                blocked += 3 - len(want)
+                return want
+
+            for _ in _grow(block, block.linear_table(), block.open(0), parent.vertex_count,
+                           values):
+                pass
+        assert prefixes > 1500 and blocked > 300
+
+    def test_one_table_row_per_searched_parent(self, monkeypatch):
+        # the census and the oracle eliminate no parent from scratch but
+        # the empty graph: no parent takes the per-entry bordered step, the
+        # empty graph's table is the one built whole, and every other
+        # searched parent grows its own parent's table by one row
+        from golden_spectra import enumeration
         from golden_spectra.algebra import Elimination
         calls = Counter()
 
@@ -388,25 +467,78 @@ class TestScreen:
                 return real(block, *args)
             monkeypatch.setattr(Elimination, name, call)
 
-        for name in ("linear_table", "extend"):
+        for name in ("linear_table", "grow_table", "extend"):
             counted(name)
+        real_eliminate = enumeration.eliminate
+
+        def counted_eliminate(*args):
+            calls["eliminate"] += 1
+            return real_eliminate(*args)
+        monkeypatch.setattr(enumeration, "eliminate", counted_eliminate)
         census = enumerate_signed(6, NEG_TAU, (T1,))
-        parents = {0: 1, **{n: len(census.members(n)) for n in range(1, 6)}}
-        # eliminating a parent on k vertices extends blocks of 0..k-1 rows
-        assert calls == Counter(
-            {**{("linear_table", k): count for k, count in parents.items()},
-             **{("extend", j): sum(c for k, c in parents.items() if k > j)
-                for j in range(5)}})
-        # the oracle runs the same generator on every labelled parent, the
-        # empty graph and each yielded graph on at most three vertices
+        assert calls == Counter({("linear_table", 0): 1,
+                                 **{("grow_table", k): len(census.members(k))
+                                    for k in range(1, 6)}})
+        # the oracle searches the empty graph and each yielded graph on at
+        # most three vertices
         calls.clear()
         labelled = Counter(g.vertex_count
                            for g in labelled_signed_graphs(4, NEG_TAU, (T1,)))
-        parents = {0: 1, 1: labelled[1], 2: labelled[2], 3: labelled[3]}
-        assert calls == Counter(
-            {**{("linear_table", k): count for k, count in parents.items()},
-             **{("extend", j): sum(c for k, c in parents.items() if k > j)
-                for j in range(3)}})
+        assert calls == Counter({("linear_table", 0): 1,
+                                 **{("grow_table", k): labelled[k] for k in range(1, 4)}})
+
+
+class TestInheritedState:
+    """The state a census member inherits from its parent against the same
+    state computed from scratch: the elimination, the linear table and the
+    characteristic polynomial."""
+
+    @pytest.mark.parametrize("census", ["census7", "census6_unforbidden", "census_wide"])
+    def test_every_member_matches_its_state_from_scratch(self, census, request,
+                                                         monkeypatch):
+        from golden_spectra import enumeration
+        from golden_spectra.enumeration import _extend
+        census = request.getfixturevalue(census)
+        threshold = parse_threshold(census.threshold_name)
+        searched, polys = [], []
+        real_children = enumeration._children
+        real_descriptor = enumeration._polynomial_descriptor
+
+        def recorded_children(parent, block, table, *args):
+            out = real_children(parent, block, table, *args)
+            searched.append((parent, block, table, out))
+            return out
+
+        def recorded_descriptor(poly):
+            polys.append(poly)
+            return real_descriptor(poly)
+
+        monkeypatch.setattr(enumeration, "_children", recorded_children)
+        monkeypatch.setattr(enumeration, "_polynomial_descriptor", recorded_descriptor)
+        again = enumerate_signed(census.max_n, threshold,
+                                 [from_text(p) for p in census.forbidden], census.connected)
+        assert again.by_n == census.by_n
+        members = [m.graph for n in sorted(census.by_n) for m in census.members(n)]
+        # every member has its polynomial, and every member below the last
+        # level is searched, in census order after the empty graph
+        assert polys == [char_poly(signed_adjacency(g)) for g in members]
+        assert [parent for parent, _, _, _ in searched] \
+            == [signed(0)] + members[:-len(census.members(census.max_n)) or None]
+
+        def scratch(g):
+            block = eliminate(signed_adjacency(g).entries, threshold)
+            return block.steps, block.columns, block.divisor
+
+        children = 0
+        for parent, block, table, out in searched:
+            assert (block.steps, block.columns, block.divisor) == scratch(parent)
+            assert table == block.linear_table()
+            for child, row, grown in out:
+                assert (grown.steps, grown.columns, grown.divisor) == scratch(child)
+                assert grown.grow_table(table) == grown.linear_table()
+                assert child == _extend(parent, row)
+                children += 1
+        assert children > len(members)
 
 
 def connected_labelled_keys(max_n, threshold, forbidden=()):
@@ -520,7 +652,7 @@ class TestExtensionStep:
         # every admissible child of a base with 7 <= p+q+r <= 8 is T1-free,
         # and its Q shape is a bumped triple exactly when its canonical key
         # is the key of a bumped Q graph
-        from golden_spectra.enumeration import _children, _pattern_cuts
+        from golden_spectra.enumeration import _pattern_cuts
         cuts = _pattern_cuts((T1,))
         children = representatives = 0
         for total in (7, 8):
@@ -530,13 +662,13 @@ class TestExtensionStep:
                     bumped = {(p + 1, q, r), (p, q + 1, r), (p, q, r + 1)}
                     keys = {canonical_key(make_q(*b)) for b in bumped if b[0] + b[1] <= b[2]}
                     base = make_q(p, q, r)
-                    unpruned = _children(base, NEG_TAU, cuts, True, ())
+                    unpruned = children_of(base, NEG_TAU, cuts, True, ())
                     for child in unpruned:
                         assert contains_induced(child, T1) is None
                         assert (is_q_graph(child) in bumped) == (canonical_key(child) in keys)
                     # one child per orbit under the base's automorphisms
                     gens = canonical_key_and_automorphisms(base)[1]
-                    pruned = _children(base, NEG_TAU, cuts, True, gens)
+                    pruned = children_of(base, NEG_TAU, cuts, True, gens)
                     assert {canonical_key(c) for c in pruned} \
                         == {canonical_key(c) for c in unpruned}
                     children += len(unpruned)

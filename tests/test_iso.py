@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import permutations
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,6 +237,108 @@ class TestKeyOracle:
         graphs = [hoffman(n, len(edges), [(v, n + k) for k, e in enumerate(edges) for v in e])
                   for n, edges in self.cycle_unions(rng, choices, 40)]
         self.same_keys(graphs, monkeypatch)
+
+
+def refine_by_links(n, sym, colors):
+    """The colour refinement that builds the link codes before its first
+    round, kept as the oracle of the one that ranks the sorted nonzero
+    symbols first from uniform colours."""
+    if sorted(colors) == list(range(n)):
+        return colors
+    shift = max([n, *colors]).bit_length()
+    links = [[(x << shift, u) for u, x in enumerate(row) if x] for row in sym]
+    while True:
+        sigs = [(colors[v], *sorted([x | colors[u] for x, u in links[v]]))
+                for v in range(n)]
+        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [palette[sig] for sig in sigs]
+        if len(palette) == n or new == colors:
+            return new
+        colors = new
+
+
+def min_order_code_by_frames(sym_code, cells, leaf_extra=None):
+    """The pruned minimum-code search with one node per choice, forced
+    ones included, and the discrete order returned without a search, kept
+    as the oracle of the search that takes no frame for a forced choice:
+    the same value and the same automorphisms in the same order."""
+    if all(len(cell) == 1 for cell in cells):
+        order = [cell[0] for cell in cells]
+        code = tuple(sym_code[u][v] for i, v in enumerate(order) for u in order[:i])
+        return (code, leaf_extra(order) if leaf_extra else ()), ()
+    best: list = [None, None]
+    autos: list = []
+
+    def rec(cells_left, placed, code) -> int:
+        depth = len(placed)
+        if not cells_left:
+            value = (code, leaf_extra(placed) if leaf_extra else ())
+            if best[0] is None or value < best[0]:
+                best[:] = value, placed
+            elif value == best[0]:
+                g = list(range(len(sym_code)))
+                for a, b in zip(best[1], placed):
+                    g[a] = b
+                autos.append(tuple(g))
+                return next(i for i, (a, b) in enumerate(zip(best[1], placed)) if a != b)
+            return depth
+        cell = cells_left[0]
+        tried: list = []
+        known = -1
+        for row, v in sorted([(tuple([sym_code[u][v] for u in placed]), v) for v in cell]):
+            new_code = code + row
+            b = best[0]
+            if b is not None and new_code > b[0][: len(new_code)]:
+                break
+            if known != len(autos):
+                known = len(autos)
+                gens = [g for g in autos if all(g[u] == u for u in placed)]
+            if gens and not iso.orbit(v, gens, getitem).isdisjoint(tried):
+                continue
+            tried.append(v)
+            rest_cell = [u for u in cell if u != v]
+            nxt = ([rest_cell] if rest_cell else []) + cells_left[1:]
+            resume = rec(nxt, placed + [v], new_code)
+            if resume < depth:
+                return resume
+        return depth
+
+    rec(list(cells), [], ())
+    return best[0], tuple(autos)
+
+
+class TestSearchOracle:
+    """The search without frames for forced choices, on the refinement
+    that ranks symbols first, against the search with a frame per choice
+    on the refinement that builds link codes first: the same key and the
+    same automorphisms in the same order, so every orbit skip is the same."""
+
+    @staticmethod
+    def same_results(graphs, monkeypatch):
+        results = [canonical_key_and_automorphisms(g) for g in graphs]
+        with monkeypatch.context() as m:
+            m.setattr(iso, "_min_order_code", min_order_code_by_frames)
+            m.setattr(iso, "_refine", refine_by_links)
+            assert [canonical_key_and_automorphisms(g) for g in graphs] == results
+        return sum(bool(autos) for _, autos in results)
+
+    def test_census_members(self, census7, census6_unforbidden, census_wide,
+                            classification, monkeypatch):
+        graphs = [m.graph for c in (census7, census6_unforbidden, census_wide)
+                  for ms in c.by_n.values() for m in ms]
+        graphs += [m.graph for m in classification.irreducible.members]
+        assert self.same_results(graphs, monkeypatch) > 100
+
+    def test_q_family(self, monkeypatch):
+        graphs = [make_q(p, q, r) for r in range(12) for p in range(r + 1)
+                  for q in range(r + 1 - p) if p + q + r <= 11]
+        assert self.same_results(graphs, monkeypatch) > 100
+
+    def test_random_graphs(self, monkeypatch):
+        rng = random.Random(23)
+        graphs = [random_signed(rng, rng.randint(0, 9)) for _ in range(600)]
+        graphs += [random_hoffman(rng, 9) for _ in range(400)]
+        assert self.same_results(graphs, monkeypatch) > 100
 
 
 def automorphism_count(g) -> int:
