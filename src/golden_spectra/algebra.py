@@ -12,10 +12,9 @@ reduced entry of a new row is a minor of the bordered matrix, linear in
 the row, so a search over many rows of one block reads it off a table of
 coefficients and decides each entry by one sum and one exact
 pending-diagonal step; the table's coefficients are minors themselves,
-so no division is lost.  The table grows one row per row of the block,
-so a block closed from another by one row grows that block's table by
-one row.  It is the only route to such a decision; every cutoff lies in
-Q(sqrt5).  Characteristic polynomials are the division-free Berkowitz
+so no division is lost.  The block keeps its table, grown on first need
+one row per row of the block and shared with its copies.  It is the
+only route to such a decision; every cutoff lies in Q(sqrt5).  Characteristic polynomials are the division-free Berkowitz
 recursion, the fold of one border step that adds a row and column in
 O(n^3) work, so a matrix grown by one row gets its polynomial from the
 smaller one's in one step.  Sturm chains remain for eigenvalue
@@ -444,6 +443,8 @@ class Threshold:
 NEG_TAU = Threshold("-tau", IntPolynomial((-1, 1, 1)), (-1, -1, 2))
 # -(3+sqrt5)/2, the smaller root of x^2 + 3x + 1
 NEG_ONE_MINUS_TAU = Threshold("-1-tau", IntPolynomial((1, 3, 1)), (-3, -1, 2))
+# the width of a smallest eigenvalue's interval, printed and in descriptors
+DESCRIPTOR_WIDTH = Fraction(1, 2 * 10 ** 9)
 
 
 def parse_threshold(text: str) -> Threshold:
@@ -595,32 +596,34 @@ class Elimination:
     is linear in its last row, so the reduced entry is sum_i r_i*K[j][i],
     where K[j][i] is the same minor for the unit row e_i: an element of
     Z[sqrt5], zero for i > j and for a skipped i, and K[j][j] is e times
-    the divisor of step j.  Row j of K depends on the block's rows 0..j
-    only, so K grows one row per closed row (`grow_table`, by the
-    reduction loop `extend` runs; `linear_table` is its fold).  A search
-    over many rows of one block reads K and decides each entry by one sum
-    and one pending-diagonal step (`branches`).  No
-    division is lost: the table's entries and the sums are the exact
-    minors that `extend` divides its way to, every division in building
-    the table is checked as in `extend`, and so is the pending-diagonal
-    step.
+    the divisor of step j.  A search over many rows of one block reads K
+    and decides each entry by one sum and one pending-diagonal step
+    (`branches`).  No division is lost: the table's entries and the sums
+    are the exact minors that `extend` divides its way to, every division
+    in building the table is checked as in `extend`, and so is the
+    pending-diagonal step.
 
     State: `columns[k]`, the entries (i, k), i < k, each as it stood at
     step i (by symmetry, pivot row i at its own step); `steps[k]`, pivot k
     and the divisor of its step, or None if skipped; `divisor`, that of
-    the next step.  `close` grows the block in place; a search that grows
-    one block in many ways closes copies."""
+    the next step; `table`, the rows of K held so far, grown on first need
+    (`linear_table`).  `close` grows the block in place; a search that
+    grows one block in many ways closes copies.  Row j of K depends on the
+    block's rows 0..j only and `close` only appends rows, so a held table
+    stays a valid prefix after `close` and a copy shares it: the tuple is
+    immutable, and growing it rebinds only the growing block's slot."""
 
-    __slots__ = ("scaled", "columns", "steps", "divisor")
+    __slots__ = ("scaled", "columns", "steps", "divisor", "table")
 
-    def __init__(self, scaled, columns=(), steps=(), divisor=(1, 0, 1)):
+    def __init__(self, scaled, columns=(), steps=(), divisor=(1, 0, 1), table=()):
         self.scaled = scaled
         self.columns = list(columns)
         self.steps = list(steps)
         self.divisor = divisor
+        self.table = table
 
     def copy(self) -> "Elimination":
-        return Elimination(self.scaled, self.columns, self.steps, self.divisor)
+        return Elimination(self.scaled, self.columns, self.steps, self.divisor, self.table)
 
     @staticmethod
     def start(t: Threshold) -> "Elimination":
@@ -681,20 +684,17 @@ class Elimination:
     def linear_table(self) -> tuple:
         """K of the class docstring: row j is the pair (xs, ys) of the
         K[j][i], i <= j, so that entry j of a new row r, reduced, is
-        sum_i r_i*K[j][i].  The fold of `grow_table` over the block's rows,
-        from the empty table."""
-        table = ()
-        while len(table) < len(self.steps):
-            table = self.grow_table(table)
-        return table
+        sum_i r_i*K[j][i].  Only the rows the block does not hold yet are
+        built (`_table_row`), and the block keeps the result."""
+        while len(self.table) < len(self.steps):
+            self.table += (self._table_row(self.table),)
+        return self.table
 
-    def grow_table(self, table: tuple) -> tuple:
-        """The linear table of rows 0..j of this block, given `table`, that
-        of rows 0..j-1 (j = len(table)); rows 0..j-1 of K depend only on
-        the block's first j rows, so a block closed from a parent's by one
-        row grows the parent's table by one row.  K[j][i] is the unit row
-        e_i's entry j, reduced, by the loop `extend` runs; the unit row's
-        earlier entries, reduced, are K[i..j-1][i] (zero before i)."""
+    def _table_row(self, table: tuple) -> tuple:
+        """Row j of K, given `table`, its rows 0..j-1 (j = len(table)).
+        K[j][i] is the unit row e_i's entry j, reduced, by the loop
+        `extend` runs; the unit row's earlier entries, reduced, are
+        K[i..j-1][i] (zero before i)."""
         j = len(table)
         xs, ys = [], []
         for i in range(j + 1):
@@ -703,14 +703,13 @@ class Elimination:
                                  (0,) * i + tuple([row[1][i] for row in below]))
             xs.append(x)
             ys.append(y)
-        return table + ((tuple(xs), tuple(ys)),)
+        return tuple(xs), tuple(ys)
 
-    def branches(self, table: tuple, border: tuple, row: Sequence[int],
-                 values: Iterable[int]) -> list:
+    def branches(self, border: tuple, row: Sequence[int], values: Iterable[int]) -> list:
         """The pairs (a, border with the entry a appended), in the order of
         `values`, for the values a that `extend(border, (a,))` keeps, each
         border equal to the one it returns; `row` is the prefix `border`
-        holds and `table` this block's `linear_table`.
+        holds, and the held `table` must reach its position.
 
         The prefix's share of the reduced entry is summed once over its
         nonzero entries; each value adds a*K[j][j] and takes one
@@ -718,7 +717,7 @@ class Elimination:
         rejects, as in `extend`."""
         xs, ys, px, py = border
         j = len(xs)
-        kx, ky = table[j]
+        kx, ky = self.table[j]
         sx = sy = 0
         for r, ax, ay in zip(row, kx, ky):
             if r:
@@ -888,7 +887,7 @@ def lambda_min_approx(matrix) -> float:
     if not rows:
         raise AlgebraError("empty matrix has no eigenvalues")
     p = char_poly(rows)
-    lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
+    lo, hi = isolate_smallest_root(p, DESCRIPTOR_WIDTH)
     return float(lo + (hi - lo) / 2)
 
 

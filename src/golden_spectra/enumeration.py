@@ -9,8 +9,8 @@ parent's exact semidefinite elimination at the cutoff (over Z[sqrt5]),
 one pass per position for all allowed entries on that elimination's
 linear table, and drops a prefix as soon as the principal submatrix on
 its vertices and the new one lies below the cutoff, which is sound by
-eigenvalue interlacing.  The callers give only the opening diagonal and
-the entries allowed at each position.
+eigenvalue interlacing.  The callers give only the elimination, which
+holds its table, the opening diagonal and the allowed entries.
 The signed generator (`_children`), for each level of the census (the
 first grown from the empty graph) and for the Q extension verifier,
 compiles the forbidden patterns once into constraints on the new row:
@@ -22,9 +22,9 @@ automorphisms that the parent's key search found: every filter is
 invariant under isomorphism, so the rows of one orbit give isomorphic
 children, and the first child of each class is never a skipped one.
 Every extension pays for its own row only.  The elimination that accepts
-a child's row is the child's elimination, and the child keeps it; a
-child that is searched in turn grows its parent's linear table by one
-row, and a census member's characteristic polynomial is one Berkowitz
+a child's row is the child's elimination, signed or fat, and the child
+keeps it with its parent's table, which a search of the child grows by
+one row; a census member's characteristic polynomial is one Berkowitz
 border step from its parent's.  Only the empty graph and a Q base are
 eliminated from scratch.
 A second route checks the census for n <= 7: the same generator with no
@@ -53,13 +53,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import (
+    DESCRIPTOR_WIDTH,
     NEG_ONE_MINUS_TAU,
     NEG_TAU,
     Elimination,
@@ -154,7 +154,7 @@ def _polynomial_descriptor(p: IntPolynomial) -> LambdaDescriptor:
     squarefree factor and passes that test has the eigenvalue as its
     smallest root.  Memoized: p is immutable and the descriptor, frozen,
     depends on nothing else."""
-    lo, hi = isolate_smallest_root(p, Fraction(1, 2 * 10 ** 9))
+    lo, hi = isolate_smallest_root(p, DESCRIPTOR_WIDTH)
 
     def has_root(f: IntPolynomial) -> bool:
         return f.sign_at(lo) != f.sign_at(hi)
@@ -284,39 +284,39 @@ def _moved_row(g: tuple, row: tuple) -> tuple:
     return tuple(image)
 
 
-def _grow(block: Elimination, table: tuple, border: tuple, n: int,
+def _grow(block: Elimination, diagonal: int,
           values: Callable[[tuple], tuple]) -> Iterator[tuple]:
-    """Every complete new row of n entries, with its border, grown on the
-    block from the opened `border`: the one row search of the module, for
-    the signed census and the fat classes alike.  `values(prefix)` gives
-    the entries allowed at the next position, in order, and the rows come
-    in lexicographic order of them.  Each position is one pass
-    (`Elimination.branches`) on the block's `linear_table`, which keeps a
-    prefix only while the principal submatrix on its vertices and the new
-    one stays at or above the cutoff."""
-    stack = [((), border)]
+    """Every complete new row of the block, with its border opened with
+    diagonal entry `diagonal`: the one row search of the module, for the
+    signed census and the fat classes alike.  `values(prefix)` gives the
+    entries allowed at the next position, in order, and the rows come in
+    lexicographic order of them.  The block's `linear_table` is grown once,
+    and each position is one pass (`Elimination.branches`) on it, which
+    keeps a prefix only while the principal submatrix on its vertices and
+    the new one stays at or above the cutoff."""
+    n = len(block.linear_table())
+    stack = [((), block.open(diagonal))]
     while stack:
         row, border = stack.pop()
         if len(row) == n:
             yield row, border
             continue
         stack.extend((row + (a,), grown) for a, grown in
-                     reversed(block.branches(table, border, row, values(row))))
+                     reversed(block.branches(border, row, values(row))))
 
 
-def _children(parent: EdgeSignedGraph, block: Elimination, table: tuple,
-              cuts: Optional[tuple], connected: bool, automorphisms: tuple) -> list:
+def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple],
+              connected: bool, automorphisms: tuple) -> list:
     """One one-vertex extension of parent per orbit of passing new rows
     under the group that `automorphisms` (of the parent) generate, each
     the first of its orbit in lexicographic order of the new row over the
     entries 0, 1, -1; with no automorphisms, every passing extension.  The
     only generator of signed one-vertex extensions, for the census, the
     brute-force oracle and the Q extension step.  `block` is the parent's
-    elimination at the cutoff and `table` its linear table; the parent
-    must be free of the forbidden patterns, which come as their
-    `_pattern_cuts`.  Each child comes as (child, new row, its
-    elimination), the last being the parent's closed by the row, which the
-    child inherits when it is searched in turn.
+    elimination at the cutoff; the parent must be free of the forbidden
+    patterns, which come as their `_pattern_cuts`.  Each child comes as
+    (child, new row, its elimination), the last a copy of the parent's,
+    sharing its table, closed by the row; the child inherits it.
 
     `_grow` grows the new row on the parent's elimination one entry at a
     time, deciding the allowed signs of each position together.  A prefix
@@ -340,8 +340,7 @@ def _children(parent: EdgeSignedGraph, block: Elimination, table: tuple,
         return []
     out = []
     taken: set = set()  # rows in the orbit of an accepted row
-    for row, border in _grow(block, table, block.open(0), n,
-                             lambda row: _allowed(rows, row)):
+    for row, border in _grow(block, 0, lambda row: _allowed(rows, row)):
         if (connected and n and not any(row)) or row in taken:
             continue
         grown = block.copy()
@@ -354,13 +353,12 @@ def _children(parent: EdgeSignedGraph, block: Elimination, table: tuple,
 class _Parent(NamedTuple):
     """A census member whose children are searched, with all they inherit
     from it: the automorphisms its key search found, its elimination at
-    the cutoff with that block's linear table, and its signed adjacency
-    matrix with its characteristic polynomial."""
+    the cutoff, and its signed adjacency matrix with its characteristic
+    polynomial."""
 
     graph: EdgeSignedGraph
     automorphisms: tuple
     block: Elimination
-    table: tuple
     matrix: tuple
     poly: IntPolynomial
 
@@ -386,22 +384,21 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
     eigenvalue descriptor reads, is one border step (`berkowitz_step`)
     from its parent's, the new vertex put first with diagonal 0 and the
     new row as its border (a relabelling keeps the polynomial).  A member
-    that is searched in turn, one below max_n, also gets its linear table
-    grown from its parent's by one row and its matrix bordered by the row.
-    Only the empty graph is eliminated from scratch.
+    that is searched in turn, one below max_n, also gets its matrix
+    bordered by the row, and its search grows its table by one row.  Only
+    the empty graph is eliminated from scratch.
     """
     if not 0 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"max_n must be between 0 and {MAX_ENUM_N}")
     forbidden = _signed_patterns(forbidden)
     cuts = _pattern_cuts(forbidden)
     by_n: dict = {}
-    root = Elimination.start(threshold)
-    level = [_Parent(signed(0), (), root, root.linear_table(), (), IntPolynomial.one())]
+    level = [_Parent(signed(0), (), Elimination.start(threshold), (), IntPolynomial.one())]
     for n in range(1, max_n + 1):
         found: dict = {}
         for parent in level:
-            for child, row, block in _children(parent.graph, parent.block, parent.table,
-                                               cuts, connected, parent.automorphisms):
+            for child, row, block in _children(parent.graph, parent.block, cuts, connected,
+                                               parent.automorphisms):
                 key, automorphisms = canonical_key_and_automorphisms(child)
                 found.setdefault(key, (parent, child, row, block, automorphisms))
         members, level = [], []
@@ -411,8 +408,7 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
             members.append(SignedCensusMember(child, key, _polynomial_descriptor(poly)))
             if n < max_n:
                 matrix = tuple(r + (a,) for r, a in zip(parent.matrix, row)) + (row + (0,),)
-                level.append(_Parent(child, automorphisms, block,
-                                     block.grow_table(parent.table), matrix, poly))
+                level.append(_Parent(child, automorphisms, block, matrix, poly))
         by_n[n] = tuple(members)
     return SignedCensus(max_n, threshold.name,
                         tuple(to_text(p) for p in forbidden), connected, by_n)
@@ -439,9 +435,8 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     new row).  Vertex m joins the graph on 0..m-1, so every labelled
     graph that passes is reached through its prefixes, the filters being
     hereditary on induced subgraphs.  Each stacked parent keeps the
-    elimination `_children` closed for it and its parent's linear table
-    grown by one row, so only the empty graph is eliminated from
-    scratch.
+    elimination `_children` closed for it, so only the empty graph is
+    eliminated from scratch.
 
     With `connected`, the all-zero new row of every vertex m >= 1 is
     dropped, the rule `_children` uses, so every yielded graph is
@@ -452,14 +447,13 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     the rule too and, the filters being hereditary, passes them; the search
     reaches the whole graph through its prefixes."""
     cuts = _pattern_cuts(_signed_patterns(forbidden))
-    root = Elimination.start(threshold)
-    stack = [(signed(0), root, root.linear_table())] if max_n >= 1 else []
+    stack = [(signed(0), Elimination.start(threshold))] if max_n >= 1 else []
     while stack:
-        parent, block, table = stack.pop()
-        for g, _, grown in _children(parent, block, table, cuts, connected, ()):
+        parent, block = stack.pop()
+        for g, _, grown in _children(parent, block, cuts, connected, ()):
             yield g
             if g.vertex_count < max_n:
-                stack.append((g, grown, grown.grow_table(table)))
+                stack.append((g, grown))
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -525,8 +519,8 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
         raise ClassificationError("Q base unexpectedly below -tau")
     _, automorphisms = canonical_key_and_automorphisms(base)
     return all(is_q_graph(child) in bumped
-               for child, _, _ in _children(base, block, block.linear_table(),
-                                            _pattern_cuts((t1,)), True, automorphisms))
+               for child, _, _ in _children(base, block, _pattern_cuts((t1,)), True,
+                                            automorphisms))
 
 
 # ---------------------------------------------------------------------------
@@ -573,25 +567,24 @@ def fat_classes(max_slim: int) -> dict:
     a principal submatrix.  Three fat neighbors induce the one-slim triple
     star, certified below -1-tau here.
 
-    Each parent's B is eliminated once at -1-tau, and every fat choice
-    opens a border with diagonal -|fats| and grows the new row of B on it
-    by `_grow`: the entry for an earlier slim vertex v is a - c_v, a in
-    {0, 1} its adjacency and c_v the number of fats that v meets.  Only a
-    row that `close` accepts becomes a graph; the accepted children are
-    keyed in the order (subset size, subset, fat choice), so the first
-    child of each class is the one a from-scratch loop over the subsets
-    keeps."""
+    Every fat choice opens a border with diagonal -|fats| on the parent's
+    elimination of B at -1-tau and grows the new row by `_grow`: the entry
+    for an earlier slim vertex v is a - c_v, a in {0, 1} its adjacency and
+    c_v the number of fats that v meets.  The new slim vertex is the last
+    row of B, so the copy that `close` accepts is the child's elimination,
+    which its class keeps; no parent is eliminated from scratch.  The
+    accepted children are keyed in the order (subset size, subset, fat
+    choice), so the first child of each class is the one a from-scratch
+    loop over the subsets keeps."""
     star3 = b_matrix(catalog("K1T(3)")).entries
     if lambda_min_at_least(star3, NEG_ONE_MINUS_TAU):
         raise ClassificationError("fat-degree cap certificate failed")
     levels: dict = {}
-    level = [hoffman(0, 0)]
+    level = [(hoffman(0, 0), Elimination.start(NEG_ONE_MINUS_TAU))]
     for s in range(max_slim):
         found: dict = {}
-        for parent in level:
+        for parent, block in level:
             f = parent.fat_count
-            block = eliminate(b_matrix(parent).entries, NEG_ONE_MINUS_TAU)
-            table = block.linear_table()
             # the new slim vertex takes id s, so the old fat ids move up by one
             edges = [(a, b + 1) if b >= s else (a, b) for a, b in parent.edges]
             fat_of = [{b for a, b in edges if a == v and b > s} for v in range(s)]
@@ -602,19 +595,20 @@ def fat_classes(max_slim: int) -> dict:
             accepted = []
             for i, fats in enumerate(fat_choices):
                 shared = [len(fat_of[v].intersection(fats)) for v in range(s)]
-                for row, border in _grow(block, table, block.open(-len(fats)), s,
+                for row, border in _grow(block, -len(fats),
                                          lambda row: (-shared[len(row)],
                                                       1 - shared[len(row)])):
-                    if block.copy().close(border):
+                    grown = block.copy()
+                    if grown.close(border):
                         slims = tuple(v for v in range(s) if row[v] + shared[v])
-                        accepted.append((len(slims), slims, i))
-            for _, slims, i in sorted(accepted):
+                        accepted.append((len(slims), slims, i, grown))
+            for _, slims, i, grown in sorted(accepted, key=itemgetter(0, 1, 2)):
                 fats = fat_choices[i]
                 child = hoffman(s + 1, f + sum(1 for x in fats if x >= new[0]),
                                 edges + [(v, s) for v in slims] + [(s, x) for x in fats])
-                found.setdefault(canonical_key(child), child)
-        levels[s + 1] = {k: found[k] for k in sorted(found)}
-        level = list(levels[s + 1].values())
+                found.setdefault(canonical_key(child), (child, grown))
+        level = [found[k] for k in sorted(found)]
+        levels[s + 1] = {k: child for k, (child, _) in sorted(found.items())}
     return levels
 
 

@@ -572,5 +572,7 @@ def parse_graph(text: str):
             raise ParseError(f"bad JSON: {exc.msg}", exc.pos) from exc
         except ValueError as exc:  # an integer longer than int() accepts
             raise ParseError(f"bad JSON: {exc}") from exc
+        except RecursionError as exc:  # arrays or objects nested past the stack
+            raise ParseError("bad JSON: nested too deeply") from exc
         return from_json_obj(obj)
     return from_text(stripped)

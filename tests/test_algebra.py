@@ -709,8 +709,8 @@ class TestSemidefiniteKernel:
                     for j in range(k):
                         want = [(a, grown) for a in (0, 1, -1)
                                 if (grown := block.extend(border, (a,))) is not None]
-                        assert block.branches(table, border, m[k][:j], (0, 1, -1)) == want
-                        assert block.branches(table, border, m[k][:j], (-1, 0)) == [
+                        assert block.branches(border, m[k][:j], (0, 1, -1)) == want
+                        assert block.branches(border, m[k][:j], (-1, 0)) == [
                             (a, grown) for a, grown in want if a != 1][::-1]
                         positions += 1
                         skipped += block.steps[j] is None
@@ -725,7 +725,8 @@ class TestSemidefiniteKernel:
     def test_tables_grow_one_row_at_a_time(self):
         # a block closed by one row has its parent's table plus one row,
         # and the fold of that growth is the table built one unit row at a
-        # time, also after skipped zero pivots
+        # time, also after skipped zero pivots; a copy shares the table it
+        # was taken with, and growing one block's table leaves the other's
         rng = random.Random(19)
         cutoffs = (NEG_TAU, NEG_ONE_MINUS_TAU, parse_threshold("-1"), parse_threshold("-2"))
         rows = skipped = 0
@@ -736,10 +737,16 @@ class TestSemidefiniteKernel:
                 block, table = Elimination.start(t), ()
                 for k in range(n):
                     border = block.extend(block.open(m[k][k]), m[k][:k])
+                    before = block.copy()
+                    assert before.table is block.table == table
                     if border is None or not block.close(border):
                         break
-                    table = block.grow_table(table)
-                    assert table == block.linear_table() == linear_table_by_units(block)
+                    grown = block.linear_table()
+                    assert grown[:-1] == table and len(grown) == k + 1
+                    assert grown == linear_table_by_units(block)
+                    assert block.linear_table() is grown
+                    assert before.linear_table() == table
+                    table = grown
                     rows += 1
                     skipped += block.steps[-1] is None
         assert rows > 1000 and skipped > 50

@@ -85,6 +85,14 @@ class TestSpectrumAndCheck:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_deeply_nested_json_is_exit_3(self, tmp_path, capsys):
+        # the decoder's recursion ends in a parse error, not a traceback
+        path = write(tmp_path, "g.json", '{"n":' + "[" * 100000)
+        for command in ("spectrum", "realize"):
+            assert main([command, path]) == 3
+            err = capsys.readouterr().err
+            assert err == "error: bad JSON: nested too deeply\n"
+
     def test_json_errors_report_no_position(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", '{"n": Infinity}')
         assert main(["special", path]) == 3

@@ -105,8 +105,7 @@ def children_of(parent, threshold, cuts, connected, automorphisms):
     block = eliminate(signed_adjacency(parent).entries, threshold)
     if block is None:
         return []
-    return [child for child, _, _ in _children(parent, block, block.linear_table(), cuts,
-                                               connected, automorphisms)]
+    return [child for child, _, _ in _children(parent, block, cuts, connected, automorphisms)]
 
 
 @pytest.fixture(scope="module")
@@ -445,16 +444,15 @@ class TestScreen:
                 blocked += 3 - len(want)
                 return want
 
-            for _ in _grow(block, block.linear_table(), block.open(0), parent.vertex_count,
-                           values):
+            for _ in _grow(block, 0, values):
                 pass
         assert prefixes > 1500 and blocked > 300
 
     def test_one_table_row_per_searched_parent(self, monkeypatch):
         # the census and the oracle eliminate no parent from scratch but
         # the empty graph: no parent takes the per-entry bordered step, the
-        # empty graph's table is the one built whole, and every other
-        # searched parent grows its own parent's table by one row
+        # empty graph's table is empty, and every other searched parent
+        # grows the table it shares with its own parent by one row
         from golden_spectra import enumeration
         from golden_spectra.algebra import Elimination
         calls = Counter()
@@ -467,7 +465,7 @@ class TestScreen:
                 return real(block, *args)
             monkeypatch.setattr(Elimination, name, call)
 
-        for name in ("linear_table", "grow_table", "extend"):
+        for name in ("_table_row", "extend"):
             counted(name)
         real_eliminate = enumeration.eliminate
 
@@ -476,22 +474,45 @@ class TestScreen:
             return real_eliminate(*args)
         monkeypatch.setattr(enumeration, "eliminate", counted_eliminate)
         census = enumerate_signed(6, NEG_TAU, (T1,))
-        assert calls == Counter({("linear_table", 0): 1,
-                                 **{("grow_table", k): len(census.members(k))
-                                    for k in range(1, 6)}})
+        assert calls == Counter({("_table_row", k): len(census.members(k))
+                                 for k in range(1, 6)})
         # the oracle searches the empty graph and each yielded graph on at
         # most three vertices
         calls.clear()
         labelled = Counter(g.vertex_count
                            for g in labelled_signed_graphs(4, NEG_TAU, (T1,)))
-        assert calls == Counter({("linear_table", 0): 1,
-                                 **{("grow_table", k): labelled[k] for k in range(1, 4)}})
+        assert calls == Counter({("_table_row", k): labelled[k] for k in range(1, 4)})
 
 
 class TestInheritedState:
-    """The state a census member inherits from its parent against the same
-    state computed from scratch: the elimination, the linear table and the
-    characteristic polynomial."""
+    """The state a census member or a fat class inherits from its parent
+    against the same state computed from scratch: the elimination, the
+    linear table and, for a census member, the characteristic
+    polynomial."""
+
+    def test_every_fat_class_carries_the_elimination_of_its_b(self, monkeypatch):
+        # each searched class, s <= 4, comes with the copy of its parent's
+        # elimination that accepted its row, holding its parent's table,
+        # and its search grows that table by the one missing row
+        from golden_spectra import enumeration
+        searched = {}
+        real_grow = enumeration._grow
+
+        def recorded_grow(block, *args):
+            searched.setdefault(id(block), (block, block.table))
+            return real_grow(block, *args)
+
+        monkeypatch.setattr(enumeration, "_grow", recorded_grow)
+        levels = enumeration.fat_classes(5)
+        classes = [hoffman(0, 0)] + [g for s in range(1, 5) for g in levels[s].values()]
+        assert len(searched) == len(classes) == 310
+        for g, (block, held) in zip(classes, searched.values()):
+            fresh = eliminate(b_matrix(g).entries, NEG_ONE_MINUS_TAU)
+            assert (block.steps, block.columns, block.divisor) \
+                == (fresh.steps, fresh.columns, fresh.divisor)
+            assert len(held) == max(g.slim_count - 1, 0)
+            assert block.linear_table() == fresh.linear_table()
+            assert block.table[:len(held)] == held
 
     @pytest.mark.parametrize("census", ["census7", "census6_unforbidden", "census_wide"])
     def test_every_member_matches_its_state_from_scratch(self, census, request,
@@ -504,8 +525,9 @@ class TestInheritedState:
         real_children = enumeration._children
         real_descriptor = enumeration._polynomial_descriptor
 
-        def recorded_children(parent, block, table, *args):
-            out = real_children(parent, block, table, *args)
+        def recorded_children(parent, block, *args):
+            table = block.table
+            out = real_children(parent, block, *args)
             searched.append((parent, block, table, out))
             return out
 
@@ -527,15 +549,18 @@ class TestInheritedState:
 
         def scratch(g):
             block = eliminate(signed_adjacency(g).entries, threshold)
-            return block.steps, block.columns, block.divisor
+            return block.steps, block.columns, block.divisor, block.linear_table()
 
         children = 0
         for parent, block, table, out in searched:
-            assert (block.steps, block.columns, block.divisor) == scratch(parent)
-            assert table == block.linear_table()
+            # the parent came with its own parent's table, one row short
+            # but for the empty graph, and its search grew the last row
+            assert table == block.table[:len(table)]
+            assert len(table) == max(len(block.steps) - 1, 0)
+            assert (block.steps, block.columns, block.divisor, block.table) == scratch(parent)
             for child, row, grown in out:
-                assert (grown.steps, grown.columns, grown.divisor) == scratch(child)
-                assert grown.grow_table(table) == grown.linear_table()
+                assert grown.linear_table()[:-1] == block.table
+                assert (grown.steps, grown.columns, grown.divisor, grown.table) == scratch(child)
                 assert child == _extend(parent, row)
                 children += 1
         assert children > len(members)
@@ -765,11 +790,12 @@ class TestFatClasses:
         from golden_spectra.enumeration import fat_classes
         assert [len(level) for level in fat_classes(5).values()] == [2, 10, 45, 252, 1465]
 
-    def test_each_parent_eliminated_once_and_only_accepted_rows_built(
+    def test_no_parent_eliminated_and_only_accepted_rows_built(
             self, monkeypatch, from_scratch4):
-        # B once per parent plus the K1T(3) certificate, no whole-matrix
-        # decision but that certificate, and a graph built and keyed only
-        # for a row the parent's elimination accepts (plus the empty start)
+        # B only for the K1T(3) certificate, no parent eliminated from
+        # scratch, no whole-matrix decision but that certificate, and a
+        # graph built and keyed only for a row the parent's elimination
+        # accepts (plus the empty start)
         from golden_spectra import enumeration
         calls = Counter()
 
@@ -781,13 +807,14 @@ class TestFatClasses:
                 return real(*args)
             monkeypatch.setattr(enumeration, name, call)
 
-        for name in ("b_matrix", "lambda_min_at_least", "canonical_key", "hoffman"):
+        for name in ("b_matrix", "eliminate", "lambda_min_at_least", "canonical_key",
+                     "hoffman"):
             counted(name)
         levels = enumeration.fat_classes(4)
         parents = 1 + sum(len(levels[s]) for s in (1, 2, 3))
         _, passing = from_scratch4
         assert parents == 58
-        assert calls == {"b_matrix": parents + 1, "lambda_min_at_least": 1,
+        assert calls == {"b_matrix": 1, "lambda_min_at_least": 1,
                          "canonical_key": passing, "hoffman": passing + 1}
 
     def test_levels_sorted_by_key_and_at_the_bound(self, fat_classes4):
