@@ -10,7 +10,6 @@ from .algebra import (
     compare_smallest_roots,
     count_roots_below,
     deflate,
-    det_exact,
     lambda_min_approx,
     lambda_min_at_least,
     lambda_min_equals,
@@ -61,7 +60,6 @@ from .model import (
     parse_graph,
     recognize_q,
     signed,
-    slim_subgraph,
     to_json_obj,
     to_text,
     validate_hoffman,

@@ -55,33 +55,6 @@ def as_int_rows(matrix) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def det_exact(matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in as_int_rows(matrix)]
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        pk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            ri = rows[i]
-            rk = rows[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * rows[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials
 

@@ -27,13 +27,13 @@ keeps it with its parent's table, which a search of the child grows by
 one row; a census member's characteristic polynomial is one Berkowitz
 border step from its parent's.  Only the empty graph and a Q base are
 eliminated from scratch.
-A second route checks the census for n <= 7: the same generator with no
+A second route checks the census for n <= 8: the same generator with no
 automorphisms, run from every labelled survivor, which keys every
 labelled survivor and prunes no orbit.  For a connected census it grows
-connected vertex orderings only, each vertex after the first joined to
-an earlier one, which every connected graph has in breadth-first order,
-so it keys no disconnected graph.  Tier-1 checks the unpruned generator
-against a loop over every new row with a whole-graph pattern search.
+breadth-first orderings only, which every connected graph has (the
+lemma in `labelled_signed_graphs`), so it keys no disconnected graph.
+Tier-1 checks the unpruned generator against a loop over every new row
+with a whole-graph pattern search.
 On top of them sit the one-vertex extension verifier for the Q family,
 the fat-class generator and its two-slim slice, realization of Hoffman graphs
 from their special graphs, the irreducible census and its maximal
@@ -263,6 +263,19 @@ def _compiled(constraints: set) -> tuple:
     return always, tuple(checks)
 
 
+def _breadth_first(rows: dict, after: tuple) -> dict:
+    """The compiled constraints `rows` with the breadth-first rule folded
+    in as always-blocked values, given (p, sign): the least earlier
+    neighbour p of the parent's last vertex and the sign joining them.  The
+    new vertex may join no vertex before p, and it may not join p by a
+    (+)-edge if the last vertex joined it by a (-)-edge."""
+    p, sign = after
+    for j in range(p + 1 if sign == -1 else p):
+        always, checks = rows.get(j, (frozenset(), ()))
+        rows[j] = (always.union((1,) if j == p else (1, -1)), checks)
+    return rows
+
+
 def _allowed(rows: Optional[dict], row: tuple) -> tuple:
     """The entries 0, 1, -1, in that order, less those that complete a
     forbidden pattern when appended to row: one compare per compiled
@@ -306,7 +319,8 @@ def _grow(block: Elimination, diagonal: int,
 
 
 def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple],
-              connected: bool, automorphisms: tuple) -> list:
+              connected: bool, automorphisms: tuple,
+              after: Optional[tuple] = None) -> list:
     """One one-vertex extension of parent per orbit of passing new rows
     under the group that `automorphisms` (of the parent) generate, each
     the first of its orbit in lexicographic order of the new row over the
@@ -317,6 +331,12 @@ def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple]
     patterns, which come as their `_pattern_cuts`.  Each child comes as
     (child, new row, its elimination), the last a copy of the parent's,
     sharing its table, closed by the row; the child inherits it.
+
+    `after`, which only the brute-force oracle passes, is (p, sign) of the
+    parent's last vertex, and keeps only new rows that obey the
+    breadth-first rule (`labelled_signed_graphs`).  The rule is folded
+    into the compiled constraints (`_breadth_first`), so it costs nothing
+    when `after` is None.
 
     `_grow` grows the new row on the parent's elimination one entry at a
     time, deciding the allowed signs of each position together.  A prefix
@@ -338,6 +358,8 @@ def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple]
     rows = _forbidden_rows(parent, cuts)
     if rows is None:
         return []
+    if after is not None:
+        rows = _breadth_first(rows, after)
     out = []
     taken: set = set()  # rows in the orbit of an accepted row
     for row, border in _grow(block, 0, lambda row: _allowed(rows, row)):
@@ -418,7 +440,7 @@ def enumerate_signed(max_n: int, threshold: Threshold = NEG_TAU,
 # brute-force oracle
 
 
-MAX_ORACLE_N = 7
+MAX_ORACLE_N = 8
 
 
 def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
@@ -426,7 +448,7 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
                            connected: bool = False) -> Iterator[EdgeSignedGraph]:
     """Every labelled edge-signed graph on 1..max_n vertices that is at or
     above the cutoff and free of the forbidden patterns; with `connected`,
-    only those in which every vertex m >= 1 has a neighbour among 0..m-1.
+    only those whose labelling is a breadth-first ordering (below).
 
     Each yielded graph on fewer than max_n vertices, the empty graph
     first, is a parent, and its children are every passing one-vertex
@@ -438,22 +460,38 @@ def labelled_signed_graphs(max_n: int, threshold: Threshold = NEG_TAU,
     elimination `_children` closed for it, so only the empty graph is
     eliminated from scratch.
 
-    With `connected`, the all-zero new row of every vertex m >= 1 is
-    dropped, the rule `_children` uses, so every yielded graph is
-    connected: its parent is, and vertex m has a neighbour in it.  Every
-    connected class still has a yielded member: relabelled in breadth-first
-    order, a connected graph gives each vertex after the first an earlier
-    neighbour, so each prefix 0..m-1 induces a connected graph that obeys
-    the rule too and, the filters being hereditary, passes them; the search
-    reaches the whole graph through its prefixes."""
+    With `connected`, let p(m) be the least earlier vertex joined to
+    vertex m >= 1.  A labelling is a breadth-first ordering when, for every
+    m >= 2, p(m-1) <= p(m), and, if p(m-1) == p(m), vertex m is not
+    joined to it by a (+)-edge while vertex m-1 is joined to it by a
+    (-)-edge.  Each stacked parent carries (p, sign) of its last vertex,
+    and `_children` grows only rows that obey the rule and are not all
+    zero, so every yielded graph is connected: its parent is, and vertex m
+    has a neighbour in it.
+
+    Lemma: every connected signed graph has a breadth-first ordering, so
+    every connected class has a yielded member.  Run a breadth-first
+    search from any vertex, queuing each dequeued vertex's undiscovered
+    (+)-neighbours before its (-)-neighbours, and label the vertices in
+    queue order.  The vertex that discovers m is the first neighbour of m
+    to be dequeued, so it has the least label of them all: it is p(m),
+    and it comes before m.  Vertices are queued in the order of their
+    discoverers, so p never decreases; and among the vertices one vertex
+    discovers, the (+)-neighbours come first.  The rule reads only
+    consecutive vertices and their earlier neighbours, so every prefix
+    0..m-1 of the labelling is again a breadth-first ordering, of a graph
+    that passes the hereditary filters: the search reaches the whole graph
+    through its prefixes."""
     cuts = _pattern_cuts(_signed_patterns(forbidden))
-    stack = [(signed(0), Elimination.start(threshold))] if max_n >= 1 else []
+    stack = [(signed(0), Elimination.start(threshold), None)] if max_n >= 1 else []
     while stack:
-        parent, block = stack.pop()
-        for g, _, grown in _children(parent, block, cuts, connected, ()):
+        parent, block, after = stack.pop()
+        for g, row, grown in _children(parent, block, cuts, connected, (), after):
             yield g
             if g.vertex_count < max_n:
-                stack.append((g, grown))
+                first = (next(((i, a) for i, a in enumerate(row) if a), None)
+                         if connected else None)
+                stack.append((g, grown, first))
 
 
 def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
@@ -461,12 +499,12 @@ def brute_force_signed_keys(max_n: int, threshold: Threshold = NEG_TAU,
                             connected: bool = True) -> dict:
     """Independent oracle for the census: the canonical keys, per vertex
     count, of every labelled graph from `labelled_signed_graphs`, which
-    grows connected vertex orderings only if asked, so it yields a member
-    of every connected class and no disconnected graph.  It shares the
-    unpruned generator, `_children` with no automorphisms, with the
-    census; it skips no orbit, does not deduplicate level by level, and
-    takes a canonical key of every labelled survivor.  Practical for
-    n <= 7."""
+    grows breadth-first orderings only if asked, so it yields a member of
+    every connected class (the lemma there) and no disconnected graph.
+    It shares the unpruned generator, `_children` with no automorphisms,
+    with the census; it uses no automorphism, skips no orbit, does not
+    deduplicate level by level, and takes a canonical key of every
+    labelled survivor.  Practical for n <= 8."""
     if max_n > MAX_ORACLE_N:
         raise ValueError(f"the brute-force oracle is limited to n <= {MAX_ORACLE_N}")
     keys: dict = {n: set() for n in range(1, max_n + 1)}

@@ -218,12 +218,6 @@ def induced_hoffman_subgraph(g: HoffmanGraph, keep: Iterable) -> HoffmanGraph:
     return sub
 
 
-def slim_subgraph(g: HoffmanGraph) -> HoffmanGraph:
-    """Induced subgraph on slim vertices (a fat-free Hoffman graph)."""
-    edges = [(a, b) for a, b in g.edges if g.is_slim(a) and g.is_slim(b)]
-    return hoffman(g.slim_count, 0, edges)
-
-
 def induced_signed_subgraph(s: EdgeSignedGraph, keep: Iterable) -> EdgeSignedGraph:
     keep = sorted(set(int(v) for v in keep))
     if not set(keep) <= set(range(s.vertex_count)):

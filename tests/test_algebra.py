@@ -25,7 +25,6 @@ from golden_spectra.algebra import (
     compare_smallest_roots,
     count_roots_below,
     deflate,
-    det_exact,
     isolate_smallest_root,
     lambda_min_approx,
     lambda_min_at_least,
@@ -46,6 +45,24 @@ def rand_symmetric(rng, n, lo=-1, hi=1):
         for j in range(i, n):
             m[i][j] = m[j][i] = rng.randint(lo, hi)
     return m
+
+
+def det_exact(matrix) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
+    rows = [[Fraction(a) for a in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return int(det)
 
 
 def linear_table_by_units(block):

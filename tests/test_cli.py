@@ -279,7 +279,7 @@ class TestVerify:
         assert lines == ["base-case n=1: 1 graphs match brute force",
                          "base-case n=2: 2 graphs match brute force",
                          "base-case n=3: 4 graphs match brute force"]
-        assert main(["verify", "base-case", "--max-n", "8"]) == 2
+        assert main(["verify", "base-case", "--max-n", "9"]) == 2
         assert main(["verify", "base-case", "--max-n", "0"]) == 2
         capsys.readouterr()
 

@@ -566,6 +566,91 @@ class TestInheritedState:
         assert children > len(members)
 
 
+def code_matrix(n: int, code):
+    """The signed adjacency matrix of `labelled(n, code)`, as lists."""
+    matrix = [[0] * n for _ in range(n)]
+    for (a, b), c in zip(combinations(range(n), 2), code):
+        matrix[a][b] = matrix[b][a] = c
+    return matrix
+
+
+def is_breadth_first(matrix) -> bool:
+    """Whether the labelling of a signed adjacency matrix gives every
+    vertex m >= 1 an earlier neighbour and, with p(m) the least of them,
+    p(m-1) <= p(m) for m >= 2, vertex m not joined to p(m) by a (+)-edge
+    if p(m-1) == p(m) and vertex m-1 is joined to it by a (-)-edge."""
+    firsts = [next(((i, row[i]) for i in range(m) if row[i]), None)
+              for m, row in enumerate(matrix) if m]
+    if None in firsts:
+        return False
+    return all(p < q or (p == q and (s, t) != (-1, 1))
+               for (p, s), (q, t) in zip(firsts, firsts[1:]))
+
+
+def breadth_first_relabelling(matrix, root: int):
+    """The matrix relabelled in the order of a breadth-first search from
+    root that queues each dequeued vertex's undiscovered (+)-neighbours,
+    then its (-)-neighbours; None if the search misses a vertex."""
+    n = len(matrix)
+    order, seen = [root], {root}
+    for v in order:
+        for sign in (1, -1):
+            for u in range(n):
+                if u not in seen and matrix[v][u] == sign:
+                    seen.add(u)
+                    order.append(u)
+    if len(order) < n:
+        return None
+    return [[matrix[a][b] for b in order] for a in order]
+
+
+class TestBreadthFirstLemma:
+    """The lemma the connected oracle rests on, checked apart from the
+    generator: every connected signed graph has a breadth-first ordering,
+    the one its breadth-first search gives."""
+
+    def test_every_small_connected_graph_relabels_to_one(self):
+        # every labelled graph on 1..5 vertices, roots taken in turn
+        checked = 0
+        for n in range(1, 6):
+            for i, code in enumerate(product((0, 1, -1), repeat=n * (n - 1) // 2)):
+                relabelled = breadth_first_relabelling(code_matrix(n, code), i % n)
+                if relabelled is None:
+                    assert not is_connected_signed(labelled(n, code))
+                    continue
+                assert is_breadth_first(relabelled)
+                checked += 1
+        assert checked > 30000
+
+    def test_random_connected_graphs_relabel_to_one(self):
+        rng = random.Random(27)
+        checked = 0
+        while checked < 400:
+            n = rng.randint(2, 9)
+            symbols = rng.choice(((0, 1, -1), (0, 0, 0, 1, -1), (0, 0, 0, 0, 0, 1, -1)))
+            g = random_labelled(rng, n, symbols)
+            if not is_connected_signed(g):
+                continue
+            relabelled = breadth_first_relabelling(signed_adjacency(g).entries,
+                                                   rng.randrange(n))
+            assert relabelled is not None and is_breadth_first(relabelled)
+            h = labelled(n, [relabelled[a][b] for a, b in combinations(range(n), 2)])
+            assert canonical_key(h) == canonical_key(g)
+            checked += 1
+
+    def test_the_rule(self):
+        def rule(n, plus, minus=()):
+            return is_breadth_first(signed_adjacency(signed(n, plus, minus)).entries)
+
+        assert rule(3, [(0, 1), (0, 2)]) and rule(3, [(0, 1)], [(0, 2)])
+        # a (+)-child of 0 after a (-)-child of 0
+        assert not rule(3, [(0, 2)], [(0, 1)])
+        # p(3) = 0 after p(2) = 1
+        assert not rule(4, [(0, 1), (1, 2), (0, 3)])
+        # vertex 2 has no earlier neighbour
+        assert not rule(3, [(0, 1)])
+
+
 def connected_labelled_keys(max_n, threshold, forbidden=()):
     """Oracle for the connected oracle: the whole labelled search,
     disconnected survivors included, filtered by `is_connected_signed`."""
@@ -599,16 +684,31 @@ class TestBruteForce:
         assert (brute_force_signed_keys(max_n, t, forbidden)
                 == connected_labelled_keys(max_n, t, forbidden))
 
-    def test_connected_orderings(self):
-        # each vertex after the first joins an earlier one, so every yield
-        # is connected; far fewer than the 1/3/20/228/1834 of the whole search
+    def test_breadth_first_orderings(self):
+        # every yield is connected and a breadth-first ordering, and every
+        # labelled survivor that is one is yielded, once; far fewer than
+        # the 1/3/20/228/1834 of the whole search
         found = Counter()
-        for g in labelled_signed_graphs(5, NEG_TAU, (T1,), connected=True):
-            assert all(any(g.sign(i, m) for i in range(m))
-                       for m in range(1, g.vertex_count))
+        yielded = list(labelled_signed_graphs(5, NEG_TAU, (T1,), connected=True))
+        for g in yielded:
+            assert is_breadth_first(signed_adjacency(g).entries)
             assert is_connected_signed(g)
             found[g.vertex_count] += 1
-        assert found == {1: 1, 2: 2, 3: 9, 4: 68, 5: 244}
+        assert found == {1: 1, 2: 2, 3: 8, 4: 41, 5: 91}
+        assert set(yielded) == {g for g in labelled_signed_graphs(5, NEG_TAU, (T1,))
+                                if is_breadth_first(signed_adjacency(g).entries)}
+        assert len(set(yielded)) == len(yielded)
+
+    def test_oracle_reaches_n8(self):
+        # the oracle-checked base case of the Q family: at n = 8 every
+        # class is a Q graph
+        oracle = brute_force_signed_keys(8, NEG_TAU, (T1,))
+        census = enumerate_signed(8, NEG_TAU, (T1,))
+        assert oracle.keys() == census.by_n.keys() == set(range(1, 9))
+        for n in range(1, 9):
+            assert tuple(m.key for m in census.members(n)) == oracle[n]
+        assert len(oracle[8]) == 15
+        assert exceptional_members(census)[8] == ()
 
     def test_matches_enumeration_other_cutoffs(self):
         # cutoffs other than -tau, with no pattern to prune by; -1-tau and
@@ -656,7 +756,7 @@ class TestBruteForce:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            brute_force_signed_keys(8)
+            brute_force_signed_keys(9)
         assert brute_force_signed_keys(0) == {}
 
 
