@@ -45,6 +45,7 @@ from golden_spectra.model import (
     catalog,
     from_text,
     hoffman,
+    induced_signed_subgraph,
     is_connected_signed,
     make_q,
     signed,
@@ -187,17 +188,18 @@ class TestEnumerateSigned:
     def test_level_one_grows_from_the_empty_graph(self):
         assert children_of(signed(0), NEG_TAU, (), True, ()) == [signed(1)]
 
-    def test_each_child_keyed_once(self, monkeypatch):
-        # one child per Aut(parent) orbit of new rows, each keyed once:
-        # 840 keys for 279 classes at -2 (1,345 children unpruned), 103
-        # for 55 at -tau with T1 (183 unpruned)
+    def test_each_class_keyed_once(self, monkeypatch):
+        # one child per Aut(parent) orbit of new rows, less those with a
+        # one-vertex deletion certainly an earlier parent, each keyed once:
+        # 279 keys for 279 classes at -2 (840 without the deletion rule,
+        # 1,345 children unpruned), 55 for 55 at -tau with T1 (103, 183)
         from golden_spectra import enumeration
         real_children = enumeration._children
         real_key = enumeration.canonical_key_and_automorphisms
 
-        def counted_children(*args):
+        def counted_children(*args, **kwargs):
             nonlocal children
-            out = real_children(*args)
+            out = real_children(*args, **kwargs)
             children += len(out)
             return out
 
@@ -208,10 +210,10 @@ class TestEnumerateSigned:
 
         monkeypatch.setattr(enumeration, "_children", counted_children)
         monkeypatch.setattr(enumeration, "canonical_key_and_automorphisms", counted_key)
-        for args, expected in (((5, parse_threshold("-2")), 840), ((7, NEG_TAU, (T1,)), 103)):
+        for args, expected in (((5, parse_threshold("-2")), 279), ((7, NEG_TAU, (T1,)), 55)):
             children = keys = 0
             census = enumeration.enumerate_signed(*args)
-            assert keys == children == expected > sum(len(v) for v in census.by_n.values())
+            assert keys == children == expected == sum(len(v) for v in census.by_n.values())
 
     @pytest.mark.parametrize("census", ["census7", "census6_unforbidden", "census_wide"])
     def test_orbit_pruning_keeps_every_class_and_representative(self, census, request):
@@ -245,6 +247,117 @@ class TestEnumerateSigned:
         # strictly more classes than the connected census at n >= 2
         connected = enumerate_signed(4, NEG_TAU, (T1,), connected=True)
         assert len(census.members(4)) > len(connected.members(4))
+
+
+def every_child_keyed(max_n: int, threshold, forbidden=(), connected: bool = True) -> dict:
+    """The census levels, vertex count -> members, by the level loop that
+    keys every child `_children` makes with no deletion rule and keeps the
+    first child of each key: `enumerate_signed` before it skipped children
+    by their one-vertex deletions."""
+    from golden_spectra.algebra import Elimination, berkowitz_step
+    from golden_spectra.enumeration import (
+        SignedCensusMember, _children, _Parent, _pattern_cuts, _polynomial_descriptor)
+    cuts = _pattern_cuts(tuple(forbidden))
+    by_n: dict = {}
+    level = [_Parent(signed(0), (), Elimination.start(threshold), (), IntPolynomial.one())]
+    for n in range(1, max_n + 1):
+        found: dict = {}
+        for parent in level:
+            for child, row, block in _children(parent.graph, parent.block, cuts, connected,
+                                               parent.automorphisms):
+                key, automorphisms = canonical_key_and_automorphisms(child)
+                found.setdefault(key, (parent, child, row, block, automorphisms))
+        members, level = [], []
+        for key in sorted(found):
+            parent, child, row, block, automorphisms = found[key]
+            poly = berkowitz_step(parent.poly, 0, row, row, parent.matrix)
+            members.append(SignedCensusMember(child, key, _polynomial_descriptor(poly)))
+            if n < max_n:
+                matrix = tuple(r + (a,) for r, a in zip(parent.matrix, row)) + (row + (0,),)
+                level.append(_Parent(child, automorphisms, block, matrix, poly))
+        by_n[n] = tuple(members)
+    return by_n
+
+
+@pytest.fixture(scope="module")
+def census5_golden():
+    """The census at -1-tau with no pattern, n <= 5."""
+    return enumerate_signed(5, NEG_ONE_MINUS_TAU)
+
+
+@pytest.fixture(scope="module")
+def census5_disconnected():
+    """The census at -tau without T1, n <= 5, disconnected graphs included."""
+    return enumerate_signed(5, NEG_TAU, (T1,), connected=False)
+
+
+class TestEarlierDeletion:
+    """The census skips a child, unkeyed, when one of its one-vertex
+    deletions has a degree code that only earlier members of the level
+    have; the lemma in `enumerate_signed` says the census is unchanged."""
+
+    @pytest.mark.parametrize("census", [
+        "census7", "census6_unforbidden", "census_wide", "census5_golden",
+        "census5_disconnected"])
+    def test_census_matches_keying_every_child(self, census, request):
+        # each member's key, labelled graph and descriptor, level by level
+        census = request.getfixturevalue(census)
+        oracle = every_child_keyed(census.max_n, parse_threshold(census.threshold_name),
+                                   [from_text(p) for p in census.forbidden], census.connected)
+        assert oracle.keys() == census.by_n.keys()
+        for n, members in oracle.items():
+            assert [(m.key, to_text(m.graph), m.lam) for m in census.members(n)] \
+                == [(m.key, to_text(m.graph), m.lam) for m in members]
+        assert sum(map(len, oracle.values())) > 50
+
+    def test_guards_keep_first_children(self, census5_golden, monkeypatch):
+        # the rule on level 5 of the -1-tau census, as the census runs it,
+        # keeps two children that are the first of their classes at n = 6.
+        # The first has a deletion whose degree code only earlier members
+        # have, but that deletion is disconnected (a rule without the
+        # connectivity guard loses 134 classes at n = 6); the second a
+        # connected deletion whose code an earlier member has, and a later
+        # one too (a rule on the first index loses 2,112)
+        from golden_spectra import enumeration
+        from golden_spectra.enumeration import _degree_code, _extend
+        cases = {"sg 5 +0-4,2-3 -0-1,1-2":
+                 ((0, 0, 1, 1, 0), "sg 6 +0-4,2-3,2-5,3-5 -0-1,1-2", "connected"),
+                 "sg 5 +0-1,1-2,1-3,2-4,3-4":
+                 ((1, 0, 1, -1, 1), "sg 6 +0-1,0-5,1-2,1-3,2-4,2-5,3-4,4-5 -3-5", "last")}
+        real_children = enumeration._children
+        kept = {}
+
+        def searched_at_the_cases(parent, *args, **kwargs):
+            # level 5 is searched at the two parents only
+            if parent.vertex_count < 5:
+                return real_children(parent, *args, **kwargs)
+            if to_text(parent) in cases:
+                kept[to_text(parent)] = [r for _, r, _ in real_children(parent, *args, **kwargs)]
+            return []
+
+        monkeypatch.setattr(enumeration, "_children", searched_at_the_cases)
+        enumeration.enumerate_signed(6, NEG_ONE_MINUS_TAU)
+        level = [m.graph for m in census5_golden.members(5)]
+        first, last = {}, {}
+        for i, g in enumerate(level):
+            first.setdefault(_degree_code(signed_adjacency(g).entries), i)
+            last[_degree_code(signed_adjacency(g).entries)] = i
+        texts = [to_text(g) for g in level]
+        for parent, (row, child, guard) in cases.items():
+            assert row in kept[parent]
+            index = texts.index(parent)
+            assert to_text(_extend(level[index], row)) == child
+            guarded = 0
+            for v in range(5):
+                deleted = induced_signed_subgraph(from_text(child),
+                                                  [u for u in range(6) if u != v])
+                code = _degree_code(signed_adjacency(deleted).entries)
+                if is_connected_signed(deleted):
+                    assert last[code] >= index
+                    guarded += guard == "last" and first[code] < index
+                else:
+                    guarded += guard == "connected" and last.get(code, index) < index
+            assert guarded
 
 
 def generated_group(generators, n: int) -> set:
@@ -525,9 +638,9 @@ class TestInheritedState:
         real_children = enumeration._children
         real_descriptor = enumeration._polynomial_descriptor
 
-        def recorded_children(parent, block, *args):
+        def recorded_children(parent, block, *args, **kwargs):
             table = block.table
-            out = real_children(parent, block, *args)
+            out = real_children(parent, block, *args, **kwargs)
             searched.append((parent, block, table, out))
             return out
 
@@ -563,7 +676,8 @@ class TestInheritedState:
                 assert (grown.steps, grown.columns, grown.divisor, grown.table) == scratch(child)
                 assert child == _extend(parent, row)
                 children += 1
-        assert children > len(members)
+        # one child per class: the census keys each child it is given
+        assert children == len(members)
 
 
 def code_matrix(n: int, code):
