@@ -77,6 +77,9 @@ class IntPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
+
     # constructors
 
     @staticmethod
@@ -204,17 +207,11 @@ class IntPolynomial:
         return _sign_at(self.coeffs, x.numerator, x.denominator)
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPolynomial":
         """Divide out the (positive) content; the leading sign is kept."""
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPolynomial(c // g for c in self.coeffs)
+        return IntPolynomial(_prim(self.coeffs))
 
     def try_div(self, divisor: "IntPolynomial") -> Optional["IntPolynomial"]:
         """Exact quotient self / divisor over Z[x], or None if not exact.
@@ -289,13 +286,10 @@ def berkowitz_step(p: IntPolynomial, diagonal: int, top: Sequence[int],
 # gcd / squarefree machinery (primitive pseudo-remainder sequences)
 
 
-def _prim(cs: list[int]) -> list[int]:
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    if g > 1:
-        return [c // g for c in cs]
-    return cs
+def _prim(cs: Sequence[int]) -> Sequence[int]:
+    """The coefficients over their (positive) content."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> tuple[list[int], int]:
@@ -560,7 +554,9 @@ class Elimination:
     the diagonal, or a zero pivot whose row meets a nonzero entry, exhibits
     a vector on which A - t*I is negative.  A zero pivot whose row is zero
     is skipped, keeps the previous divisor, and counts one dimension of the
-    kernel of A - t*I.
+    kernel of A - t*I.  `_diagonal_step` is the one place where a reduced
+    entry of a new row is accepted or rejected, at a positive pivot and at
+    a skipped one; `extend` and `branches` both call it.
 
     Entry j of a new row r, reduced by the pivots before it, is the minor
     of the block's matrix bordered by the row e*r on the rows P_j + {new}
@@ -635,22 +631,16 @@ class Elimination:
         below the cutoff.
 
         Entry j is reduced by pivots 0..j-1, then the pending diagonal by
-        pivot j; the prefix is decided by the sign of the pending diagonal
-        and by the zero-pivot rule."""
+        pivot j (`_diagonal_step`)."""
         xs, ys, px, py = border
         steps = self.steps
         for a in entries:
             x, y = self._reduced(a, xs, ys)
-            step = steps[len(xs)]
-            xs += (x,)
-            ys += (y,)
-            if step is None:
-                if x or y:
-                    return None
-                continue
-            pending = _diagonal_step(step, px, py, x, y)
+            pending = _diagonal_step(steps[len(xs)], px, py, x, y)
             if pending is None:
                 return None
+            xs += (x,)
+            ys += (y,)
             px, py = pending
         return xs, ys, px, py
 
@@ -686,8 +676,7 @@ class Elimination:
 
         The prefix's share of the reduced entry is summed once over its
         nonzero entries; each value adds a*K[j][j] and takes one
-        pending-diagonal step.  At a skipped pivot any nonzero entry
-        rejects, as in `extend`."""
+        pending-diagonal step (`_diagonal_step`)."""
         xs, ys, px, py = border
         j = len(xs)
         kx, ky = self.table[j]
@@ -701,15 +690,9 @@ class Elimination:
         out = []
         for a in values:
             x, y = sx + a * dx, sy + a * dy
-            if step is None:
-                if x or y:
-                    continue
-                pending = px, py
-            else:
-                pending = _diagonal_step(step, px, py, x, y)
-                if pending is None:
-                    continue
-            out.append((a, (xs + (x,), ys + (y,)) + pending))
+            pending = _diagonal_step(step, px, py, x, y)
+            if pending is not None:
+                out.append((a, (xs + (x,), ys + (y,)) + pending))
         return out
 
     def close(self, border: tuple) -> bool:
@@ -730,10 +713,15 @@ class Elimination:
         return True
 
 
-def _diagonal_step(step: tuple, px: int, py: int, x: int, y: int) -> Optional[tuple]:
+def _diagonal_step(step: Optional[tuple], px: int, py: int, x: int, y: int) -> Optional[tuple]:
     """The pending diagonal px + py*sqrt5 of a new row reduced by the pivot
     of `step`, in whose row the new row's entry is x + y*sqrt5; None if it
-    is negative, since the principal submatrix then lies below the cutoff."""
+    is negative, since the principal submatrix then lies below the cutoff.
+    At a skipped pivot (`step` None) the pending diagonal stays and any
+    nonzero entry is None: the pivot's row of the Schur complement is zero,
+    so the entry exhibits a vector on which A - t*I is negative."""
+    if step is None:
+        return None if x or y else (px, py)
     ka, kb, pa, pb, norm = step
     u = ka * px + 5 * kb * py - x * x - 5 * y * y
     v = ka * py + kb * px - 2 * x * y

@@ -11,7 +11,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .enumeration import (
@@ -22,9 +21,9 @@ from .enumeration import (
     SignedCensus,
     lambda_descriptor,
 )
-from .iso import CanonicalKey, canonical_key
+from .iso import canonical_key
 from .model import MAX_MATRIX_ORDER, HoffmanGraph, ParseError, from_text, to_text
-from .spectral import b_matrix, signed_adjacency
+from .spectral import b_matrix
 
 TOOL_NAME = "golden-spectra"
 TOOL_VERSION = "0.1.0"
@@ -36,35 +35,25 @@ def _lam_fields(lam: LambdaDescriptor) -> list:
             f"mult={lam.multiplicity}"]
 
 
-def _signed_lines(census: SignedCensus) -> list:
-    lines = []
-    for n in sorted(census.by_n):
-        for m in census.by_n[n]:
-            lines.append("\t".join(
-                [m.key.hex(), to_text(m.graph), *_lam_fields(m.lam)]))
-    return lines
+def _write_lines(path, rows) -> None:
+    """One line per (names, member) pair: the member's key, the names, its
+    graph and its eigenvalue columns; an empty census is one newline."""
+    lines = ["\t".join([m.key.hex(), *names, to_text(m.graph), *_lam_fields(m.lam)])
+             for names, m in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_signed_census(census: SignedCensus, path) -> None:
-    Path(path).write_text("\n".join(_signed_lines(census)) + "\n", encoding="utf-8")
+    _write_lines(path, (((), m) for n in sorted(census.by_n) for m in census.by_n[n]))
 
 
 def write_named_signed(members, path) -> None:
     """Named exceptional members: (name, SignedCensusMember) pairs."""
-    lines = []
-    for name, m in members:
-        lines.append("\t".join(
-            [m.key.hex(), name, to_text(m.graph), *_lam_fields(m.lam)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (((name,), m) for name, m in members))
 
 
 def write_hoffman_census(census: HoffmanCensus, path) -> None:
-    lines = []
-    for m in census.members:
-        lines.append("\t".join(
-            [m.key.hex(), m.name, m.special_name, to_text(m.graph),
-             *_lam_fields(m.lam)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (((m.name, m.special_name), m) for m in census.members))
 
 
 def read_text(path) -> str:

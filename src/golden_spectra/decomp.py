@@ -23,7 +23,6 @@ finds into the member it was cut from.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, takewhile
@@ -35,19 +34,17 @@ from .algebra import (
     compare_smallest_roots,
     lambda_min_at_least,
 )
-from .iso import CanonicalKey, canonical_key, contains_induced, is_induced_embedding
+from .iso import canonical_key, contains_induced, is_induced_embedding
 from .model import (
     HoffmanGraph,
     InvalidGraphError,
     adjacency,
     components,
     fat_neighbors,
-    from_text,
     hoffman,
     induced_hoffman_subgraph,
     is_fat,
     require_valid,
-    to_text,
     validate_hoffman,
 )
 from .spectral import b_matrix, special_graph
@@ -322,24 +319,27 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
     container (g plus added fat vertices) admitting a two-part
     decomposition with both parts at or above -1-tau.
 
-    Added fat vertices only raise shared fat counts, so a slim pair that
-    shares two fat vertices, or one without being adjacent, stays forced
-    in every container; the two parts are unions of the components of
-    these pairs, the one of vertex 0 on the left.  A container that only
-    adds fat vertices is then characterized exactly by such a bipartition
-    plus an exact biclique cover of the crossing adjacent pairs lacking a
-    common fat (each new fat vertex covers one biclique of them; covering
-    a pair twice would break the cross-part rule).  Each part is decided
-    on its principal submatrix of the container's B, read off B(g),
-    computed once: a fat vertex added on A x B subtracts 1 1^T on A u B,
-    so the container's block on the left is B(g)[left] minus 1_A 1_A^T
-    for each biclique, diagonal included, and on the right B(g)[right]
-    minus 1_B 1_B^T.  Only the first cover whose two blocks pass (left
-    decided first) becomes a container.  The cover gives each
-    slim vertex at most two fat neighbours in all: a part keeps every fat
-    neighbour of its slim vertices, so a slim vertex with three of them
-    gives its part's B the 1x1 principal submatrix -3 < -1-tau, and by
-    interlacing that part lies below the bound.  The search is
+    Every pair relation is read off B(g), computed once: B_xy is the
+    adjacency of x and y less their shared fat count, and B_xx = -|fats
+    of x|.  Added fat vertices only raise shared fat counts, so a slim
+    pair with B_xy < 0 (it shares two fat vertices, or one without being
+    adjacent) stays forced in every container; the two parts are unions
+    of the components of these pairs, the one of vertex 0 on the left.  A
+    container that only adds fat vertices is then characterized exactly
+    by such a bipartition plus an exact biclique cover of the crossing
+    pairs with B_xy = 1, adjacent without a common fat (each new fat
+    vertex covers one biclique of them; covering a pair twice would break
+    the cross-part rule).  Each part is decided on its principal
+    submatrix of the container's B: a fat vertex added on A x B subtracts
+    1 1^T on A u B, so the container's block on the left is B(g)[left]
+    minus 1_A 1_A^T for each biclique, diagonal included, and on the
+    right B(g)[right] minus 1_B 1_B^T.  Only the first cover whose two
+    blocks pass (left decided first) becomes a container.  The cover
+    gives each slim vertex at most two fat neighbours in all, so room for
+    2 + B_xx added ones: a part keeps every fat neighbour of its slim
+    vertices, so a slim vertex with three of them gives its part's B the
+    1x1 principal submatrix -3 < -1-tau, and by interlacing that part
+    lies below the bound.  The search is
     complete over such containers; added slim vertices are never used by
     the constructions this certifies.  Returns (container, decomposition)
     or None."""
@@ -347,20 +347,17 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
     ns = g.slim_count
     if ns < 2:
         return None
-    fats = [fat_neighbors(g, v) for v in range(ns)]
-    comp = components(ns, [(x, y) for x, y in combinations(range(ns), 2)
-                           if len(fats[x] & fats[y]) > g.has_edge(x, y)])
+    b = b_matrix(g).entries
+    comp = components(ns, [(x, y) for x, y in combinations(range(ns), 2) if b[x][y] < 0])
     # smallest left sides first, ties in lexicographic order
     lefts = sorted((sorted(comp[0] + [v for block in chosen for v in block])
                     for size in range(len(comp) - 1)
                     for chosen in combinations(comp[1:], size)),
                    key=lambda left: (len(left), left))
-    capacity = {v: 2 - len(fats[v]) for v in range(ns)}
-    b = b_matrix(g).entries
+    capacity = {v: 2 + b[v][v] for v in range(ns)}
     for left in lefts:
         right = sorted(frozenset(range(ns)).difference(left))
-        need = [(x, y) for x in left for y in right
-                if g.has_edge(x, y) and not fats[x] & fats[y]]
+        need = [(x, y) for x in left for y in right if b[x][y] == 1]
         for cover in _biclique_partitions(need, frozenset(left), frozenset(right),
                                           capacity):
             if all(lambda_min_at_least(
@@ -394,34 +391,12 @@ class HLineWitness:
     container: HoffmanGraph
     embedding: tuple
     decomposition: Decomposition
-    family_assignment: tuple  # canonical key hex per part
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "target": to_text(self.target),
-            "container": to_text(self.container),
-            "embedding": list(self.embedding),
-            "parts": [sorted(p) for p in self.decomposition.parts],
-            "family_assignment": list(self.family_assignment),
-        }, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "HLineWitness":
-        obj = json.loads(text)
-        container = from_text(obj["container"])
-        return HLineWitness(
-            from_text(obj["target"]),
-            container,
-            tuple(obj["embedding"]),
-            Decomposition(container, tuple(frozenset(p) for p in obj["parts"])),
-            tuple(obj["family_assignment"]),
-        )
+    family_assignment: tuple  # the CanonicalKey of each part
 
 
 def verify_hline_witness(w: HLineWitness, family: Iterable) -> bool:
     """Re-check a witness from scratch against a family of canonical keys."""
-    family_keys = {k if isinstance(k, CanonicalKey) else CanonicalKey.from_hex(k)
-                   for k in family}
+    family_keys = set(family)
     if w.decomposition.parent != w.container:
         return False
     if not is_induced_embedding(w.container, w.target, w.embedding):
@@ -432,7 +407,7 @@ def verify_hline_witness(w: HLineWitness, family: Iterable) -> bool:
         return False
     for part_graph, claimed in zip(w.decomposition.part_graphs(), w.family_assignment):
         key = canonical_key(part_graph)
-        if key.hex() != claimed or key not in family_keys:
+        if key != claimed or key not in family_keys:
             return False
     return True
 
@@ -496,7 +471,7 @@ def _lift(g: HoffmanGraph, d: Decomposition, cuts: list) -> HLineWitness:
     split = Decomposition(lifted, tuple(frozenset(ids[x] for x in label.values())
                                         for label in labels))
     return HLineWitness(g, lifted, tuple(ids[v] for v in range(g.vertex_count)), split,
-                        tuple(canonical_key(pg).hex() for pg in split.part_graphs()))
+                        tuple(canonical_key(pg) for pg in split.part_graphs()))
 
 
 def find_hline_witness(g: HoffmanGraph, family: Sequence) -> Optional[HLineWitness]:

@@ -47,10 +47,6 @@ class CanonicalKey:
     def hex(self) -> str:
         return self.data.hex()
 
-    @staticmethod
-    def from_hex(text: str) -> "CanonicalKey":
-        return CanonicalKey(bytes.fromhex(text))
-
 
 GraphLike = Union[EdgeSignedGraph, HoffmanGraph]
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, count, product
@@ -188,6 +190,16 @@ class TestPolynomials:
         assert (x ** 3).degree == 3
         assert p(2) == 3
         assert p.derivative() == IntPolynomial((0, 2))
+
+    def test_copy_and_pickle_round_trip(self, census7):
+        # the immutable polynomial is rebuilt from its coefficients, so the
+        # cutoffs and eigenvalue descriptors that hold one copy and pickle
+        member = census7.by_n[7][0]
+        for obj in (IntPolynomial((-1, 1, 1)), IntPolynomial(()), NEG_TAU, member.lam):
+            for back in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert back == obj and hash(back) == hash(obj)
+        with pytest.raises(AttributeError):
+            copy.deepcopy(NEG_TAU.min_poly).coeffs = ()
 
     def test_divexact(self):
         p = IntPolynomial((-1, 1, 1)) * IntPolynomial((5, 7))
@@ -670,10 +682,12 @@ class TestSemidefiniteKernel:
             block.close(block.open(0))  # the entry to vertex 0 is missing
 
     def test_every_prefix_decision_matches_the_one_shot(self):
-        # entry j of row m is decided on the principal submatrix {0..j, m}
+        # entry j of row m is decided on the principal submatrix {0..j, m},
+        # by `extend` for the entry itself and by `branches` for each value
+        # the entry could take, also after skipped zero pivots
         rng = random.Random(5)
         cutoffs = (NEG_TAU, NEG_ONE_MINUS_TAU, parse_threshold("-1"))
-        below = 0
+        below = skipped = 0
         for _ in range(120):
             n = rng.randint(1, 8)
             m = rand_symmetric(rng, n)
@@ -683,10 +697,20 @@ class TestSemidefiniteKernel:
                 block = Elimination.start(t)
                 for k in range(n):
                     border = block.open(m[k][k])
+                    block.linear_table()
                     for j in range(k):
-                        border = block.extend(border, (m[k][j],))
                         keep = list(range(j + 1)) + [k]
                         sub = [[m[a][b] for b in keep] for a in keep]
+                        want = []
+                        for a in (0, 1, -1):
+                            sub[-1][-2] = sub[-2][-1] = a
+                            if row_nullity(sub, t) is not None:
+                                want.append(a)
+                        assert [a for a, _ in block.branches(border, m[k][:j], (0, 1, -1))] \
+                            == want
+                        skipped += block.steps[j] is None
+                        sub[-1][-2] = sub[-2][-1] = m[k][j]
+                        border = block.extend(border, (m[k][j],))
                         assert (border is not None) == (row_nullity(sub, t) is not None)
                         if border is None:
                             below += 1
@@ -702,7 +726,7 @@ class TestSemidefiniteKernel:
                         break
                 else:
                     assert block.steps.count(None) == row_nullity(m, t)
-        assert below > 100
+        assert below > 100 and skipped > 50
 
     def test_every_branch_matches_the_per_entry_step(self):
         # one pass per position on the block's linear table keeps exactly

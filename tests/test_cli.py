@@ -360,6 +360,12 @@ class TestEnumerateCommand:
         assert (a / "census-signed-n3.txt").read_bytes() == \
                (b / "census-signed-n3.txt").read_bytes()
 
+    def test_empty_census_is_one_newline(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["enumerate", "--max-n", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "census-signed-n0.txt").read_bytes() == b"\n"
+
 
 # sha256 of the derived census files.  Acceptance checks 01, 03 and 04 are
 # red by design (the derivation finds 17/39/20, the source 15/37/18), so

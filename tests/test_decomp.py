@@ -464,8 +464,7 @@ class TestHLineWitness:
         emb = (0, 1, 2, 3)
         d = Decomposition(H_PRIME, (frozenset({0, 2, 4}), frozenset({1, 3, 4})))
         key_ii = canonical_key(catalog("H_II"))
-        w = HLineWitness(catalog("H_IV"), H_PRIME, emb, d,
-                         (key_ii.hex(), key_ii.hex()))
+        w = HLineWitness(catalog("H_IV"), H_PRIME, emb, d, (key_ii, key_ii))
         assert verify_hline_witness(w, {key_ii})
         assert not verify_hline_witness(w, {canonical_key(catalog("H_I"))})
 
@@ -473,7 +472,7 @@ class TestHLineWitness:
         g = catalog("H_XVI")
         key = canonical_key(g)
         d = Decomposition(g, (frozenset(range(g.vertex_count)),))
-        w = HLineWitness(g, g, tuple(range(g.vertex_count)), d, (key.hex(),))
+        w = HLineWitness(g, g, tuple(range(g.vertex_count)), d, (key,))
         assert verify_hline_witness(w, {key})
 
     def test_find_h_iv_with_double_star_family(self):
@@ -489,11 +488,6 @@ class TestHLineWitness:
             w = find_hline_witness(catalog(name), fam)
             assert w is not None, name
             assert verify_hline_witness(w, keys)
-
-    def test_json_round_trip(self):
-        w = find_hline_witness(catalog("H_IV"), [catalog("H_II")])
-        back = HLineWitness.from_json(w.to_json())
-        assert verify_hline_witness(back, {canonical_key(catalog("H_II"))})
 
     def test_q_route_with_fattening(self):
         # all slims with one fat, special graph a pure clique shape; the

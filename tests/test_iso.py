@@ -10,7 +10,6 @@ from golden_spectra import enumeration, iso
 from golden_spectra.algebra import parse_threshold
 from golden_spectra.enumeration import enumerate_signed
 from golden_spectra.iso import (
-    CanonicalKey,
     _classed,
     canonical_key,
     canonical_key_and_automorphisms,
@@ -99,10 +98,6 @@ class TestCanonicalKey:
         assert canonical_key(hoffman(0, 0)) == canonical_key(hoffman(0, 0))
         assert canonical_key(signed(0)) != canonical_key(signed(1))
         assert contains_induced(signed(3), signed(0)) is not None
-
-    def test_hex_round_trip(self):
-        k = canonical_key(catalog("H_XVI"))
-        assert CanonicalKey.from_hex(k.hex()) == k
 
 
 def min_order_code_oracle(sym_code, cells, leaf_extra=None):
