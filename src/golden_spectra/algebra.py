@@ -32,6 +32,7 @@ rationals.  Floating point appears only in the reporting helper
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -205,9 +206,6 @@ class IntPolynomial:
     def sign_at(self, x) -> int:
         """Sign of the value at an int or Fraction x, in integers."""
         return _sign_at(self.coeffs, x.numerator, x.denominator)
-
-    def content(self) -> int:
-        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPolynomial":
         """Divide out the (positive) content; the leading sign is kept."""
@@ -415,18 +413,21 @@ DESCRIPTOR_WIDTH = Fraction(1, 2 * 10 ** 9)
 
 
 def parse_threshold(text: str) -> Threshold:
-    """Parse '-tau', '-1-tau', or an exact rational 'a/b'; floats rejected."""
+    """Parse '-tau', '-1-tau', or an exact rational 'a' or 'a/b' in ASCII
+    decimals with an optional sign; floats, underscores, other digits and
+    a zero denominator are refused."""
     t = text.strip()
     if t == "-tau":
         return NEG_TAU
     if t == "-1-tau":
         return NEG_ONE_MINUS_TAU
-    if "." in t or "e" in t.lower():
-        raise AlgebraError(f"threshold must be exact, got {text!r}")
     try:
-        return Threshold.from_rational(Fraction(t))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise AlgebraError(f"cannot parse threshold {text!r}") from exc
+        if re.fullmatch("[+-]?[0-9]+(/[0-9]+)?", t):
+            return Threshold.from_rational(Fraction(t))
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+        pass
+    raise AlgebraError(f"cannot parse threshold {text!r}: expected -tau, -1-tau "
+                       "or an exact rational a/b")
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .model import (
     hoffman,
     induced_hoffman_subgraph,
     is_fat,
+    q_shape,
     require_valid,
     validate_hoffman,
 )
@@ -188,31 +189,33 @@ def reduce_by_degree(g_slim: HoffmanGraph) -> tuple:
         raise DecompositionError("input must be a slim (fat-free) graph")
     if g_slim.slim_count < 2:
         raise DecompositionError("need at least two vertices")
-    n = g_slim.slim_count
-    edge_list = sorted(g_slim.edges)
-    edges = list(g_slim.edges)
-    for k, (a, b) in enumerate(edge_list):
-        edges += [(a, n + k), (b, n + k)]
-    container = hoffman(n, len(edge_list), edges)
-    parts = []
-    for v in range(n):
-        fats = {n + k for k, (a, b) in enumerate(edge_list) if v in (a, b)}
-        parts.append(frozenset({v} | fats))
-    d = Decomposition(container, tuple(parts))
+    container = _with_fats(g_slim, sorted(g_slim.edges))
+    d = Decomposition(container, tuple(frozenset({v}) | fat_neighbors(container, v)
+                                       for v in container.slim_vertices()))
     msg = validate_decomposition(d)
     if msg is not None:
         raise InternalCheckError(f"degree reduction failed validation: {msg}")
     return container, d
 
 
+def _with_fats(g: HoffmanGraph, subsets: Sequence) -> HoffmanGraph:
+    """g with one added fat vertex on each slim subset, numbered after g's
+    vertices in the order of the subsets."""
+    edges = list(g.edges)
+    for i, sub in enumerate(subsets):
+        edges += [(v, g.vertex_count + i) for v in sub]
+    return hoffman(g.slim_count, g.fat_count + len(subsets), edges)
+
+
 def reduce_q_realization(g: HoffmanGraph, partition: Sequence) -> tuple:
     """Add a shared fat vertex over the clique block of the special graph.
 
     `partition` gives the slim blocks (plus-pendants, minus-pendants,
-    clique) matching the Q shape of the special graph.  The result is a
-    container with one extra fat vertex joined to the clique block and a
-    decomposition with one part per clique vertex; parts are two-slim
-    graphs at the threshold or one-slim double stars.
+    clique) of a Q shape of the special graph, as `q_shape` reads it off
+    the clique block; an ambiguous graph accepts each of its readings.
+    The result is a container with one extra fat vertex joined to the
+    clique block and a decomposition with one part per clique vertex;
+    parts are two-slim graphs at the threshold or one-slim double stars.
     """
     require_valid(g)
     vp, vq, vr = (tuple(int(v) for v in block) for block in partition)
@@ -221,35 +224,15 @@ def reduce_q_realization(g: HoffmanGraph, partition: Sequence) -> tuple:
         raise DecompositionError("partition must cover the slim vertices exactly")
     if not all(len(fat_neighbors(g, v)) == 1 for v in slims):
         raise DecompositionError("every slim vertex must have exactly one fat neighbor")
-    s = special_graph(g)
-    # the partition must realize the Q shape inside the special graph
-    vr_set = set(vr)
-    for a_idx in range(len(vr)):
-        for b_idx in range(a_idx + 1, len(vr)):
-            if s.sign(vr[a_idx], vr[b_idx]) != 1:
-                raise DecompositionError("clique block is not an all-(+) clique")
-    anchor = {}
-    for v in (*vp, *vq):
-        want = 1 if v in vp else -1
-        partners = [u for u in range(s.vertex_count) if s.sign(v, u) != 0]
-        if len(partners) != 1 or s.sign(v, partners[0]) != want or partners[0] not in vr_set:
-            raise DecompositionError(
-                f"vertex {v} is not a single-{'plus' if want == 1 else 'minus'} pendant")
-        if partners[0] in anchor:
-            raise DecompositionError(f"clique vertex {partners[0]} anchors two pendants")
-        anchor[partners[0]] = v
-    f_star = g.vertex_count
-    container = hoffman(g.slim_count, g.fat_count + 1,
-                        list(g.edges) + [(c, f_star) for c in vr])
-    fat_of = {v: min(fat_neighbors(g, v)) for v in slims}
-    parts = []
-    for c in vr:
-        if c in anchor:
-            x = anchor[c]
-            parts.append(frozenset({x, c, fat_of[x], fat_of[c], f_star}))
-        else:
-            parts.append(frozenset({c, fat_of[c], f_star}))
-    d = Decomposition(container, tuple(parts))
+    # vp, vq and vr split the slim vertices, so the (+)-pendants fix vq too
+    shape = q_shape(special_graph(g), vr)
+    if shape is None or sorted(vp) != [v for v, _ in shape.plus_pendants]:
+        raise DecompositionError("partition is not a Q shape of the special graph")
+    pendant = {c: [v] for v, c in shape.plus_pendants + shape.minus_pendants}
+    container = _with_fats(g, [vr])
+    cfat = [fat_neighbors(container, v) for v in container.slim_vertices()]
+    blocks = [[c, *pendant.get(c, [])] for c in vr]
+    d = Decomposition(container, tuple(_parts(blocks, cfat)))
     msg = validate_decomposition(d)
     if msg is not None:
         raise InternalCheckError(f"Q realization split failed validation: {msg}")
@@ -365,10 +348,7 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
                      for x in block], NEG_ONE_MINUS_TAU)
                    for block, cliques in ((left, [a for a, _ in cover]),
                                           (right, [c for _, c in cover]))):
-                edges = list(g.edges)
-                for i, (aset, bset) in enumerate(cover):
-                    edges += [(v, g.vertex_count + i) for v in aset + bset]
-                container = hoffman(ns, g.fat_count + len(cover), edges)
+                container = _with_fats(g, [aset + bset for aset, bset in cover])
                 cfat = [fat_neighbors(container, v) for v in range(ns)]
                 d = Decomposition(container, tuple(_parts((left, right), cfat)))
                 msg = validate_decomposition(d)
@@ -524,10 +504,7 @@ def _containers(g: HoffmanGraph, budget: int):
     subsets = [c for size in range(1, ns + 1) for c in combinations(range(ns), size)]
     for k in range(budget + 1):
         for chosen in combinations_with_replacement(subsets, k):
-            edges = list(g.edges)
-            for i, sub in enumerate(chosen):
-                edges += [(v, g.vertex_count + i) for v in sub]
-            container = hoffman(ns, g.fat_count + k, edges)
+            container = _with_fats(g, chosen)
             if validate_hoffman(container) is None:
                 yield container, [fat_neighbors(container, v) for v in range(ns)]
 

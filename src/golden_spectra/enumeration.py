@@ -631,7 +631,9 @@ def verify_extension_step(p: int, q: int, r: int) -> bool:
     (isomorphic children have the same Q shape, so the verdict is that of
     every child).
     Each child's Q shape is read off by `recognize_q`, which is unambiguous
-    here because the clique has at least four vertices.  Extensions with at
+    here: a child has at least eight vertices, and by the lemma in
+    `recognize_q` the clique of a Q graph with four or more vertices is
+    its set of vertices of degree >= 2.  Extensions with at
     most seven vertices return True at once: they lie in the exhaustively
     enumerated base-case census, which holds non-Q survivors too (a
     balanced 5-cycle really does arise by extending Q(1,1,2), and tiny Q

@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Union
 
 
@@ -325,85 +326,61 @@ class QShape:
     minus_pendants: tuple
 
 
-def _maximal_plus_cliques(s: EdgeSignedGraph) -> list:
-    """The maximal all-(+) cliques of s, largest first, then in increasing
-    order of the sorted clique; `[()]` for the empty graph.
-
-    Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka & Takahashi 2006):
-    a clique grows from the candidates P, X holds the vertices already
-    branched on, and only the vertices of P outside N(u) are branched on,
-    for the pivot u in P + X with the most neighbours in P: every maximal
-    clique holds u or a vertex outside N(u).  Each maximal clique is
-    reported once, when P and X are both empty.  Vertex sets are bit
-    masks."""
-    n = s.vertex_count
-    nbr = [0] * n
-    for a, b in s.plus_edges:
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-    out = []
-
-    def expand(clique: tuple, p: int, x: int) -> None:
-        if not p:
-            if not x:
-                out.append(tuple(sorted(clique)))
-            return
-        pivot = max((u for u in range(n) if (p | x) >> u & 1),
-                    key=lambda u: (p & nbr[u]).bit_count())
-        todo = p & ~nbr[pivot]
-        while todo:
-            low = todo & -todo
-            v = low.bit_length() - 1
-            expand(clique + (v,), p & nbr[v], x & nbr[v])
-            p ^= low
-            x |= low
-            todo ^= low
-
-    expand((), (1 << n) - 1, 0)
-    return sorted(out, key=lambda c: (-len(c), c))
+def q_shape(s: EdgeSignedGraph, clique: Iterable) -> Union[QShape, None]:
+    """The Q shape of s on the given clique, or None unless the clique is
+    all-(+) and every other vertex is a pendant: it has exactly one
+    neighbour, that neighbour lies in the clique, and no two pendants share
+    it.  Distinct anchors in the clique give p + q <= r."""
+    clique = tuple(sorted(clique))
+    if any(s.sign(a, b) != 1 for a, b in combinations(clique, 2)):
+        return None
+    nbr: list = [[] for _ in range(s.vertex_count)]
+    for a, b in s.all_edges():
+        nbr[a].append(b)
+        nbr[b].append(a)
+    inside = set(clique)
+    outside = [v for v in range(s.vertex_count) if v not in inside]
+    if any(len(nbr[v]) != 1 for v in outside):
+        return None
+    pendants = [(v, nbr[v][0]) for v in outside]
+    anchors = {a for _, a in pendants}
+    if not anchors <= inside or len(anchors) < len(pendants):
+        return None
+    plus = tuple(sorted((v, a) for v, a in pendants if s.sign(v, a) > 0))
+    minus = tuple(sorted((v, a) for v, a in pendants if s.sign(v, a) < 0))
+    return QShape(len(plus), len(minus), len(clique), clique, plus, minus)
 
 
 def recognize_q(s: EdgeSignedGraph) -> Union[QShape, None]:
-    """Match s against Q(p,q,r) structurally: find an all-(+) clique whose
-    removal leaves an independent set of single-edge pendants with distinct
-    anchors, (+)-anchors disjoint from (-)-anchors.  Largest clique wins,
-    so parameters are deterministic."""
+    """Match s against Q(p,q,r): the first clique, largest first and then
+    the least sorted, on which `q_shape` holds.
+
+    The clique is read off the degrees.  In a Q shape a vertex outside the
+    clique has degree 1, and a clique vertex has degree r - 1 + a, where a
+    is 1 if it anchors a pendant and 0 if not.  A clique vertex of degree
+    at most 1 therefore has r <= 1, so p + q <= 1 and n <= 2, or r = 2 and
+    a = 0, so that only the other clique vertex can anchor and n <= 3.
+    Hence for n >= 4 every clique vertex has degree >= 2, and the clique is
+    exactly the set of vertices of degree >= 2: the only candidate.
+
+    For n <= 3 every vertex subset is tried, largest first and then the
+    least sorted, at most eight of them.  The first that holds is a maximal
+    all-(+) clique.  Say v lies outside a clique C that holds and is joined
+    by (+)-edges to all of C.  Then v is a pendant, with its one neighbour
+    in C, so C = {c}; anchors are distinct, so v is the only pendant, and
+    C + v, the whole graph, comes earlier and holds too.  So the shape is
+    that of the first maximal all-(+) clique that holds, in the same
+    order, and the parameters of small ambiguous graphs are deterministic."""
     n = s.vertex_count
-    if n == 0:
-        return QShape(0, 0, 0, (), (), ())
-    deg = [0] * n
-    for a, b in s.all_edges():
-        deg[a] += 1
-        deg[b] += 1
-    for clique in _maximal_plus_cliques(s):
-        cset = set(clique)
-        outside = [v for v in range(n) if v not in cset]
-        plus_p, minus_p = [], []
-        ok = True
-        for v in outside:
-            if deg[v] != 1:
-                ok = False
-                break
-            anchor = next(u for u in range(n)
-                          if s.sign(v, u) != 0)
-            if anchor not in cset:
-                ok = False
-                break
-            if s.sign(v, anchor) > 0:
-                plus_p.append((v, anchor))
-            else:
-                minus_p.append((v, anchor))
-        if not ok:
-            continue
-        pa = [a for _, a in plus_p]
-        qa = [a for _, a in minus_p]
-        if len(set(pa)) != len(pa) or len(set(qa)) != len(qa) or set(pa) & set(qa):
-            continue
-        p, q, r = len(plus_p), len(minus_p), len(clique)
-        if p + q > r:
-            continue
-        return QShape(p, q, r, clique, tuple(sorted(plus_p)), tuple(sorted(minus_p)))
-    return None
+    if n >= 4:
+        degree = [0] * n
+        for a, b in s.all_edges():
+            degree[a] += 1
+            degree[b] += 1
+        return q_shape(s, [v for v in range(n) if degree[v] >= 2])
+    return next((shape for size in range(n, -1, -1)
+                 for clique in combinations(range(n), size)
+                 if (shape := q_shape(s, clique)) is not None), None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, count, product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -268,7 +268,7 @@ class TestPolynomials:
             parts = squarefree_decomposition(p)
             prod = IntPolynomial.one()
             for f, i in parts:
-                assert f.leading > 0 and f.content() == 1
+                assert f.leading > 0 and gcd(*f.coeffs) == 1
                 assert poly_gcd(f, f.derivative()).degree == 0
                 prod = prod * f ** i
             assert prod in (p.primitive(), -p.primitive())
@@ -323,10 +323,13 @@ class TestThresholds:
         assert parse_threshold("-tau") == NEG_TAU
         assert parse_threshold("-1-tau") == NEG_ONE_MINUS_TAU
         assert parse_threshold("-3/2").scaled == (-3, 0, 2)
-        with pytest.raises(AlgebraError):
-            parse_threshold("-1.5")
-        with pytest.raises(AlgebraError):
-            parse_threshold("pi")
+        assert parse_threshold("+3/4").scaled == (3, 0, 4)
+        assert parse_threshold(" -1/2 ").scaled == (-1, 0, 2)
+        # only ASCII decimals: Fraction() would also take underscores,
+        # other digits and exponents
+        for text in ("-1.5", "pi", "1_0", "\u0661/\u0662", "1/0", "1e3"):
+            with pytest.raises(AlgebraError, match="cannot parse threshold.*exact"):
+                parse_threshold(text)
 
     SCALED = {"-tau": (-1, -1, 2), "-1-tau": (-3, -1, 2), "-2": (-2, 0, 1),
               "-5/2": (-5, 0, 2)}

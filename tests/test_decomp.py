@@ -321,6 +321,19 @@ class TestReduceQRealization:
         g = hoffman(3, 3, [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5)])
         with pytest.raises(DecompositionError):
             reduce_q_realization(g, ((0,), (), (0, 1)))
+        # a (+)-pendant listed as a (-)-pendant
+        with pytest.raises(DecompositionError):
+            reduce_q_realization(catalog("H_IV"), ((), (0,), (1,)))
+
+    @pytest.mark.parametrize("partition, container, parts", [
+        (((0,), (), (1,)), "hg 2 3 0-1,0-2,1-3,1-4", [{0, 1, 2, 3, 4}]),
+        (((1,), (), (0,)), "hg 2 3 0-1,0-2,0-4,1-3", [{0, 1, 2, 3, 4}]),
+        (((), (), (0, 1)), "hg 2 3 0-1,0-2,0-4,1-3,1-4", [{0, 2, 4}, {1, 3, 4}])])
+    def test_every_reading_of_an_ambiguous_shape(self, partition, container, parts):
+        # the special graph of H_IV is one (+)-edge: Q(1,0,1) either way
+        # round, or Q(0,0,2)
+        c, d = reduce_q_realization(catalog("H_IV"), partition)
+        assert (to_text(c), list(d.parts)) == (container, parts)
 
 
 class TestReducibilityWitness:

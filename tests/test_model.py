@@ -1,16 +1,17 @@
 import json
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden_spectra.model import (
-    _maximal_plus_cliques,
     CatalogError,
     EdgeSignedGraph,
     HoffmanGraph,
     InvalidGraphError,
     ParseError,
+    QShape,
     catalog,
     from_text,
     hoffman,
@@ -124,15 +125,51 @@ class TestRecognizeQ:
                     assert shape.p + shape.q + shape.r == p + q + r
 
     def test_non_q(self):
-        # unbalanced four-cycle is not in the Q family
-        c4 = signed(4, [(0, 3)], [(0, 1), (1, 2), (2, 3)])
-        assert recognize_q(c4) is None
+        # an unbalanced four-cycle, and a star: three pendants on one anchor
+        for text in ("sg 4 +0-3 -0-1,1-2,2-3", "sg 4 +0-1,0-2,0-3"):
+            assert recognize_q(from_text(text)) is None
+
+    def test_matches_the_clique_search(self):
+        # the degree rule gives the shape of the first maximal all-(+)
+        # clique that fits, field by field: every signed graph with at most
+        # four vertices, random graphs of every density up to ten vertices,
+        # and every Q graph up to twelve, relabelled, and with one pair's
+        # sign changed
+        graphs = [signed_from(n, dict(zip(pairs, signs)))
+                  for n in range(5) for pairs in [list(combinations(range(n), 2))]
+                  for signs in product((0, 1, -1), repeat=len(pairs))]
+        assert len(graphs) == 1 + 1 + 3 + 27 + 729
+        rng = random.Random(18)
+        for _ in range(1500):
+            n = rng.randint(1, 10)
+            density = rng.random()
+            plus = [(a, b) for a in range(n) for b in range(a + 1, n)
+                    if rng.random() < density]
+            minus = [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if (a, b) not in plus and rng.random() < 0.3]
+            graphs.append(signed(n, plus, minus))
+        for r in range(13):
+            for p in range(r + 1):
+                for q in range(min(r - p, 12 - r - p) + 1):
+                    n = p + q + r
+                    perm = rng.sample(range(n), n)
+                    g = make_q(p, q, r)
+                    sign = {tuple(sorted((perm[a], perm[b]))): g.sign(a, b)
+                            for a, b in g.all_edges()}
+                    graphs.append(signed_from(n, sign))
+                    if n >= 2:
+                        pair = tuple(sorted(rng.sample(range(n), 2)))
+                        sign[pair] = rng.choice([x for x in (0, 1, -1)
+                                                 if x != sign.get(pair, 0)])
+                        graphs.append(signed_from(n, sign))
+        for g in graphs:
+            assert recognize_q(g) == clique_search_q(g), to_text(g)
 
 
 def subset_plus_cliques(s):
     """The maximal all-(+) cliques by the include/exclude recursion over
-    every subset that is a clique, kept as the oracle of the pivoted
-    search: largest first, then by the sorted clique."""
+    every subset that is a clique, largest first, then by the sorted
+    clique: the cliques `clique_search_q` tries."""
     n = s.vertex_count
     nbr = [set() for _ in range(n)]
     for a, b in s.plus_edges:
@@ -153,26 +190,52 @@ def subset_plus_cliques(s):
     return sorted(set(out), key=lambda c: (-len(c), c))
 
 
-class TestMaximalPlusCliques:
-    def test_matches_the_subset_oracle(self):
-        # random signed graphs of every density up to ten vertices, and
-        # every Q graph up to eleven, in the same order
-        rng = random.Random(18)
-        graphs = [signed(0)]
-        for _ in range(1500):
-            n = rng.randint(1, 10)
-            density = rng.random()
-            plus = [(a, b) for a in range(n) for b in range(a + 1, n)
-                    if rng.random() < density]
-            minus = [(a, b) for a in range(n) for b in range(a + 1, n)
-                     if (a, b) not in plus and rng.random() < 0.3]
-            graphs.append(signed(n, plus, minus))
-        graphs += [make_q(p, q, r) for r in range(12) for p in range(r + 1)
-                   for q in range(r - p + 1) if p + q + r <= 11]
-        for g in graphs:
-            assert _maximal_plus_cliques(g) == subset_plus_cliques(g)
-        assert _maximal_plus_cliques(signed(0)) == [()]
-        assert _maximal_plus_cliques(make_q(0, 0, 11)) == [tuple(range(11))]
+def clique_search_q(s):
+    """The Q shape by clique search, kept as the oracle of `recognize_q`:
+    the first maximal all-(+) clique, largest first and then the least
+    sorted, whose removal leaves an independent set of single-edge
+    pendants with distinct anchors in the clique."""
+    n = s.vertex_count
+    if n == 0:
+        return QShape(0, 0, 0, (), (), ())
+    deg = [0] * n
+    for a, b in s.all_edges():
+        deg[a] += 1
+        deg[b] += 1
+    for clique in subset_plus_cliques(s):
+        cset = set(clique)
+        outside = [v for v in range(n) if v not in cset]
+        plus_p, minus_p = [], []
+        ok = True
+        for v in outside:
+            if deg[v] != 1:
+                ok = False
+                break
+            anchor = next(u for u in range(n)
+                          if s.sign(v, u) != 0)
+            if anchor not in cset:
+                ok = False
+                break
+            if s.sign(v, anchor) > 0:
+                plus_p.append((v, anchor))
+            else:
+                minus_p.append((v, anchor))
+        if not ok:
+            continue
+        pa = [a for _, a in plus_p]
+        qa = [a for _, a in minus_p]
+        if len(set(pa)) != len(pa) or len(set(qa)) != len(qa) or set(pa) & set(qa):
+            continue
+        p, q, r = len(plus_p), len(minus_p), len(clique)
+        if p + q > r:
+            continue
+        return QShape(p, q, r, clique, tuple(sorted(plus_p)), tuple(sorted(minus_p)))
+    return None
+
+
+def signed_from(n, sign):
+    return signed(n, [e for e, x in sign.items() if x > 0],
+                  [e for e, x in sign.items() if x < 0])
 
 
 class TestInduced:
