@@ -11,21 +11,27 @@ linear table, and drops a prefix as soon as the principal submatrix on
 its vertices and the new one lies below the cutoff, which is sound by
 eigenvalue interlacing.  The callers give only the elimination, which
 holds its table, the opening diagonal and the allowed entries.
+One accept step (`_accepted`) turns a complete row into a child, of
+signed and of fat Hoffman graphs alike: it skips a row in the orbit of
+an accepted one under the automorphisms that the parent's key search
+found, copies the parent's elimination, closes it by the row and marks
+the orbit.  Every filter is invariant under isomorphism, so the rows of
+one orbit give isomorphic children, and the first child of each class is
+never a skipped one (the lemma there, with the action on a fat choice's
+slim neighbourhoods).
 The signed generator (`_children`), for each level of the census (the
 first grown from the empty graph) and for the Q extension verifier,
 compiles the forbidden patterns once into constraints on the new row:
 the parent is pattern-free, so a pattern in a child runs through the new
 vertex, and an entry that completes one is not allowed; each constraint
 is one itemgetter compare on the prefix.  Complete rows are checked for
-connectivity.  It makes one child per orbit of new rows under the parent
-automorphisms that the parent's key search found: every filter is
-invariant under isomorphism, so the rows of one orbit give isomorphic
-children, and the first child of each class is never a skipped one.
-For the census it also skips, unkeyed, a child with a one-vertex
-deletion whose degree code only earlier members of the level have
-(`_earlier_deletion`; the lemma in `enumerate_signed`): such a child
-repeats a class that an earlier parent gave, so it needs no key (B. D.
-McKay, Isomorph-free exhaustive generation, 1998).
+connectivity.  For the census it also skips, unkeyed, a child with a
+one-vertex deletion whose degree code only earlier members of the level
+have (`_earlier_deletion`; the lemma in `enumerate_signed`): such a
+child repeats a class that an earlier parent gave, so it needs no key
+(B. D. McKay, Isomorph-free exhaustive generation, 1998).
+The fat-class generator (`fat_classes`) supplies one row search per fat
+choice and builds each accepted child.
 Every extension pays for its own row only.  The elimination that accepts
 a child's row is the child's elimination, signed or fat, and the child
 keeps it with its parent's table, which a search of the child grows by
@@ -40,7 +46,7 @@ lemma in `labelled_signed_graphs`), so it keys no disconnected graph.
 Tier-1 checks the unpruned generator against a loop over every new row
 with a whole-graph pattern search.
 On top of them sit the one-vertex extension verifier for the Q family,
-the fat-class generator and its two-slim slice, realization of Hoffman graphs
+the two-slim slice of the fat classes, realization of Hoffman graphs
 from their special graphs, the irreducible census and its maximal
 members, and the three-vertex diagonal sweep.  The source's classification
 is one table, `SOURCE_CLASSIFICATION`, the one source of every expected
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, product
 from operator import add, itemgetter, sub
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import (
     DESCRIPTOR_WIDTH,
@@ -303,6 +309,15 @@ def _moved_row(g: tuple, row: tuple) -> tuple:
     return tuple(image)
 
 
+def _moved_fat_row(g: tuple, element: tuple) -> tuple:
+    """The image of a fat candidate (new row of B, the sorted slim
+    neighbourhoods of its fat choice) under the parent automorphism g:
+    the row by `_moved_row`, each neighbourhood N onto g(N)."""
+    row, named = element
+    return _moved_row(g, row), tuple(sorted(tuple(sorted(g[v] for v in nbhd))
+                                            for nbhd in named))
+
+
 # what an entry 0, 1, -1 of a row adds to a vertex's degree number,
 # (plus-degree) * MAX_ENUM_N + (minus-degree): no degree reaches MAX_ENUM_N
 _DEGREE_STEP = (0, MAX_ENUM_N, 1)
@@ -375,6 +390,59 @@ def _grow(block: Elimination, diagonal: int,
                      reversed(block.branches(border, row, values(row))))
 
 
+def _accepted(block: Elimination, candidates: Iterable, automorphisms: tuple,
+              moved: Callable, skip: Optional[Callable] = None) -> Iterator[tuple]:
+    """The one accept step of the module, where a grown row becomes a
+    child, for signed and fat one-vertex extensions alike.  Each candidate
+    is (element, border, ...), a complete row from `_grow` on `block`, the
+    parent's elimination; it is yielded with the copy of `block` that its
+    border closes, the child's elimination, unless its element lies in
+    the orbit of an accepted one, `skip(element)` holds, or `close`
+    rejects it.  The element names the child up to isomorphism: the new
+    row for a signed parent (`_children`), the new row of B and the slim
+    neighbourhoods of the fat choice for a fat one (`fat_classes`).
+    `moved(g, element)` is its image under a generator g of the parent
+    automorphisms `automorphisms`.
+
+    Lemma (the orbit half of B. D. McKay's canonical construction path,
+    Isomorph-free exhaustive generation, J. Algorithms 26, 1998): the
+    first candidate of every isomorphism class of children is yielded.
+    A signed parent's automorphism g keeps every sign.  A Hoffman parent's
+    is a slim permutation that keeps slim adjacency and maps the slim
+    neighbourhoods of the fat vertices, as a multiset, onto themselves
+    (`canonical_key_and_automorphisms`), so it extends to the fat vertices
+    by sending each onto one with the image neighbourhood.  Fixing the new
+    vertex and any new fat vertex, g is then an isomorphism from the child
+    of an element onto the child of its image.  A new signed row r moves
+    to r' with r'[g[v]] = r[v] (`_moved_row`).  Entry v of a new row of B
+    is a_v - c_v, a_v the new vertex's adjacency to v and c_v the number
+    of chosen fats that v meets; both move with v, so the row moves the
+    same way, and the neighbourhood N of each chosen old fat moves to
+    g(N) (`_moved_fat_row`).  Equal elements give isomorphic children as
+    well: the neighbourhoods fix a fat choice up to swapping old fats of
+    equal neighbourhood, an automorphism of the parent, and a new fat
+    meets no old slim vertex, so the empty neighbourhoods count the new
+    fats.  Every filter (the cutoff, pattern-freeness, connectivity) is
+    invariant under isomorphism, so the elements of one orbit pass or fail
+    together and give isomorphic children.  A candidate whose element is
+    in the orbit of an accepted one is skipped before its last
+    elimination step; the accepted one came first, so the first candidate
+    of every class is never skipped.
+
+    `skip` is tested after the orbit; a skipped element's orbit needs no
+    update, since its elements give isomorphic children, which `skip`
+    (an isomorphism-invariant rule) skips too."""
+    taken: set = set()  # elements in the orbit of an accepted one
+    for candidate in candidates:
+        element = candidate[0]
+        if element in taken or (skip is not None and skip(element)):
+            continue
+        grown = block.copy()
+        if grown.close(candidate[1]):
+            yield candidate, grown
+            taken.update(orbit(element, automorphisms, moved))
+
+
 def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple],
               connected: bool, automorphisms: tuple,
               after: Optional[tuple] = None,
@@ -388,7 +456,10 @@ def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple]
     elimination at the cutoff; the parent must be free of the forbidden
     patterns, which come as their `_pattern_cuts`.  Each child comes as
     (child, new row, its elimination), the last a copy of the parent's,
-    sharing its table, closed by the row; the child inherits it.
+    sharing its table, closed by the row; the child inherits it.  The
+    rows go through `_accepted`, the module's one accept step, with the
+    new row as the orbit element, moved by `_moved_row`; the orbit lemma
+    for both graph kinds is stated there.
 
     `after`, which only the brute-force oracle passes, is (p, sign) of the
     parent's last vertex, and keeps only new rows that obey the
@@ -398,10 +469,8 @@ def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple]
 
     `earlier`, which only the census passes (`_earlier_deletion`), tells
     whether a complete row's child has a one-vertex deletion certainly
-    isomorphic to an earlier member of the level; such a row is skipped
-    after the orbit check and before its last elimination step.  Its
-    orbit needs no update: the rows of its orbit give isomorphic
-    children, which the rule skips too.
+    isomorphic to an earlier member of the level; `_accepted` skips such
+    a row after the orbit check and before its last elimination step.
 
     `_grow` grows the new row on the parent's elimination one entry at a
     time, deciding the allowed signs of each position together.  A prefix
@@ -410,32 +479,19 @@ def _children(parent: EdgeSignedGraph, block: Elimination, cuts: Optional[tuple]
     soon as its last entry completes a forbidden pattern through the new
     vertex (`_forbidden_rows`), the only place a pattern can appear in a
     child of a pattern-free parent.  A complete row must give a connected
-    child (when asked) and a pending diagonal that is not negative.
-
-    A parent automorphism g extended by the new vertex is an isomorphism
-    from the child of row r onto the child of its image, and every filter
-    (the cutoff, pattern-freeness, connectivity) is isomorphism-invariant,
-    so the rows of one orbit pass or fail together and give isomorphic
-    children.  A complete row in the orbit of an accepted one is skipped
-    before its last elimination step; it comes after that row, so the
-    first child of every isomorphism class is still returned."""
+    child (when asked) and a pending diagonal that is not negative.  The
+    rows come in lexicographic order, so by the lemma in `_accepted` the
+    first child of every isomorphism class is returned."""
     n = parent.vertex_count
     rows = _forbidden_rows(parent, cuts)
     if rows is None:
         return []
     if after is not None:
         rows = _breadth_first(rows, after)
-    out = []
-    taken: set = set()  # rows in the orbit of an accepted row
-    for row, border in _grow(block, 0, lambda row: _allowed(rows, row)):
-        if (connected and n and not any(row)) or row in taken \
-                or (earlier is not None and earlier(row)):
-            continue
-        grown = block.copy()
-        if grown.close(border):
-            out.append((_extend(parent, row), row, grown))
-            taken.update(orbit(row, automorphisms, _moved_row))
-    return out
+    candidates = (c for c in _grow(block, 0, lambda row: _allowed(rows, row))
+                  if not (connected and n and not any(c[0])))
+    return [(_extend(parent, row), row, grown) for (row, _), grown
+            in _accepted(block, candidates, automorphisms, _moved_row, earlier)]
 
 
 class _Parent(NamedTuple):
@@ -707,45 +763,59 @@ def fat_classes(max_slim: int) -> dict:
     Every fat choice opens a border with diagonal -|fats| on the parent's
     elimination of B at -1-tau and grows the new row by `_grow`: the entry
     for an earlier slim vertex v is a - c_v, a in {0, 1} its adjacency and
-    c_v the number of fats that v meets.  The new slim vertex is the last
-    row of B, so the copy that `close` accepts is the child's elimination,
-    which its class keeps; no parent is eliminated from scratch.  The
-    accepted children are keyed in the order (subset size, subset, fat
-    choice), so the first child of each class is the one a from-scratch
-    loop over the subsets keeps."""
+    c_v the number of fats that v meets.  The rows of every fat choice go
+    through `_accepted`, the module's one accept step, in the order
+    (subset size, subset, fat choice), so the first child of each class
+    is the one a from-scratch loop over the subsets keeps.  The new slim
+    vertex is the last row of B, so the copy that `close` accepts is the
+    child's elimination, which its class keeps with the automorphisms its
+    key search found; no parent is eliminated from scratch.
+
+    The orbit element of a candidate is not its row of B alone, which
+    does not fix the child: row (0,) comes both from a vertex adjacent to
+    the one earlier slim vertex and sharing its fat, and from one
+    adjacent to neither and given a new fat.  It is the row together with
+    the fat choice, each chosen fat named by its slim neighbourhood, empty
+    for a new fat; a parent automorphism moves the row and each
+    neighbourhood (`_moved_fat_row`), and by the lemma in `_accepted` the
+    parent's generators prune its children as they do in the signed
+    census."""
     star3 = b_matrix(catalog("K1T(3)")).entries
     if lambda_min_at_least(star3, NEG_ONE_MINUS_TAU):
         raise ClassificationError("fat-degree cap certificate failed")
     levels: dict = {}
-    level = [(hoffman(0, 0), Elimination.start(NEG_ONE_MINUS_TAU))]
+    level = [(hoffman(0, 0), Elimination.start(NEG_ONE_MINUS_TAU), ())]
     for s in range(max_slim):
         found: dict = {}
-        for parent, block in level:
+        for parent, block, automorphisms in level:
             f = parent.fat_count
             # the new slim vertex takes id s, so the old fat ids move up by one
-            edges = [(a, b + 1) if b >= s else (a, b) for a, b in parent.edges]
-            fat_of = [{b for a, b in edges if a == v and b > s} for v in range(s)]
+            edges = sorted((a, b + 1) if b >= s else (a, b) for a, b in parent.edges)
             old = tuple(range(s + 1, s + 1 + f))
             new = (s + 1 + f, s + 2 + f)
+            # each fat named by its slim neighbourhood, empty for a new one
+            named = {x: tuple(v for v, y in edges if y == x) for x in old + new}
             fat_choices = ([(a,) for a in old] + list(combinations(old, 2))
                            + [(a, new[0]) for a in old] + [new[:1], new])
-            accepted = []
-            for i, fats in enumerate(fat_choices):
-                shared = [len(fat_of[v].intersection(fats)) for v in range(s)]
+            candidates = []
+            for fats in fat_choices:
+                shared = Counter(v for x in fats for v in named[x])
+                choice = tuple(sorted(named[x] for x in fats))
                 for row, border in _grow(block, -len(fats),
                                          lambda row: (-shared[len(row)],
                                                       1 - shared[len(row)])):
-                    grown = block.copy()
-                    if grown.close(border):
-                        slims = tuple(v for v in range(s) if row[v] + shared[v])
-                        accepted.append((len(slims), slims, i, grown))
-            for _, slims, i, grown in sorted(accepted, key=itemgetter(0, 1, 2)):
-                fats = fat_choices[i]
+                    slims = tuple(v for v in range(s) if row[v] + shared[v])
+                    candidates.append(((row, choice), border, len(slims), slims, fats))
+            # subset size, subset, and by a stable sort the fat choice
+            candidates.sort(key=itemgetter(2, 3))
+            for (_, _, _, slims, fats), grown in _accepted(block, candidates, automorphisms,
+                                                           _moved_fat_row):
                 child = hoffman(s + 1, f + sum(1 for x in fats if x >= new[0]),
                                 edges + [(v, s) for v in slims] + [(s, x) for x in fats])
-                found.setdefault(canonical_key(child), (child, grown))
+                key, generators = canonical_key_and_automorphisms(child)
+                found.setdefault(key, (child, grown, generators))
         level = [found[k] for k in sorted(found)]
-        levels[s + 1] = {k: child for k, (child, _) in sorted(found.items())}
+        levels[s + 1] = {k: child for k, (child, _, _) in sorted(found.items())}
     return levels
 
 
@@ -833,10 +903,8 @@ class HoffmanCensus:
 
 def exceptional_members(census: SignedCensus) -> dict:
     """Census members that are not Q graphs, keyed by vertex count."""
-    out: dict = {}
-    for n in sorted(census.by_n):
-        out[n] = tuple(m for m in census.members(n) if is_q_graph(m.graph) is None)
-    return out
+    return {n: tuple(m for m in census.members(n) if is_q_graph(m.graph) is None)
+            for n in sorted(census.by_n)}
 
 
 def lambda_min_table_check(members: Sequence) -> dict:
@@ -1024,19 +1092,11 @@ def verify_three_vertex_diagonal_lemma() -> bool:
     """Sweep all connected three-vertex edge-signed graphs against all
     {1,2} diagonals with at least one 2: the shifted matrix must drop
     strictly below -1-tau every time."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for code in product((0, 1, -1), repeat=3):
-        if sum(1 for x in code if x) < 2:  # disconnected on three vertices
+    for code in product((0, 1, -1), repeat=3):  # the signs of 01, 02 and 12
+        if code.count(0) > 1:  # disconnected on three vertices
             continue
-        m0 = [[0] * 3 for _ in range(3)]
-        for (a, b), val in zip(pairs, code):
-            m0[a][b] = m0[b][a] = val
         for diag in product((1, 2), repeat=3):
-            if 2 not in diag:
-                continue
-            m = [row[:] for row in m0]
-            for i in range(3):
-                m[i][i] -= diag[i]
-            if lambda_min_at_least(m, NEG_ONE_MINUS_TAU):
+            m = [[-diag[i] if i == j else code[i + j - 1] for j in range(3)] for i in range(3)]
+            if 2 in diag and lambda_min_at_least(m, NEG_ONE_MINUS_TAU):
                 return False
     return True

@@ -44,6 +44,11 @@ def fat_classes4():
     return fat_classes(4)
 
 
+@pytest.fixture(scope="session")
+def fat_classes5():
+    return fat_classes(5)
+
+
 def random_hoffman(rng: random.Random, max_vertices: int = 8):
     """A uniform-ish random valid Hoffman graph: fat vertices pairwise
     non-adjacent, each with at least one slim neighbor."""

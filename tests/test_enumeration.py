@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from collections import Counter
@@ -42,6 +43,7 @@ from golden_spectra.iso import (
     prepared_embeddings,
 )
 from golden_spectra.model import (
+    adjacency,
     catalog,
     from_text,
     hoffman,
@@ -409,6 +411,52 @@ class TestOrbit:
                 assert orbit(classes, gens, _moved_partition) == images
                 checked += 1
         assert checked > 34
+
+    def test_fat_candidate_orbits(self, fat_classes4):
+        # a generator of a fat class moves each candidate (new row of B,
+        # the sorted slim neighbourhoods of the fat choice) onto the
+        # candidate of an isomorphic child; each child is built here from
+        # its candidate, with the first free old fat of each neighbourhood,
+        # and its row is read back off its B
+        from golden_spectra.enumeration import _moved_fat_row
+
+        def child(parent, element):
+            row, named = element
+            s, f = parent.slim_count, parent.fat_count
+            shared = [sum(v in nbhd for nbhd in named) for v in range(s)]
+            adjacent = [a + c for a, c in zip(row, shared)]
+            assert set(adjacent) <= {0, 1}
+            free, new, fats = list(parent.fat_vertices()), iter((s + 1 + f, s + 2 + f)), []
+            for nbhd in named:
+                if nbhd:
+                    x = next(x for x in free if tuple(sorted(adjacency(parent)[x])) == nbhd)
+                    free.remove(x)
+                    fats.append(x + 1)
+                else:
+                    fats.append(next(new))
+            edges = [(a, b + 1) if b >= s else (a, b) for a, b in parent.edges]
+            g = hoffman(s + 1, f + named.count(()), edges + [(s, x) for x in fats]
+                        + [(v, s) for v in range(s) if adjacent[v]])
+            assert tuple(b_matrix(g).entries[s][:s]) == row
+            return g
+
+        moved = 0
+        for s in (1, 2, 3):
+            for parent in fat_classes4[s].values():
+                _, gens = canonical_key_and_automorphisms(parent)
+                old = [tuple(sorted(adjacency(parent)[x])) for x in parent.fat_vertices()]
+                choices = {tuple(sorted(c)) for k in (1, 2)
+                           for c in combinations(old + [(), ()], k)}
+                for named in choices:
+                    shared = [sum(v in nbhd for nbhd in named) for v in range(s)]
+                    for adjacent in product((0, 1), repeat=s):
+                        element = (tuple(a - c for a, c in zip(adjacent, shared)), named)
+                        key = canonical_key(child(parent, element))
+                        for g in gens:
+                            image = child(parent, _moved_fat_row(g, element))
+                            assert canonical_key(image) == key
+                            moved += 1
+        assert moved > 1000
 
 
 class TestScreen:
@@ -949,6 +997,17 @@ class TestTwoSlim:
         assert (at_minus_one, at_minus_two, at_threshold) == (1, 3, 2)
 
 
+# SHA-256 of each level of `fat_classes(5)`, its lines "<key hex> <text>"
+# joined by newlines
+FAT_CLASSES_SHA256 = {
+    1: "b437ffe97a44a4b53f1f58fad244e5f375f1a4d9cf51c05d2ca457d0f33b53b0",
+    2: "be4de06eee38c716c4f2895325b2044e44d02d1cede015df4286a34b3556473e",
+    3: "414622a37671cfa3333f001ae72974ccd494efddddeec3f24899cd761245431b",
+    4: "1e681be005ea2d9bd6419d1611560401b709690035568976acf7ab7b1bafebe7",
+    5: "bc4bde41693d2223603d4b7c1b2716d4b7c95fbeaeebb6e0102193a13048ee93",
+}
+
+
 def fat_children_from_scratch(parent):
     """Every fat Hoffman graph made by adding one slim vertex to parent:
     joined to any subset of the earlier slim vertices and to one or two
@@ -1000,18 +1059,45 @@ class TestFatClasses:
             assert ([to_text(g) for g in fat_classes4[s].values()]
                     == [to_text(g) for g in level.values()])
 
-    def test_level_sizes_to_five_slim(self):
-        from golden_spectra.enumeration import fat_classes
-        assert [len(level) for level in fat_classes(5).values()] == [2, 10, 45, 252, 1465]
+    def test_level_sizes_to_five_slim(self, fat_classes5):
+        assert [len(level) for level in fat_classes5.values()] == [2, 10, 45, 252, 1465]
+
+    def test_representatives_pinned_to_five_slim(self, fat_classes5):
+        # each level's keys and representatives, which pruning by the
+        # parents' automorphisms must leave as they are
+        digests = {s: hashlib.sha256("\n".join(f"{key.hex()} {to_text(g)}"
+                                               for key, g in level.items()).encode()).hexdigest()
+                   for s, level in fat_classes5.items()}
+        assert digests == FAT_CLASSES_SHA256
+
+    def test_special_graphs_match_the_realizations_to_five_slim(self, fat_classes5, census7):
+        # a second route to the realizations of the exceptional members
+        # with n <= 5: the fat classes grouped by the key of their special
+        # graph, which shares no code with `realize_hoffman`'s partitions;
+        # the two members without a realization are the special graph of
+        # no fat class with at most five slim vertices
+        groups: dict = {}
+        for level in fat_classes5.values():
+            for key, g in level.items():
+                groups.setdefault(canonical_key(special_graph(g)), set()).add(key)
+        members = [m for n, ms in exceptional_members(census7).items() if n <= 5 for m in ms]
+        assert len(members) == 14
+        for m in members:
+            assert groups.get(m.key, set()) == {canonical_key(h) for h in realize_hoffman(m.graph)}
+        assert sorted(to_text(m.graph) for m in members if m.key not in groups) \
+            == ["sg 4 +0-3 -0-1,1-2,2-3", "sg 5 +0-4 -0-1,1-2,2-3,3-4"]
 
     def test_no_parent_eliminated_and_only_accepted_rows_built(
             self, monkeypatch, from_scratch4):
         # B only for the K1T(3) certificate, no parent eliminated from
         # scratch, no whole-matrix decision but that certificate, and a
         # graph built and keyed only for a row the parent's elimination
-        # accepts (plus the empty start)
+        # accepts outside the orbit of an accepted row (plus the empty
+        # start): 893 keys, per slim count 2 / 14 / 103 / 774, for the
+        # 1,362 children at or above -1-tau
         from golden_spectra import enumeration
         calls = Counter()
+        keys = Counter()
 
         def counted(name):
             real = getattr(enumeration, name)
@@ -1024,12 +1110,18 @@ class TestFatClasses:
         for name in ("b_matrix", "eliminate", "lambda_min_at_least", "canonical_key",
                      "hoffman"):
             counted(name)
+        real_key = enumeration.canonical_key_and_automorphisms
+
+        def keyed(g):
+            keys[g.slim_count] += 1
+            return real_key(g)
+        monkeypatch.setattr(enumeration, "canonical_key_and_automorphisms", keyed)
         levels = enumeration.fat_classes(4)
         parents = 1 + sum(len(levels[s]) for s in (1, 2, 3))
         _, passing = from_scratch4
-        assert parents == 58
-        assert calls == {"b_matrix": 1, "lambda_min_at_least": 1,
-                         "canonical_key": passing, "hoffman": passing + 1}
+        assert parents == 58 and passing == 1362
+        assert calls == {"b_matrix": 1, "lambda_min_at_least": 1, "hoffman": 894}
+        assert keys == {1: 2, 2: 14, 3: 103, 4: 774}
 
     def test_levels_sorted_by_key_and_at_the_bound(self, fat_classes4):
         for s, level in fat_classes4.items():
