@@ -33,11 +33,10 @@ rationals.  Floating point appears only in the reporting helper
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class AlgebraError(ValueError):
@@ -383,8 +382,7 @@ def _sign_root5(a, b) -> int:
     return -1 if a * a > 5 * b * b else 1
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """A cutoff in Q(sqrt5), always the smallest real root of min_poly,
     held as the integers `scaled` = (c, d, e), e > 0, with value
     (c + d*sqrt5)/e.
@@ -833,7 +831,12 @@ def isolate_smallest_root(p: IntPolynomial, max_width: Fraction) -> tuple[Fracti
     """Interval [lo, hi) of width <= max_width isolating the smallest real
     root of p: no root at or below lo, none at hi, and no other distinct
     root inside."""
-    sf = squarefree_part(p)
+    return _isolate_squarefree(squarefree_part(p), max_width)
+
+
+def _isolate_squarefree(sf: IntPolynomial, max_width: Fraction) -> tuple[Fraction, Fraction]:
+    """`isolate_smallest_root` given the squarefree part sf of p, for a
+    caller that has it already: the interval depends on sf alone."""
     if sf.degree < 1:
         raise AlgebraError("polynomial has no roots")
     lo, hi, den = next(_isolating_intervals(sf, Fraction(max_width)))

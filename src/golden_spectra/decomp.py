@@ -23,10 +23,9 @@ finds into the member it was cut from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, takewhile
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     NEG_ONE_MINUS_TAU,
@@ -59,8 +58,7 @@ class InternalCheckError(RuntimeError):
     """A consequence the theory guarantees failed to hold; loud on purpose."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Candidate decomposition: parent plus vertex-id sets for the parts."""
 
     parent: HoffmanGraph
@@ -363,8 +361,7 @@ def find_reducibility_witness(g: HoffmanGraph) -> Optional[tuple]:
 # family-membership witnesses
 
 
-@dataclass(frozen=True)
-class HLineWitness:
+class HLineWitness(NamedTuple):
     """Target shown induced in a container decomposing into family parts."""
 
     target: HoffmanGraph

@@ -63,9 +63,9 @@ sign-vector order and all outputs are sorted by canonical key.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, product
+from math import prod
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -76,10 +76,10 @@ from .algebra import (
     Elimination,
     IntPolynomial,
     Threshold,
+    _isolate_squarefree,
     berkowitz_step,
     char_poly,
     eliminate,
-    isolate_smallest_root,
     lambda_min_at_least,
     lambda_min_equals,
     squarefree_decomposition,
@@ -125,8 +125,7 @@ MAX_ENUM_N = 12
 # exact smallest-eigenvalue descriptors
 
 
-@dataclass(frozen=True)
-class LambdaDescriptor:
+class LambdaDescriptor(NamedTuple):
     """Certificate for a smallest eigenvalue: a squarefree integer factor
     having it as a root, its multiplicity in the characteristic polynomial,
     a rational interval isolating it, a float for display, and the name of
@@ -164,14 +163,18 @@ def _polynomial_descriptor(p: IntPolynomial) -> LambdaDescriptor:
     roots, so it has the eigenvalue as a root exactly when its signs at the
     two ends differ; a known factor that divides the eigenvalue's
     squarefree factor and passes that test has the eigenvalue as its
-    smallest root.  Memoized: p is immutable and the descriptor, frozen,
-    depends on nothing else."""
-    lo, hi = isolate_smallest_root(p, DESCRIPTOR_WIDTH)
+    smallest root.  p is monic, so the product of its decomposition's
+    factors is its squarefree part, and the root is isolated on that.
+    Memoized: p is immutable and the descriptor, frozen, depends on
+    nothing else."""
+    parts = squarefree_decomposition(p)
+    lo, hi = _isolate_squarefree(prod((f for f, _ in parts), start=IntPolynomial.one()),
+                                 DESCRIPTOR_WIDTH)
 
     def has_root(f: IntPolynomial) -> bool:
         return f.sign_at(lo) != f.sign_at(hi)
 
-    factor, mult = next((f, m) for f, m in squarefree_decomposition(p) if has_root(f))
+    factor, mult = next((f, m) for f, m in parts if has_root(f))
     known = next((name for name, k in _KNOWN_FACTORS.items()
                   if has_root(k) and factor.try_div(k) is not None), None)
     if known is not None:
@@ -183,15 +186,13 @@ def _polynomial_descriptor(p: IntPolynomial) -> LambdaDescriptor:
 # signed census container
 
 
-@dataclass(frozen=True)
-class SignedCensusMember:
+class SignedCensusMember(NamedTuple):
     graph: EdgeSignedGraph
     key: CanonicalKey
     lam: LambdaDescriptor
 
 
-@dataclass
-class SignedCensus:
+class SignedCensus(NamedTuple):
     max_n: int
     threshold_name: str
     forbidden: tuple  # compact text forms
@@ -858,6 +859,12 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
     partition to a valid one and the graph of one onto the graph of the
     other.  A partition in the orbit of a built one comes after it and is
     skipped, so the first partition of every class is still built."""
+    return tuple(g for _, g in _keyed_realizations(s))
+
+
+def _keyed_realizations(s: EdgeSignedGraph) -> tuple:
+    """`realize_hoffman(s)` as (key, graph) pairs, for a caller that keeps
+    the keys."""
     if s.vertex_count < 3 or not is_connected_signed(s):
         raise ValueError("realization requires a connected graph on >= 3 vertices")
     n = s.vertex_count
@@ -884,11 +891,10 @@ def realize_hoffman(s: EdgeSignedGraph) -> tuple:
         if special_graph(g) != s:
             raise ClassificationError("realization round trip failed")
         found.setdefault(canonical_key(g), g)
-    return tuple(found[k] for k in sorted(found))
+    return tuple(sorted(found.items()))
 
 
-@dataclass(frozen=True)
-class HoffmanCensusMember:
+class HoffmanCensusMember(NamedTuple):
     name: str
     graph: HoffmanGraph
     key: CanonicalKey
@@ -896,8 +902,7 @@ class HoffmanCensusMember:
     lam: LambdaDescriptor
 
 
-@dataclass
-class HoffmanCensus:
+class HoffmanCensus(NamedTuple):
     members: tuple
 
 
@@ -922,8 +927,7 @@ def lambda_min_table_check(members: Sequence) -> dict:
     return counts
 
 
-@dataclass
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Everything the pipeline derives: the signed census, the named
     realizable exceptional graphs (the census-15 role), the certified
     unrealizable exceptional members, any reducible realizations with
@@ -958,12 +962,13 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
     rows = dict(source.realizations)
     derived = {canonical_key(g): find_reducibility_witness(g) is None
                for g in derive_two_slim()}
-    if derived != {canonical_key(catalog(name)): special is not None
-                   for name, special in source.two_slim}:
+    two_slim = [(name, g, canonical_key(g), special)
+                for name, special in source.two_slim for g in [catalog(name)]]
+    if derived != {key: special is not None for _, _, key, special in two_slim}:
         raise ClassificationError(
             "two-slim derivation or its irreducibility filter does not match the source")
-    members = [(name, catalog(name), special)
-               for name, special in source.two_slim if special is not None]
+    members = [(name, g, key, special) for name, g, key, special in two_slim
+               if special is not None]
 
     named: list = []
     unrealizable: list = []
@@ -973,10 +978,10 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
         profile = []
         for m in exceptional:
             reals = []
-            for g in realize_hoffman(m.graph):
+            for key, g in _keyed_realizations(m.graph):
                 witness = find_reducibility_witness(g)
                 if witness is None:
-                    reals.append(g)
+                    reals.append((key, g))
                 else:
                     reducible.append((g, witness[0], witness[1]))
             if not reals:
@@ -985,8 +990,8 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
             profile.append((m.lam.known, len(reals)))
             sname = f"S{n}.{len(profile)}"
             named.append((sname, m))
-            members.extend((f"H{n}.{len(profile)}.{j}", g, sname)
-                           for j, g in enumerate(reals, start=1))
+            members.extend((f"H{n}.{len(profile)}.{j}", g, key, sname)
+                           for j, (key, g) in enumerate(reals, start=1))
         profile = tuple(sorted(profile))
         expected = tuple(sorted(rows.get(n, ())))
         if len(profile) != len(expected):
@@ -1001,21 +1006,21 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
             "exceptional members without fat realization: "
             + ", ".join(to_text(m.graph) for m in unrealizable))
 
-    out = [HoffmanCensusMember(name, g, canonical_key(g), special,
-                               lambda_descriptor(b_matrix(g).entries))
-           for name, g, special in members]
+    out = []
+    for name, g, key, special in members:
+        b = b_matrix(g).entries
+        if not is_fat(g):
+            raise ClassificationError(f"census member {name} is not fat")
+        if not is_connected_signed(special_graph(g)):
+            raise ClassificationError(f"census member {name} is decomposable")
+        if not lambda_min_at_least(b, NEG_ONE_MINUS_TAU):
+            raise ClassificationError(f"census member {name} is below threshold")
+        out.append(HoffmanCensusMember(name, g, key, special, lambda_descriptor(b)))
     total = (sum(special is not None for _, special in source.two_slim)
              + sum(count for row in rows.values() for _, count in row))
     if len(out) != total:
         discrepancies.append(
             f"irreducible census has {len(out)} members, expected {total}")
-    for m in out:
-        if not is_fat(m.graph):
-            raise ClassificationError(f"census member {m.name} is not fat")
-        if not is_connected_signed(special_graph(m.graph)):
-            raise ClassificationError(f"census member {m.name} is decomposable")
-        if not lambda_min_at_least(b_matrix(m.graph).entries, NEG_ONE_MINUS_TAU):
-            raise ClassificationError(f"census member {m.name} is below threshold")
     keys = [m.key for m in out]
     if len(set(keys)) != len(keys):
         raise ClassificationError("census members are not pairwise non-isomorphic")

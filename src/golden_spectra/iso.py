@@ -33,15 +33,13 @@ many times prepare it once and call `prepared_embeddings`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import getitem
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .model import EdgeSignedGraph, HoffmanGraph
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+class CanonicalKey(NamedTuple):
     data: bytes
 
     def hex(self) -> str:

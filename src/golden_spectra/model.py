@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class InvalidGraphError(ValueError):
@@ -48,8 +47,7 @@ def _norm_edges(edges: Iterable) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class HoffmanGraph:
+class HoffmanGraph(NamedTuple):
     """Immutable slim/fat labelled graph.
 
     Ids 0..slim_count-1 are slim, the rest fat.  Constructing does not
@@ -77,8 +75,7 @@ class HoffmanGraph:
         return ((a, b) if a <= b else (b, a)) in self.edges
 
 
-@dataclass(frozen=True)
-class EdgeSignedGraph:
+class EdgeSignedGraph(NamedTuple):
     """Immutable graph with disjoint (+)- and (-)-edge sets."""
 
     vertex_count: int
@@ -313,8 +310,7 @@ def catalog(name: str):
 # structural recognition of the Q family
 
 
-@dataclass(frozen=True)
-class QShape:
+class QShape(NamedTuple):
     """A witnessed match of an edge-signed graph against Q(p,q,r):
     the clique, and pendant-anchor pairs by sign."""
 

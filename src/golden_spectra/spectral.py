@@ -9,7 +9,7 @@ and C the slim-fat incidence block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     EdgeSignedGraph,
@@ -24,15 +24,13 @@ class PreconditionError(ValueError):
     """A stated matrix-identity hypothesis does not hold for the input."""
 
 
-@dataclass(frozen=True)
-class BMatrix:
+class BMatrix(NamedTuple):
     """Reduced matrix on slim vertices, compared and hashed by its entries."""
 
     entries: tuple
 
 
-@dataclass(frozen=True)
-class SignedAdjacency:
+class SignedAdjacency(NamedTuple):
     """{-1,0,1} adjacency of an edge-signed graph, compared and hashed by
     its entries."""
 

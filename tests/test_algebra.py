@@ -191,15 +191,39 @@ class TestPolynomials:
         assert p(2) == 3
         assert p.derivative() == IntPolynomial((0, 2))
 
-    def test_copy_and_pickle_round_trip(self, census7):
+    def test_copy_and_pickle_round_trip(self, census7, classification):
         # the immutable polynomial is rebuilt from its coefficients, so the
-        # cutoffs and eigenvalue descriptors that hold one copy and pickle
+        # cutoffs and eigenvalue descriptors that hold one copy and pickle,
+        # and so does every value type holding graphs, keys and matrices
+        from golden_spectra.decomp import split_by_special_components
+        from golden_spectra.model import hoffman, make_q, recognize_q
+        from golden_spectra.spectral import b_matrix
         member = census7.by_n[7][0]
-        for obj in (IntPolynomial((-1, 1, 1)), IntPolynomial(()), NEG_TAU, member.lam):
+        g = hoffman(2, 1, [(0, 2), (1, 2)])
+        for obj in (IntPolynomial((-1, 1, 1)), IntPolynomial(()), NEG_TAU, member.lam,
+                    g, member.graph, member.key, member, classification.irreducible.members[0],
+                    split_by_special_components(hoffman(2, 2, [(0, 2), (1, 3)])),
+                    recognize_q(make_q(1, 1, 2)), b_matrix(g)):
             for back in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
                 assert back == obj and hash(back) == hash(obj)
-        with pytest.raises(AttributeError):
-            copy.deepcopy(NEG_TAU.min_poly).coeffs = ()
+        for obj, field in ((NEG_TAU.min_poly, "coeffs"), (NEG_TAU, "name"), (g, "edges"),
+                           (member, "key"), (member.key, "data")):
+            with pytest.raises(AttributeError):
+                setattr(copy.deepcopy(obj), field, None)
+
+    def test_value_type_reprs_and_key_order(self, census7):
+        from golden_spectra.iso import CanonicalKey, canonical_key
+        from golden_spectra.model import hoffman, signed
+        g = hoffman(2, 1, [(0, 2), (1, 2)])
+        assert repr(g) == "HoffmanGraph(slim_count=2, fat_count=1, edges=frozenset({(0, 2), (1, 2)}))"
+        assert repr(signed(3, [(0, 1)], [(1, 2)])) == ("EdgeSignedGraph(vertex_count=3, "
+                                                       "plus_edges=frozenset({(0, 1)}), "
+                                                       "minus_edges=frozenset({(1, 2)}))")
+        # keys order as their bytes do
+        keys = [m.key for n in census7.by_n for m in census7.by_n[n]]
+        keys += [canonical_key(g), CanonicalKey(b""), CanonicalKey(b"\x00"), CanonicalKey(b"\xff")]
+        assert [k.data for k in sorted(keys)] == sorted(k.data for k in keys)
+        assert all((a < b) == (a.data < b.data) for a in keys for b in keys)
 
     def test_divexact(self):
         p = IntPolynomial((-1, 1, 1)) * IntPolynomial((5, 7))
@@ -419,14 +443,23 @@ class TestRootCounting:
 
 class TestIsolationOracle:
     """`isolate_smallest_root` returns the very intervals of the Fraction
-    bisection with a Sturm count at every step, not just isolating ones."""
+    bisection with a Sturm count at every step, not just isolating ones.
+    The descriptor isolates on the product of the squarefree
+    decomposition's factors, which for a characteristic polynomial is its
+    squarefree part, so it prints the same interval."""
 
     @staticmethod
     def assert_same_intervals(matrices):
+        from golden_spectra.enumeration import lambda_descriptor
         for m in matrices:
             p = char_poly(m)
-            assert isolate_smallest_root(p, DESCRIPTOR_WIDTH) == \
-                fraction_isolation(p, DESCRIPTOR_WIDTH), m
+            interval = isolate_smallest_root(p, DESCRIPTOR_WIDTH)
+            assert interval == fraction_isolation(p, DESCRIPTOR_WIDTH), m
+            product = IntPolynomial.one()
+            for f, _ in squarefree_decomposition(p):
+                product = product * f
+            assert product == squarefree_part(p), m
+            assert lambda_descriptor(m).interval == interval, m
 
     @pytest.mark.parametrize("cutoff", ["-2", "-1", "0"])
     def test_signed_graphs_up_to_five(self, cutoff):

@@ -562,3 +562,17 @@ def test_import_starts_no_process_machinery():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    # the value types are NamedTuples: start-up skips `dataclasses` and the
+    # `inspect`, `ast` and `dis` it pulls in; -S keeps site's own imports
+    # from loading or hiding them
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import golden_spectra.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
