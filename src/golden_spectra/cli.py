@@ -58,7 +58,7 @@ from .model import (
     to_json_obj,
     to_text,
 )
-from .spectral import b_matrix, signed_adjacency
+from .spectral import b_matrix, signed_adjacency, special_graph
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -138,7 +138,6 @@ def cmd_check(args) -> int:
 
 def cmd_special(args) -> int:
     g = _read_hoffman(args.graph, "special")
-    from .spectral import special_graph
     s = special_graph(g)
     print(json.dumps(to_json_obj(s), sort_keys=True) if args.json else to_text(s))
     return EXIT_OK
@@ -264,8 +263,19 @@ def _verify_base_case(max_n: int) -> bool:
     return True
 
 
+def _verify_lemma3x() -> bool:
+    ok = verify_three_vertex_diagonal_lemma()
+    print(f"three-vertex diagonal sweep: {'ok' if ok else 'FAILED'}")
+    return ok
+
+
+def _verify_extension(p: int, q: int, r: int) -> bool:
+    ok = verify_extension_step(p, q, r)
+    print(f"extension step ({p},{q},{r}): {'ok' if ok else 'FAILED'}")
+    return ok
+
+
 def cmd_verify(args) -> int:
-    ok = True
     if args.what == "base-case":
         ok = _verify_base_case(args.max_n)
     elif args.what == "extension":
@@ -273,24 +283,16 @@ def cmd_verify(args) -> int:
             print("extension requires --p --q --r", file=sys.stderr)
             return EXIT_USAGE
         try:
-            ok = verify_extension_step(args.p, args.q, args.r)
+            ok = _verify_extension(args.p, args.q, args.r)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"extension step ({args.p},{args.q},{args.r}): {'ok' if ok else 'FAILED'}")
     elif args.what == "lemma3x":
-        ok = verify_three_vertex_diagonal_lemma()
-        print(f"three-vertex diagonal sweep: {'ok' if ok else 'FAILED'}")
-    elif args.what == "all":
-        ok = _verify_base_case(args.max_n)
-        sweep = verify_three_vertex_diagonal_lemma()
-        print(f"three-vertex diagonal sweep: {'ok' if sweep else 'FAILED'}")
-        ok = ok and sweep
+        ok = _verify_lemma3x()
+    else:
         # bases with p+q+r >= 7, so that each step decides children
-        for p, q, r in ((0, 0, 7), (1, 1, 5), (2, 1, 4)):
-            step = verify_extension_step(p, q, r)
-            print(f"extension step ({p},{q},{r}): {'ok' if step else 'FAILED'}")
-            ok = ok and step
+        ok = all([_verify_base_case(args.max_n), _verify_lemma3x(),
+                  *(_verify_extension(*base) for base in ((0, 0, 7), (1, 1, 5), (2, 1, 4)))])
     return EXIT_OK if ok else EXIT_FAIL
 
 

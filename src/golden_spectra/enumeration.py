@@ -105,7 +105,6 @@ from .model import (
     hoffman,
     induced_signed_subgraph,
     is_connected_signed,
-    is_fat,
     make_q,
     recognize_q,
     signed,
@@ -825,14 +824,18 @@ def derive_two_slim() -> tuple:
     at or above -1-tau, sorted by key: the slice of `fat_classes(2)` with a
     connected special graph.  As many graphs as `SOURCE_CLASSIFICATION`
     has two-slim classes must come out."""
+    return tuple(_two_slim_classes().values())
+
+
+def _two_slim_classes() -> dict:
+    """`derive_two_slim()` as key -> graph, with `fat_classes`' keys."""
     found = {k: g for level in fat_classes(2).values() for k, g in level.items()
              if is_connected_signed(special_graph(g))}
-    out = tuple(found[k] for k in sorted(found))
     expected = len(SOURCE_CLASSIFICATION.two_slim)
-    if len(out) != expected:
+    if len(found) != expected:
         raise ClassificationError(
-            f"two-slim derivation produced {len(out)} graphs instead of {expected}")
-    return out
+            f"two-slim derivation produced {len(found)} graphs instead of {expected}")
+    return dict(sorted(found.items()))
 
 
 def _moved_partition(g: tuple, classes: frozenset) -> frozenset:
@@ -953,22 +956,26 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
     catalog graphs in the table's order.  Exceptional members without any
     realization and witnessed-reducible realizations are carried on the
     result, and any deviation from the table's counts is recorded as a
-    discrepancy; internal contradictions raise."""
+    discrepancy; internal contradictions raise.  The census must be the
+    connected one at -tau to n >= 7 that forbids T1 alone (ValueError).  Each
+    member is built where its facts are settled, by a raise; the
+    realizations of one s share B = M(s) - I and so one descriptor."""
     if census is None:
         census = enumerate_signed(7, NEG_TAU, (catalog("T1"),), connected=True)
-    if census.max_n < 7 or census.threshold_name != NEG_TAU.name or not census.connected:
-        raise ValueError("census must cover n <= 7 at -tau, connected")
+    if (census.max_n < 7 or census.threshold_name != NEG_TAU.name or not census.connected
+            or census.forbidden != (to_text(catalog("T1")),)):
+        raise ValueError("census must cover n <= 7 at -tau, connected, forbidding T1 alone")
     source = SOURCE_CLASSIFICATION
     rows = dict(source.realizations)
-    derived = {canonical_key(g): find_reducibility_witness(g) is None
-               for g in derive_two_slim()}
+    derived = {key: find_reducibility_witness(g) is None
+               for key, g in _two_slim_classes().items()}
     two_slim = [(name, g, canonical_key(g), special)
                 for name, special in source.two_slim for g in [catalog(name)]]
     if derived != {key: special is not None for _, _, key, special in two_slim}:
         raise ClassificationError(
             "two-slim derivation or its irreducibility filter does not match the source")
-    members = [(name, g, key, special) for name, g, key, special in two_slim
-               if special is not None]
+    members = [HoffmanCensusMember(name, g, key, sname, lambda_descriptor(b_matrix(g).entries))
+               for name, g, key, sname in two_slim if sname is not None]
 
     named: list = []
     unrealizable: list = []
@@ -990,7 +997,8 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
             profile.append((m.lam.known, len(reals)))
             sname = f"S{n}.{len(profile)}"
             named.append((sname, m))
-            members.extend((f"H{n}.{len(profile)}.{j}", g, key, sname)
+            lam = lambda_descriptor(b_matrix(reals[0][1]).entries)
+            members.extend(HoffmanCensusMember(f"H{n}.{len(profile)}.{j}", g, key, sname, lam)
                            for j, (key, g) in enumerate(reals, start=1))
         profile = tuple(sorted(profile))
         expected = tuple(sorted(rows.get(n, ())))
@@ -1006,26 +1014,15 @@ def classify_irreducible(census: Optional[SignedCensus] = None) -> Classificatio
             "exceptional members without fat realization: "
             + ", ".join(to_text(m.graph) for m in unrealizable))
 
-    out = []
-    for name, g, key, special in members:
-        b = b_matrix(g).entries
-        if not is_fat(g):
-            raise ClassificationError(f"census member {name} is not fat")
-        if not is_connected_signed(special_graph(g)):
-            raise ClassificationError(f"census member {name} is decomposable")
-        if not lambda_min_at_least(b, NEG_ONE_MINUS_TAU):
-            raise ClassificationError(f"census member {name} is below threshold")
-        out.append(HoffmanCensusMember(name, g, key, special, lambda_descriptor(b)))
     total = (sum(special is not None for _, special in source.two_slim)
              + sum(count for row in rows.values() for _, count in row))
-    if len(out) != total:
+    if len(members) != total:
         discrepancies.append(
-            f"irreducible census has {len(out)} members, expected {total}")
-    keys = [m.key for m in out]
-    if len(set(keys)) != len(keys):
+            f"irreducible census has {len(members)} members, expected {total}")
+    if len({m.key for m in members}) != len(members):
         raise ClassificationError("census members are not pairwise non-isomorphic")
     return ClassificationResult(census, tuple(named), tuple(unrealizable),
-                                tuple(reducible), HoffmanCensus(tuple(out)),
+                                tuple(reducible), HoffmanCensus(tuple(members)),
                                 tuple(discrepancies))
 
 

@@ -23,6 +23,7 @@ from golden_spectra.enumeration import (
     SOURCE_CLASSIFICATION,
     ClassificationError,
     brute_force_signed_keys,
+    classify_irreducible,
     derive_two_slim,
     enumerate_signed,
     exceptional_members,
@@ -1397,13 +1398,56 @@ class TestClassification:
             enumeration.classify_irreducible(census7)
 
     def test_members_sane(self, classification):
+        # a second route, member by member, for each fact the census
+        # settles where the member is derived
+        from golden_spectra.enumeration import lambda_descriptor
         from golden_spectra.model import is_fat
         seen = set()
         for m in classification.irreducible.members:
+            b = b_matrix(m.graph).entries
             assert is_fat(m.graph)
+            assert is_connected_signed(special_graph(m.graph))
+            assert lambda_min_at_least(b, NEG_ONE_MINUS_TAU)
+            assert m.lam == lambda_descriptor(b)
+            assert m.key == canonical_key(m.graph)
             assert m.key not in seen
             seen.add(m.key)
-            assert m.lam.approx >= float(-1 - (1 + 5 ** 0.5) / 2) - 1e-9
+
+    def test_each_fact_decided_where_the_member_is_derived(self, census7, monkeypatch):
+        # no per-member re-check: one B and one descriptor per two-slim
+        # member and per realizable exceptional graph (5 + 15, and the
+        # fat-degree cap's B), one key per catalog graph and per
+        # realization (6 + 34), one bound decision for the cap and one per
+        # exceptional graph (1 + 17), one special graph per class of
+        # fat_classes(2) and per realization (12 + 34), and no fatness test
+        from golden_spectra import enumeration
+        names = ("char_poly", "b_matrix", "lambda_min_at_least", "canonical_key",
+                 "special_graph", "is_fat")
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(enumeration, name, None)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(enumeration, name, call, raising=False)
+
+        for name in names:
+            counted(name)
+        result = enumeration.classify_irreducible(census7)
+        assert len(result.irreducible.members) == 39
+        assert {name: calls[name] for name in names} == {
+            "char_poly": 20, "b_matrix": 21, "lambda_min_at_least": 18,
+            "canonical_key": 40, "special_graph": 46, "is_fat": 0}
+
+    def test_census_must_forbid_t1_alone(self):
+        # the catalog and the realization profile hold only for the census
+        # that forbids T1 alone: no pattern, or one more, is refused
+        for forbidden in ((), (T1, catalog("T2"))):
+            census = enumerate_signed(7, NEG_TAU, forbidden)
+            with pytest.raises(ValueError, match="forbidding T1 alone"):
+                classify_irreducible(census)
 
     def test_fat_degree_bound(self, classification):
         # at the threshold no slim vertex carries three fat neighbors; the
